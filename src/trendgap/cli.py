@@ -31,6 +31,7 @@ from .forecast import (
 from .prices import (
     CRUDE_OIL_HEURISTIC,
     calibrate_price,
+    component_index_from_difference,
     extrapolate_headline,
     index_to_price,
     parse_calibration_pairs_csv,
@@ -52,44 +53,87 @@ class ConfigError(ValueError):
     """The run configuration is incomplete or inconsistent."""
 
 
+_REQUIRED = object()
+
+
+def _get(section: dict, key: str, where: str, convert=None, default=_REQUIRED):
+    """``section[key]`` passed through ``convert``; ``where`` is the section's dotted path.
+
+    A missing required key, or a value ``convert`` rejects, raises ConfigError
+    naming the full key path. ``null`` counts as absent when the default is None.
+    """
+    path = f"{where}.{key}" if where else key
+    value = section.get(key)
+    if key not in section or (value is None and default is None):
+        if default is _REQUIRED:
+            raise ConfigError(f"config key '{path}' is missing")
+        return default
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key '{path}': {exc}") from None
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {value!r}")
+    return value
+
+
+def _month(token) -> MonthStamp:
+    if not isinstance(token, str):
+        raise TypeError(f"expected a 'YYYY-MM' string, got {token!r}")
+    return MonthStamp.parse(token)
+
+
+def _months(tokens) -> list[MonthStamp]:
+    if not isinstance(tokens, list):
+        raise TypeError(f"expected a list of 'YYYY-MM' strings, got {tokens!r}")
+    return [_month(token) for token in tokens]
+
+
+def _path(value) -> Path:
+    if not isinstance(value, str) or not value:
+        raise TypeError(f"expected a file path, got {value!r}")
+    return Path(value)
+
+
+def _anchor(pair) -> tuple[MonthStamp, float]:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise TypeError(f"expected a ['YYYY-MM', value] pair, got {pair!r}")
+    return _month(pair[0]), float(pair[1])
+
+
 def _read_text(path: Path) -> str:
     if not path.exists():
         raise ConfigError(f"file not found: {path}")
     return path.read_text(encoding="utf-8")
 
 
-def _load_config(args) -> dict:
-    if args.config is None:
-        return {}
-    doc = json.loads(_read_text(Path(args.config)))
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    return doc
-
-
-def _out_dir(args, config: dict) -> Path:
-    out = args.out or config.get("out")
-    if not out:
+def _context(args) -> tuple[dict, Path, Path]:
+    """The config, the directory its relative paths resolve against, and ``--out``."""
+    config = {}
+    if args.config is not None:
+        config = json.loads(_read_text(Path(args.config)))
+        if not isinstance(config, dict):
+            raise ConfigError("config must be a JSON object")
+    base = Path(args.config).parent if args.config else Path.cwd()
+    out = Path(args.out) if args.out else _get(config, "out", "", _path, None)
+    if out is None:
         raise ConfigError("no output directory: pass --out or set 'out' in the config")
-    return Path(out)
+    return config, base, out
 
 
-def _stamp(token: str, what: str) -> MonthStamp:
-    try:
-        return MonthStamp.parse(token)
-    except ValueError as exc:
-        raise ConfigError(f"{what}: {exc}") from None
-
-
-def _load_series(entry: dict, role: str, base: Path):
-    if not isinstance(entry, dict) or "path" not in entry:
-        raise ConfigError(f"series.{role} needs a 'path'")
-    path = Path(entry["path"])
+def _load_series(entry: dict, where: str, base: Path) -> MonthlySeries:
+    path = _get(entry, "path", where, _path)
     if not path.is_absolute():
         path = base / path
-    text = _read_text(path)
-    series_id = entry.get("id", path.stem)
-    return parse_series_csv(text, series_id, base_note=entry.get("base_note", ""))
+    series_id = entry.get("id")
+    if series_id is None:
+        series_id = path.stem
+    return parse_series_csv(_read_text(path), series_id, base_note=entry.get("base_note", ""))
 
 
 def _write_all(outputs: dict[Path, str]) -> None:
@@ -98,12 +142,9 @@ def _write_all(outputs: dict[Path, str]) -> None:
         path.write_text(text, encoding="utf-8")
 
 
-def _difference_from_config(args, config: dict) -> DifferenceSeries:
-    out = _out_dir(args, config)
-    candidate = getattr(args, "difference_csv", None) or config.get("difference_csv")
-    path = Path(candidate) if candidate else out / "difference.csv"
-    text = _read_text(path)
-    parsed = parse_series_csv(text, "difference")
+def _difference_from_config(args, config: dict, out: Path) -> DifferenceSeries:
+    path = args.difference_csv or _get(config, "difference_csv", "", _path, None)
+    parsed = parse_series_csv(_read_text(Path(path or out / "difference.csv")), "difference")
     return DifferenceSeries("minuend", "subtrahend", parsed.observations)
 
 
@@ -111,21 +152,16 @@ def _difference_from_config(args, config: dict) -> DifferenceSeries:
 
 
 def cmd_diff(args) -> int:
-    config = _load_config(args)
-    base = Path(args.config).parent if args.config else Path.cwd()
-    series_cfg = dict(config.get("series", {}))
+    config, base, out = _context(args)
+    series_cfg = dict(_get(config, "series", "", _object, {}))
     if args.headline:
         series_cfg["headline"] = {"path": args.headline, "id": args.headline_id}
     if args.component:
         series_cfg["component"] = {"path": args.component, "id": args.component_id}
-    for role in ("headline", "component"):
-        if role not in series_cfg:
-            raise ConfigError(f"series.{role} missing from config and flags")
-        if series_cfg[role].get("id") is None:
-            series_cfg[role].pop("id", None)
-
-    headline = _load_series(series_cfg["headline"], "headline", base)
-    component = _load_series(series_cfg["component"], "component", base)
+    headline, component = (
+        _load_series(_get(series_cfg, role, "series", _object), f"series.{role}", base)
+        for role in ("headline", "component")
+    )
     for series in (headline, component):
         gaps = series.missing_months()
         if gaps:
@@ -135,7 +171,6 @@ def cmd_diff(args) -> int:
                 file=sys.stderr,
             )
     diff = difference(headline, component)
-    out = _out_dir(args, config)
 
     _write_all({out / "difference.csv": series_to_csv(diff)})
     if all(v == 0.0 for v in diff.values):
@@ -147,43 +182,27 @@ def cmd_diff(args) -> int:
     return 0
 
 
-def _segmentation_params(config: dict) -> dict:
-    seg = config.get("segmentation")
-    if not isinstance(seg, dict):
-        raise ConfigError("config needs a 'segmentation' object")
-    return seg
-
-
 def cmd_fit(args) -> int:
-    config = _load_config(args)
-    seg = _segmentation_params(config)
-    diff = _difference_from_config(args, config)
+    config, _, out = _context(args)
+    seg = _get(config, "segmentation", "", _object)
+    diff = _difference_from_config(args, config, out)
 
-    k = int(args.k if args.k is not None else seg.get("k", 1))
-    min_len = int(args.min_len if args.min_len is not None else seg.get("min_len", 60))
-    halfwidth = int(seg.get("transition_halfwidth", 12))
-    detect_end = seg.get("detect_end")
-    tail_start = seg.get("tail_start")
+    def option(key, convert, default=None):
+        return _get(seg, key, "segmentation", convert, default)
 
-    fit_start = seg.get("fit_start")
-    fit_end = seg.get("fit_end")
-    if fit_start or fit_end:
-        lo = _stamp(fit_start, "fit_start") if fit_start else diff.start
-        hi = _stamp(fit_end, "fit_end") if fit_end else diff.end
-        diff = diff.restrict(lo, hi)
-
-    detect_diff = diff
-    if detect_end is not None:
-        detect_diff = diff.restrict(diff.start, _stamp(detect_end, "detect_end"))
+    k = args.k if args.k is not None else option("k", int, 1)
+    min_len = args.min_len if args.min_len is not None else option("min_len", int, 60)
+    halfwidth = option("transition_halfwidth", int, 12)
+    diff = diff.restrict(
+        option("fit_start", _month) or diff.start, option("fit_end", _month) or diff.end
+    )
+    detect_end = option("detect_end", _month)
+    detect_diff = diff if detect_end is None else diff.restrict(diff.start, detect_end)
     breakpoints = detect_breakpoints(detect_diff, k, min_len)
     model = build_trend_model(
-        diff,
-        breakpoints,
-        halfwidth,
-        tail_start=_stamp(tail_start, "tail_start") if tail_start else None,
+        diff, breakpoints, halfwidth, tail_start=option("tail_start", _month)
     )
 
-    out = _out_dir(args, config)
     _write_all(
         {
             out / "trend_model.json": model.to_json(),
@@ -217,87 +236,91 @@ def _residuals_csv(diff: DifferenceSeries, model: TrendModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _model_segment(model: TrendModel | None, trend_cfg: dict, key: str, where: str):
+    kind = trend_cfg["kind"]
+    if model is None:
+        raise ConfigError(
+            f"{where}.kind {kind!r} needs trend_model.json from 'trendgap fit'; "
+            "backtest never uses it, because that model is fitted on the whole "
+            "series and so sees past every origin"
+        )
+    index = _get(trend_cfg, key, where, int, -1)
+    try:
+        return model.segments[index]
+    except IndexError:
+        raise ConfigError(f"config key '{where}.{key}': {index} out of range") from None
+
+
 def _trend_from_config(
-    trend_cfg: dict, model: TrendModel | None, diff: DifferenceSeries
+    trend_cfg: dict, where: str, model: TrendModel | None, diff: DifferenceSeries
 ) -> LinearSegment:
     kind = trend_cfg.get("kind")
     if kind == "endpoint":
-        s = trend_cfg["start"]
-        e = trend_cfg["end"]
         return endpoint_trend(
-            (_stamp(s[0], "trend.start"), float(s[1])),
-            (_stamp(e[0], "trend.end"), float(e[1])),
+            _get(trend_cfg, "start", where, _anchor), _get(trend_cfg, "end", where, _anchor)
         )
     if kind == "fit":
-        window = (
-            _stamp(trend_cfg["start"], "trend.start"),
-            _stamp(trend_cfg["end"], "trend.end"),
-        )
+        window = (_get(trend_cfg, "start", where, _month), _get(trend_cfg, "end", where, _month))
         return fit_ols(diff, window)
     if kind == "segment":
-        if model is None:
-            raise ConfigError("trend.kind 'segment' needs a fitted trend model")
-        index = int(trend_cfg.get("index", -1))
-        try:
-            return model.segments[index]
-        except IndexError:
-            raise ConfigError(f"trend.index {index} out of range") from None
+        return _model_segment(model, trend_cfg, "index", where)
     if kind == "mirror":
-        if model is None:
-            raise ConfigError("trend.kind 'mirror' needs a fitted trend model")
-        prev = model.segments[int(trend_cfg.get("segment_index", -1))]
-        pivot = trend_cfg["pivot"]
+        prev = _model_segment(model, trend_cfg, "segment_index", where)
         return mirror_trend(
             prev,
-            (_stamp(pivot[0], "trend.pivot"), float(pivot[1])),
-            int(trend_cfg.get("duration", 84)),
+            _get(trend_cfg, "pivot", where, _anchor),
+            _get(trend_cfg, "duration", where, int, 84),
         )
-    raise ConfigError(f"unknown trend kind {kind!r} (endpoint | fit | segment | mirror)")
+    raise ConfigError(
+        f"config key '{where}.kind': unknown trend kind {kind!r} (endpoint | fit | segment | mirror)"
+    )
 
 
 def _forecast_from_config(
-    fc: dict, diff: DifferenceSeries, model: TrendModel | None
-) -> tuple[tuple, float, str]:
-    """Build the configured forecast path; returns (path, band_sigma, mode label)."""
-    mode = fc.get("mode")
+    fc: dict,
+    where: str,
+    diff: DifferenceSeries,
+    model: TrendModel | None,
+    origin: MonthStamp,
+    horizon: int,
+) -> Forecast:
+    """Build the forecast that the config section at ``where`` describes."""
+    mode = _get(fc, "mode", where)
     if mode not in (ALONG_TREND, RETURN_TO_TREND, PENDULUM):
-        raise ConfigError(f"unknown forecast mode {mode!r}")
-    origin = _stamp(fc["origin"], "forecast.origin")
-    horizon = int(fc.get("horizon", 0))
-    if horizon < 1:
-        raise ConfigError(f"forecast.horizon must be >= 1, got {horizon}")
-    trend = _trend_from_config(fc.get("trend", {"kind": "segment"}), model, diff)
+        raise ConfigError(f"config key '{where}.mode': unknown forecast mode {mode!r}")
+    trend_cfg = _get(fc, "trend", where, _object, {"kind": "segment"})
+    trend = _trend_from_config(trend_cfg, f"{where}.trend", model, diff)
 
     if mode == ALONG_TREND:
-        f = forecast_along_trend(trend, origin, horizon)
-        return f.path, f.band_sigma, f.mode
+        return forecast_along_trend(trend, origin, horizon)
 
     current = (origin, diff.value_at(origin))
     if mode == RETURN_TO_TREND:
-        deadline = _stamp(fc["deadline"], "forecast.deadline")
+        deadline = _get(fc, "deadline", where, _month)
         first = forecast_return_to_trend(current, trend, deadline)
         steps_to_deadline = len(first.path)
         if horizon > steps_to_deadline:
             second = forecast_along_trend(trend, deadline, horizon - steps_to_deadline)
-            path = chain_forecasts(first, second)
-            return path, first.band_sigma, f"{RETURN_TO_TREND}+{ALONG_TREND}"
-        if horizon < steps_to_deadline:
-            raise ConfigError(
-                f"forecast.horizon {horizon} ends before the deadline {deadline}"
+            return Forecast(
+                f"{RETURN_TO_TREND}+{ALONG_TREND}",
+                origin,
+                chain_forecasts(first, second),
+                first.band_sigma,
             )
-        return first.path, first.band_sigma, first.mode
+        if horizon < steps_to_deadline:
+            raise ConfigError(f"horizon {horizon} ends before {where}.deadline {deadline}")
+        return first
 
-    f = forecast_pendulum(
+    return forecast_pendulum(
         current,
         trend,
-        amplitude=float(fc["amplitude"]),
-        half_period=int(fc["half_period"]),
+        amplitude=_get(fc, "amplitude", where, float),
+        half_period=_get(fc, "half_period", where, int),
         horizon=horizon,
     )
-    return f.path, f.band_sigma, f.mode
 
 
-def _calibration_from_config(cal_cfg, base: Path):
+def _calibration_from_config(cal_cfg, where: str, base: Path):
     if cal_cfg in (None, "none"):
         return None
     if cal_cfg == "heuristic" or (
@@ -305,7 +328,7 @@ def _calibration_from_config(cal_cfg, base: Path):
     ):
         return CRUDE_OIL_HEURISTIC
     if isinstance(cal_cfg, dict) and cal_cfg.get("kind") == "fitted":
-        path = Path(cal_cfg["pairs_csv"])
+        path = _get(cal_cfg, "pairs_csv", where, _path)
         if not path.is_absolute():
             path = base / path
         pairs = parse_calibration_pairs_csv(_read_text(path))
@@ -313,95 +336,70 @@ def _calibration_from_config(cal_cfg, base: Path):
     raise ConfigError(f"unknown calibration {cal_cfg!r}")
 
 
-def _prices_csv(path, band_sigma: float, cal) -> str:
+def _prices_csv(forecast: Forecast, cal) -> str:
+    band = forecast.band_sigma
     lines = ["date,price_usd,low,high"]
-    for stamp, value in path:
+    for stamp, value in forecast.path:
         price = index_to_price(cal, value)
-        edges = sorted(
-            (index_to_price(cal, value - band_sigma), index_to_price(cal, value + band_sigma))
-        )
+        edges = sorted((index_to_price(cal, value - band), index_to_price(cal, value + band)))
         lines.append(f"{stamp},{price!r},{edges[0]!r},{edges[1]!r}")
     return "\n".join(lines) + "\n"
 
 
-def _forecast_csv(path, band_sigma: float) -> str:
-    lines = ["date,predicted,low,high"]
-    for stamp, value in path:
-        lines.append(f"{stamp},{value!r},{value - band_sigma!r},{value + band_sigma!r}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_forecast(args) -> int:
-    config = _load_config(args)
-    base = Path(args.config).parent if args.config else Path.cwd()
-    fc = config.get("forecast")
-    if not isinstance(fc, dict):
-        raise ConfigError("config needs a 'forecast' object")
-    out = _out_dir(args, config)
+    config, base, out = _context(args)
+    fc = _get(config, "forecast", "", _object)
+    horizon = _get(fc, "horizon", "forecast", int, 0)
+    if horizon < 1:
+        raise ConfigError(f"forecast.horizon must be >= 1, got {horizon}")
 
     model_path = out / "trend_model.json"
     model = TrendModel.from_json(_read_text(model_path)) if model_path.exists() else None
-    diff = _difference_from_config(args, config)
-    path, band_sigma, mode = _forecast_from_config(fc, diff, model)
+    diff = _difference_from_config(args, config, out)
+    origin = _get(fc, "origin", "forecast", _month)
+    f = _forecast_from_config(fc, "forecast", diff, model, origin, horizon)
 
-    outputs = {
-        out / "forecast.csv": _forecast_csv(path, band_sigma),
-        out
-        / "forecast.json": json.dumps(
-            {
-                "mode": mode,
-                "origin": fc["origin"],
-                "path": [[str(s), v] for s, v in path],
-                "band_sigma": band_sigma,
-            },
-            indent=2,
-        )
-        + "\n",
-    }
-    cal = _calibration_from_config(config.get("calibration"), base)
+    outputs = {out / "forecast.csv": f.to_csv(), out / "forecast.json": f.to_json()}
+    cal = _calibration_from_config(config.get("calibration"), "calibration", base)
     if cal is not None:
-        outputs[out / "forecast_prices.csv"] = _prices_csv(path, band_sigma, cal)
+        outputs[out / "forecast_prices.csv"] = _prices_csv(f, cal)
     _write_all(outputs)
-    print(f"forecast ({mode}): {path[0][0]}..{path[-1][0]}, {len(path)} months")
-    print(f"terminal value {path[-1][1]:+.2f}")
+    print(f"forecast ({f.mode}): {f.path[0][0]}..{f.path[-1][0]}, {len(f.path)} months")
+    print(f"terminal value {f.path[-1][1]:+.2f}")
     return 0
 
 
 def cmd_translate(args) -> int:
-    config = _load_config(args)
-    base = Path(args.config).parent if args.config else Path.cwd()
-    out = _out_dir(args, config)
-    tr = config.get("translate", {})
+    config, base, out = _context(args)
+    tr = _get(config, "translate", "", _object, {})
 
-    forecast_csv = args.forecast_csv or tr.get("forecast_csv") or str(out / "forecast.csv")
-    rows = _read_forecast_csv(Path(forecast_csv))
-    if not rows:
-        raise ConfigError(f"{forecast_csv}: no forecast rows")
-    path = [(stamp, value) for stamp, value, _, _ in rows]
-    band = rows[0][1] - rows[0][2]
+    path = args.forecast_csv or _get(tr, "forecast_csv", "translate", _path, None)
+    f = _read_forecast_csv(Path(path or out / "forecast.csv"))
 
+    where = "translate.calibration" if tr.get("calibration") else "calibration"
     cal_cfg = args.calibration or tr.get("calibration") or config.get("calibration")
-    cal = _calibration_from_config(cal_cfg, base)
+    cal = _calibration_from_config(cal_cfg, where, base)
     if cal is None:
         raise ConfigError("translate needs a calibration")
 
-    outputs = {out / "translated_prices.csv": _prices_csv(path, band, cal)}
+    outputs = {out / "translated_prices.csv": _prices_csv(f, cal)}
 
-    headline_cfg = tr.get("headline")
+    headline_cfg = _get(tr, "headline", "translate", _object, None)
     if headline_cfg:
-        headline = _load_series(headline_cfg, "headline", base)
-        origin = path[0][0].add_months(-1)
-        rate = tr.get("annual_rate")
+        headline = _load_series(headline_cfg, "translate.headline", base)
+        rate = _get(tr, "annual_rate", "translate", float, None)
         if rate is None:
-            rate = trailing_growth_rate(headline, origin)
-        extrapolated = extrapolate_headline(headline, origin, len(path), float(rate))
+            rate = trailing_growth_rate(headline, f.origin)
+        extrapolated = extrapolate_headline(headline, f.origin, len(f.path), rate)
         lines = ["date,component_index"]
-        for (stamp, dv), (_, hv) in zip(path, extrapolated):
-            lines.append(f"{stamp},{hv - dv!r}")
+        lines.extend(
+            f"{stamp},{value!r}"
+            for stamp, value in component_index_from_difference(extrapolated, f)
+        )
         outputs[out / "component_index.csv"] = "\n".join(lines) + "\n"
 
     _write_all(outputs)
-    first, last = path[0], path[-1]
+    first, last = f.path[0], f.path[-1]
     print(
         f"prices: {first[0]} -> {index_to_price(cal, first[1]):.2f} USD, "
         f"{last[0]} -> {index_to_price(cal, last[1]):.2f} USD"
@@ -409,7 +407,8 @@ def cmd_translate(args) -> int:
     return 0
 
 
-def _read_forecast_csv(path: Path):
+def _read_forecast_csv(path: Path) -> Forecast:
+    """Read a ``forecast.csv`` back; its band is the first row's predicted minus low."""
     text = _read_text(path)
     lines = [ln.rstrip("\r") for ln in text.split("\n") if ln.strip()]
     if not lines or lines[0] != "date,predicted,low,high":
@@ -418,48 +417,47 @@ def _read_forecast_csv(path: Path):
     for line in lines[1:]:
         date, pred, low, high = line.split(",")
         rows.append((MonthStamp.parse(date), float(pred), float(low), float(high)))
-    return rows
+    if not rows:
+        raise ConfigError(f"{path}: no forecast rows")
+    # the file does not record the forecast regime
+    return Forecast(
+        mode="unknown",
+        origin=rows[0][0].add_months(-1),
+        path=tuple((stamp, value) for stamp, value, _, _ in rows),
+        band_sigma=rows[0][1] - rows[0][2],
+    )
 
 
 def cmd_backtest(args) -> int:
-    config = _load_config(args)
-    bt = config.get("backtest")
-    if not isinstance(bt, dict):
-        raise ConfigError("config needs a 'backtest' object")
-    fc = bt.get("forecast") or config.get("forecast")
-    if not isinstance(fc, dict):
-        raise ConfigError("config needs a 'forecast' object (reused per origin)")
-    diff = _difference_from_config(args, config)
-    out = _out_dir(args, config)
+    config, _, out = _context(args)
+    bt = _get(config, "backtest", "", _object)
+    if bt.get("forecast") is not None:
+        fc, where = _get(bt, "forecast", "backtest", _object), "backtest.forecast"
+    else:
+        fc, where = _get(config, "forecast", "", _object), "forecast"
+    diff = _difference_from_config(args, config, out)
 
-    origins = [_stamp(o, "backtest.origins") for o in bt.get("origins", [])]
+    origins = _get(bt, "origins", "backtest", _months, [])
     if not origins:
         raise ConfigError("backtest.origins must list at least one origin")
-    horizon = int(bt.get("horizon", 0))
+    horizon = _get(bt, "horizon", "backtest", int, 0)
 
-    model_path = out / "trend_model.json"
-    model = TrendModel.from_json(_read_text(model_path)) if model_path.exists() else None
+    # no trend model: it is fitted on the whole series, past every origin
+    reports = rolling_backtest(
+        diff,
+        lambda history, origin, h: _forecast_from_config(fc, where, history, None, origin, h),
+        origins,
+        horizon,
+    )
 
-    def forecaster(history: DifferenceSeries, origin: MonthStamp, h: int) -> Forecast:
-        per_origin = dict(fc)
-        per_origin["origin"] = str(origin)
-        per_origin["horizon"] = h
-        path, band_sigma, mode = _forecast_from_config(per_origin, history, model)
-        return Forecast(mode=mode.split("+")[0], origin=origin, path=path, band_sigma=band_sigma)
-
-    reports = rolling_backtest(diff, forecaster, origins, horizon)
-
-    baseline_cfg = bt.get("baseline")
+    baseline_cfg = _get(bt, "baseline", "backtest", _object, None)
     baseline_reports: list[BacktestReport] = []
     if baseline_cfg:
-        window = (
-            _stamp(baseline_cfg["fit_start"], "baseline.fit_start"),
-            _stamp(baseline_cfg["fit_end"], "baseline.fit_end"),
-        )
+        fit_start = _get(baseline_cfg, "fit_start", "backtest.baseline", _month)
+        fit_end = _get(baseline_cfg, "fit_end", "backtest.baseline", _month)
 
         def baseline_forecaster(history, origin, h):
-            fit_hi = min(window[1], origin)
-            trend = fit_ols(history, (window[0], fit_hi))
+            trend = fit_ols(history, (fit_start, min(fit_end, origin)))
             return forecast_along_trend(trend, origin, h)
 
         baseline_reports = rolling_backtest(diff, baseline_forecaster, origins, horizon)
@@ -486,7 +484,7 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_fetch(args) -> int:
-    import requests
+    from urllib.request import Request, urlopen
 
     base_url = os.environ.get("TRENDGAP_API_BASE", DEFAULT_API_BASE)
     payload = {
@@ -494,11 +492,13 @@ def cmd_fetch(args) -> int:
         "startyear": str(args.start_year),
         "endyear": str(args.end_year),
     }
-    response = requests.post(
-        f"{base_url}/timeseries/data/", json=payload, timeout=args.timeout
+    request = Request(
+        f"{base_url}/timeseries/data/",
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
     )
-    response.raise_for_status()
-    series = series_from_api_payload(response.json(), args.series_id)
+    with urlopen(request, timeout=args.timeout) as response:
+        series = series_from_api_payload(json.load(response), args.series_id)
     out = Path(args.out or ".")
     _write_all({out / f"{args.series_id}.csv": series_to_csv(series)})
     print(f"fetched {args.series_id}: {len(series)} months, {series.start}..{series.end}")

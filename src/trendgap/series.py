@@ -9,7 +9,7 @@ components is measured in the same units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 class SeriesError(ValueError):
@@ -75,24 +75,33 @@ def months_between(later: MonthStamp, earlier: MonthStamp) -> int:
 Observation = tuple[MonthStamp, float]
 
 
-def _checked_observations(obs, what: str) -> tuple[Observation, ...]:
-    out = tuple((stamp, float(value)) for stamp, value in obs)
-    if not out:
-        raise SeriesError(f"empty {what}")
-    prev = None
-    for stamp, value in out:
-        if not math.isfinite(value):
-            raise SeriesError(f"non-finite value {value!r} at {stamp} in {what}")
-        if prev is not None and stamp <= prev:
-            raise SeriesError(f"stamps not strictly increasing at {stamp} in {what}")
-        prev = stamp
-    return out
-
-
 class _ObservationMixin:
-    """Shared read access for stamped series (observations must be sorted)."""
+    """Shared validation and read access for stamped series dataclasses.
+
+    Subclasses name themselves for error messages with a ``_label`` property.
+    """
 
     observations: tuple[Observation, ...]
+
+    def __post_init__(self):
+        obs = tuple((stamp, float(value)) for stamp, value in self.observations)
+        if not obs:
+            raise SeriesError(f"empty {self._label}")
+        prev = None
+        for stamp, value in obs:
+            if not math.isfinite(value):
+                raise SeriesError(f"non-finite value {value!r} at {stamp} in {self._label}")
+            if prev is not None and stamp <= prev:
+                raise SeriesError(f"stamps not strictly increasing at {stamp} in {self._label}")
+            prev = stamp
+        object.__setattr__(self, "observations", obs)
+
+    def restrict(self, start: MonthStamp, end: MonthStamp):
+        """The same series cut to the months in ``start..end``."""
+        kept = tuple(o for o in self.observations if start <= o[0] <= end)
+        if not kept:
+            raise SeriesError(f"{self._label} has no data in {start}..{end}")
+        return replace(self, observations=kept)
 
     @property
     def stamps(self) -> tuple[MonthStamp, ...]:
@@ -159,18 +168,9 @@ class MonthlySeries(_ObservationMixin):
     base_note: str
     observations: tuple[Observation, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "observations",
-            _checked_observations(self.observations, f"series {self.series_id!r}"),
-        )
-
-    def restrict(self, start: MonthStamp, end: MonthStamp) -> "MonthlySeries":
-        kept = tuple(o for o in self.observations if start <= o[0] <= end)
-        if not kept:
-            raise SeriesError(f"series {self.series_id!r} has no data in {start}..{end}")
-        return MonthlySeries(self.series_id, self.base_note, kept)
+    @property
+    def _label(self) -> str:
+        return f"series {self.series_id!r}"
 
 
 @dataclass(frozen=True)
@@ -181,20 +181,9 @@ class DifferenceSeries(_ObservationMixin):
     subtrahend_id: str
     observations: tuple[Observation, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "observations",
-            _checked_observations(
-                self.observations, f"difference {self.minuend_id!r}-{self.subtrahend_id!r}"
-            ),
-        )
-
-    def restrict(self, start: MonthStamp, end: MonthStamp) -> "DifferenceSeries":
-        kept = tuple(o for o in self.observations if start <= o[0] <= end)
-        if not kept:
-            raise SeriesError("difference has no data in requested window")
-        return DifferenceSeries(self.minuend_id, self.subtrahend_id, kept)
+    @property
+    def _label(self) -> str:
+        return f"difference {self.minuend_id!r}-{self.subtrahend_id!r}"
 
 
 def parse_series_csv(text: str, series_id: str, base_note: str = "") -> MonthlySeries:

@@ -1,6 +1,9 @@
 """Command-line pipeline behavior, exit codes and file formats."""
 
+import io
 import json
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -197,3 +200,138 @@ class TestFetchPayload:
         payload = {"status": "REQUEST_SUCCEEDED", "Results": {"series": []}}
         with pytest.raises(ValueError, match="not in API response"):
             series_from_api_payload(payload, "X")
+
+
+def fixture_config(name: str) -> dict:
+    """A fixture config with its input paths made absolute."""
+    config = json.loads((FIXTURES / f"{name}_config.json").read_text())
+    for role in config["series"].values():
+        role["path"] = str(FIXTURES / role["path"])
+    calibration = config.get("translate", {}).get("calibration")
+    if isinstance(calibration, dict) and "pairs_csv" in calibration:
+        calibration["pairs_csv"] = str(FIXTURES / calibration["pairs_csv"])
+    return config
+
+
+def snapshot(out) -> dict:
+    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+DELETE = object()
+
+
+BAD_KEYS = [
+    ("motor", "forecast", "forecast.trend.end", DELETE, "forecast.trend.end"),
+    ("motor", "forecast", "forecast.origin", DELETE, "forecast.origin"),
+    ("motor", "forecast", "forecast.deadline", DELETE, "forecast.deadline"),
+    ("motor", "forecast", "forecast.trend.start", 5, "forecast.trend.start"),
+    ("motor", "backtest", "backtest.baseline.fit_end", DELETE, "backtest.baseline.fit_end"),
+    ("motor", "fit", "segmentation.k", None, "segmentation.k"),
+    ("crude", "translate", "translate.calibration.pairs_csv", DELETE, "translate.calibration.pairs_csv"),
+    ("motor", "forecast", "forecast.trend", {"kind": "mirror"}, "forecast.trend.pivot"),
+]
+
+
+class TestConfigErrors:
+    """A missing or mistyped config key exits 2 and names its dotted path."""
+
+    @pytest.mark.parametrize(
+        "name, command, key, value, named", BAD_KEYS, ids=[case[2] for case in BAD_KEYS]
+    )
+    def test_bad_key_exits_two(self, tmp_path, capsys, name, command, key, value, named):
+        out = tmp_path / "out"
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(fixture_config(name)))
+        prepared = ("diff", "fit", "forecast") if command == "translate" else ("diff", "fit")
+        for step in prepared:
+            assert run(step, "--config", str(good), "--out", str(out)) == 0
+
+        config = fixture_config(name)
+        *parents, last = key.split(".")
+        section = config
+        for part in parents:
+            section = section[part]
+        if value is DELETE:
+            del section[last]
+        else:
+            section[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        before = snapshot(out)
+        capsys.readouterr()
+
+        assert run(command, "--config", str(bad), "--out", str(out)) == 2
+        assert named in capsys.readouterr().err
+        assert snapshot(out) == before
+
+
+class TestBacktestLookahead:
+    @pytest.mark.parametrize(
+        "trend",
+        [{"kind": "segment"}, {"kind": "mirror", "pivot": ["1995-01", 0.0]}],
+        ids=["segment", "mirror"],
+    )
+    def test_model_trend_kinds_exit_two(self, motor_out, capsys, trend):
+        config = fixture_config("motor")
+        assert run("fit", "--config", str(FIXTURES / "motor_config.json"), "--out", str(motor_out)) == 0
+        config["backtest"] = {
+            "origins": ["1995-01"],
+            "horizon": 12,
+            "forecast": {"mode": "along-trend", "trend": trend},
+        }
+        cfg_path = motor_out.parent / "lookahead.json"
+        cfg_path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run("backtest", "--config", str(cfg_path), "--out", str(motor_out)) == 2
+        assert "whole series" in capsys.readouterr().err
+        assert not (motor_out / "backtest.csv").exists()
+
+
+FETCH_ARGS = ("fetch", "--series-id", "CUSR0000SA0", "--start-year", "2009", "--end-year", "2009")
+
+
+class TestFetch:
+    def test_writes_csv(self, tmp_path, monkeypatch):
+        payload = {
+            "status": "REQUEST_SUCCEEDED",
+            "Results": {
+                "series": [
+                    {
+                        "seriesID": "CUSR0000SA0",
+                        "data": [
+                            {"year": "2009", "period": "M02", "value": "212.7"},
+                            {"year": "2009", "period": "M01", "value": "211.9"},
+                        ],
+                    }
+                ]
+            },
+        }
+        calls = []
+
+        def fake_urlopen(request, timeout):
+            calls.append((request.full_url, json.loads(request.data), timeout))
+            return io.BytesIO(json.dumps(payload).encode())
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        monkeypatch.setenv("TRENDGAP_API_BASE", "http://mirror.test/v2")
+        assert run(*FETCH_ARGS, "--out", str(tmp_path)) == 0
+        assert (tmp_path / "CUSR0000SA0.csv").read_text() == (
+            "date,value\n2009-01,211.9\n2009-02,212.7\n"
+        )
+        assert calls == [
+            (
+                "http://mirror.test/v2/timeseries/data/",
+                {"seriesid": ["CUSR0000SA0"], "startyear": "2009", "endyear": "2009"},
+                30.0,
+            )
+        ]
+
+    def test_unreachable_host_exits_two(self, tmp_path, monkeypatch, capsys):
+        def fake_urlopen(request, timeout):
+            raise urllib.error.URLError("connection refused")
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        out = tmp_path / "out"
+        assert run(*FETCH_ARGS, "--out", str(out)) == 2
+        assert "connection refused" in capsys.readouterr().err
+        assert not out.exists()

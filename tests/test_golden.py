@@ -1,0 +1,53 @@
+"""Fixture pipeline artefacts pinned byte for byte.
+
+Criterion 10 compares two runs of the same code; these hashes compare the
+code with the outputs it produced before the CLI was rebuilt on the library's
+``Forecast``, so a refactor that changes any artefact byte fails here.
+"""
+
+import contextlib
+import hashlib
+import io
+
+from trendgap.cli import main
+
+from conftest import FIXTURES
+
+PIPELINES = {
+    "motor": ("diff", "fit", "forecast", "backtest"),
+    "crude": ("diff", "fit", "forecast", "translate", "backtest"),
+}
+
+GOLDEN_SHA256 = {
+    "crude/backtest.csv": "40b1b86b1e29b9c973b2a2f4ffe5adfed53a618fa046555eb4be19abfffeec3d",
+    "crude/backtest.json": "3d09ce279f59eb4032aca095d8688345f7628ecc4d81370517ebc75709d4c24d",
+    "crude/difference.csv": "36d1dd5cd8fdeb4b7fd60c7abe454be2bbf8dc12575b911d76a782aec2d07a70",
+    "crude/forecast.csv": "e27260f8ef82ee3cce679a1b02f264036028d1a74c8ca38afbc868e520b3c122",
+    "crude/forecast.json": "c4261c9fda852c914166de485fd8b45ab9ebd0b3097ca1170bb3cb7961776109",
+    "crude/forecast_prices.csv": "40175a34a6ceb7673912a2f0a71b1c307eebe0f4d6ffbb3bfdceebbedddbd0f1",
+    "crude/residuals.csv": "df549df338d5af7cdc11cd787c2fb1b253dead88c7460bbf8ecda931df584d23",
+    "crude/translated_prices.csv": "cc38d51f4b882ecd9e6d51dcdbb440130d7b95abe09eaea3b961829074d06448",
+    "crude/trend_model.json": "b5390cf608d2e5f4423c743f4036fbbd5f66ed10f9bfee5b7c994c59e2d09621",
+    "motor/backtest.csv": "ed635b3d7772cadde66cc07b95f066cb55b8f83a93f4cfa841c18681e2ab6b80",
+    "motor/backtest.json": "71d1f18893b0036fd457b6b42db7cdb5080c1a02458bab7e5df75a8bfae5d3a2",
+    "motor/difference.csv": "d86b662ac823ceb5ea05c4721fe621bd9c03ba24fb6bd68a1f334036e8683115",
+    "motor/forecast.csv": "436579f78030c825596e1effc633f6f790b43a1673991a4475a804e43c04df0c",
+    "motor/forecast.json": "b43f0384e6e3a7d9cc6d946fecbd6b141cf7977ba51173c6e58a2f202c173d45",
+    "motor/residuals.csv": "b5335ac6441c89e02e5dcb196f60fb875d8d10fc3789a79f2a0b9e7af61de9cd",
+    "motor/trend_model.json": "1e09598be65f4f0369a96d5c3d599d9eb3d699cdf3860780aa12b0cbc9faafb9",
+}
+
+
+def test_fixture_artefacts_match_golden_hashes(tmp_path):
+    for name, commands in PIPELINES.items():
+        config = FIXTURES / f"{name}_config.json"
+        for command in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", str(config), "--out", str(tmp_path / name)])
+            assert code == 0, f"{name} {command} failed"
+    produced = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.rglob("*"))
+        if path.is_file()
+    }
+    assert produced == GOLDEN_SHA256
