@@ -100,6 +100,12 @@ def _path(value) -> Path:
     return Path(value)
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def _anchor(pair) -> tuple[MonthStamp, float]:
     if not isinstance(pair, list) or len(pair) != 2:
         raise TypeError(f"expected a ['YYYY-MM', value] pair, got {pair!r}")
@@ -130,10 +136,11 @@ def _load_series(entry: dict, where: str, base: Path) -> MonthlySeries:
     path = _get(entry, "path", where, _path)
     if not path.is_absolute():
         path = base / path
-    series_id = entry.get("id")
+    series_id = _get(entry, "id", where, _text, None)
     if series_id is None:
         series_id = path.stem
-    return parse_series_csv(_read_text(path), series_id, base_note=entry.get("base_note", ""))
+    base_note = _get(entry, "base_note", where, _text, "")
+    return parse_series_csv(_read_text(path), series_id, base_note=base_note)
 
 
 def _write_all(outputs: dict[Path, str]) -> None:
@@ -333,7 +340,7 @@ def _calibration_from_config(cal_cfg, where: str, base: Path):
             path = base / path
         pairs = parse_calibration_pairs_csv(_read_text(path))
         return calibrate_price(pairs)
-    raise ConfigError(f"unknown calibration {cal_cfg!r}")
+    raise ConfigError(f"{where}: unknown calibration {cal_cfg!r}")
 
 
 def _prices_csv(forecast: Forecast, cal) -> str:
@@ -376,8 +383,11 @@ def cmd_translate(args) -> int:
     path = args.forecast_csv or _get(tr, "forecast_csv", "translate", _path, None)
     f = _read_forecast_csv(Path(path or out / "forecast.csv"))
 
-    where = "translate.calibration" if tr.get("calibration") else "calibration"
-    cal_cfg = args.calibration or tr.get("calibration") or config.get("calibration")
+    cal_cfg, where = _get(tr, "calibration", "translate", None, None), "translate.calibration"
+    if args.calibration:
+        cal_cfg, where = args.calibration, "--calibration"
+    elif cal_cfg is None:
+        cal_cfg, where = config.get("calibration"), "calibration"
     cal = _calibration_from_config(cal_cfg, where, base)
     if cal is None:
         raise ConfigError("translate needs a calibration")

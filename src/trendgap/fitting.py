@@ -278,30 +278,25 @@ def classify_deviation(model: TrendModel, stamp: MonthStamp, value: float) -> De
 
 
 class _SegmentCost:
-    """O(1) least-squares SSE of any contiguous month range, via prefix sums."""
+    """O(1) least-squares SSE of any contiguous month range, via prefix sums.
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        n = len(x)
-        z = np.zeros(1)
-        self.c_x = np.concatenate([z, np.cumsum(x)])
-        self.c_y = np.concatenate([z, np.cumsum(y)])
-        self.c_xx = np.concatenate([z, np.cumsum(x * x)])
-        self.c_xy = np.concatenate([z, np.cumsum(x * y)])
-        self.c_yy = np.concatenate([z, np.cumsum(y * y)])
-        self.n = n
+    Positions are in years and both coordinates are centred first: prefix
+    sums of a series far from zero would otherwise cancel away the small
+    within-piece variation that decides where the breaks go.
+    """
 
-    def sse(self, i: int, j: int) -> float:
-        """SSE of the OLS line on positions i..j inclusive."""
-        return float(self.sse_row(i, np.array([j]))[0])
+    def __init__(self, y: np.ndarray):
+        x = np.arange(len(y)) / 12.0
+        x = x - x.mean()
+        y = y - y.mean()
+        # prefix[p] holds the sums of x, y, xx, xy and yy over positions 0..p-1
+        terms = np.column_stack([x, y, x * x, x * y, y * y])
+        self.prefix = np.vstack([np.zeros(5), np.cumsum(terms, axis=0)])
 
-    def sse_row(self, i: int, js: np.ndarray) -> np.ndarray:
-        """Vectorized SSE of i..j for an array of right endpoints ``js``."""
-        m = js - i + 1
-        sx = self.c_x[js + 1] - self.c_x[i]
-        sy = self.c_y[js + 1] - self.c_y[i]
-        sxx = self.c_xx[js + 1] - self.c_xx[i]
-        sxy = self.c_xy[js + 1] - self.c_xy[i]
-        syy = self.c_yy[js + 1] - self.c_yy[i]
+    def sse(self, i, j) -> np.ndarray:
+        """SSE of the OLS line on positions i..j inclusive; broadcasts over arrays."""
+        m = j - i + 1
+        sx, sy, sxx, sxy, syy = (self.prefix[j + 1] - self.prefix[i]).T
         var_x = sxx - sx * sx / m
         cov_xy = sxy - sx * sy / m
         var_y = syy - sy * sy / m
@@ -310,13 +305,40 @@ class _SegmentCost:
         return np.maximum(sse, 0.0)
 
 
-def _series_positions(diff: DifferenceSeries):
+def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
+    """Optimal segmentations of every suffix with 0..max_k breaks, in one pass.
+
+    ``suffix[m][i]`` is the minimal SSE covering positions i..n-1 with m
+    breaks, and ``after[m][i]`` is the position just right of the earliest
+    optimal first break there. Following ``after`` forward from position 0
+    yields the lexicographically smallest optimal breakpoint set.
+    """
     if not diff.is_contiguous():
         raise FitError("breakpoint detection requires a gap-free series")
-    start = diff.start
-    x = np.array([months_between(s, start) / 12.0 for s, _ in diff.observations])
-    y = np.array(diff.values)
-    return start, x, y
+    n = len(diff)
+    cost = _SegmentCost(np.array(diff.values))
+    suffix = np.full((max_k + 1, n + 1), np.inf)
+    after = np.zeros((max_k + 1, n + 1), dtype=int)
+    starts = np.arange(n - min_len + 1)
+    suffix[0][starts] = cost.sse(starts, n - 1)
+    for m in range(1, max_k + 1):
+        # piece i..b, then m-1 breaks in b+1..n-1
+        for i in range(n - (m + 1) * min_len, -1, -1):
+            bs = np.arange(i + min_len - 1, n - m * min_len)
+            totals = cost.sse(i, bs) + suffix[m - 1][bs + 1]
+            # argmin returns the first minimum, i.e. the earliest feasible break
+            best = int(np.argmin(totals))
+            suffix[m][i] = totals[best]
+            after[m][i] = bs[best] + 1
+    return suffix, after
+
+
+def _breakpoints(diff: DifferenceSeries, after: np.ndarray, k: int) -> list[MonthStamp]:
+    points, i = [], 0
+    for m in range(k, 0, -1):
+        i = int(after[m][i])
+        points.append(diff.start.add_months(i))
+    return points
 
 
 def detect_breakpoints(diff: DifferenceSeries, k: int, min_len: int) -> list[MonthStamp]:
@@ -349,39 +371,10 @@ def detect_breakpoints(diff: DifferenceSeries, k: int, min_len: int) -> list[Mon
         )
     if k == 0:
         return []
-
-    start, x, y = _series_positions(diff)
-    cost = _SegmentCost(x, y)
-
-    # suffix[m][i]: minimal SSE covering positions i..n-1 with m more breaks.
-    inf = np.inf
-    suffix = np.full((k + 1, n + 1), inf)
-    for i in range(n - min_len, -1, -1):
-        suffix[0][i] = cost.sse(i, n - 1)
-    for m in range(1, k + 1):
-        # piece i..b, then m-1 breaks in b+1..n-1
-        for i in range(n - (m + 1) * min_len, -1, -1):
-            bs = np.arange(i + min_len - 1, n - m * min_len)
-            if len(bs) == 0:
-                continue
-            totals = cost.sse_row(i, bs) + suffix[m - 1][bs + 1]
-            suffix[m][i] = float(np.min(totals))
-
+    suffix, after = _segment(diff, k, min_len)
     if not np.isfinite(suffix[k][0]):
         raise FitError("no feasible segmentation")
-
-    # Forward reconstruction keeps the earliest feasible break at every level,
-    # giving the lexicographically smallest optimal breakpoint set.
-    breaks: list[int] = []
-    i = 0
-    for m in range(k, 0, -1):
-        bs = np.arange(i + min_len - 1, n - m * min_len)
-        totals = cost.sse_row(i, bs) + suffix[m - 1][bs + 1]
-        # argmin returns the first minimum, i.e. the earliest feasible break
-        b = int(bs[int(np.argmin(totals))])
-        breaks.append(b + 1)
-        i = b + 1
-    return [start.add_months(p) for p in breaks]
+    return _breakpoints(diff, after, k)
 
 
 def select_breakpoint_count(
@@ -391,28 +384,23 @@ def select_breakpoint_count(
 
     Scores each k in 0..max_k by ``n log(SSE/n) + p log(n)`` with p the
     number of fitted parameters, and returns the best (k, breakpoints).
-    Explicit k remains the recommended path when the structure is known.
+    One segmentation pass serves every k. Explicit k remains the
+    recommended path when the structure is known.
     """
     if max_k < 0:
         raise FitError(f"max_k must be >= 0, got {max_k}")
-    start, x, y = _series_positions(diff)
-    cost = _SegmentCost(x, y)
     n = len(diff)
     if n < min_len:
         raise FitError(f"series of {n} months is shorter than min_len {min_len}")
-    best: tuple[float, int, list[MonthStamp]] | None = None
-    for k in range(max_k + 1):
-        if n < (k + 1) * min_len:
-            break
-        points = detect_breakpoints(diff, k, min_len)
-        positions = [0] + [months_between(p, start) for p in points] + [n]
-        sse = sum(cost.sse(a, b - 1) for a, b in zip(positions, positions[1:]))
-        p = 2 * (k + 1) + k
-        bic = n * np.log(max(sse, 1e-12) / n) + p * np.log(n)
-        if best is None or bic < best[0]:
-            best = (bic, k, points)
-    assert best is not None
-    return best[1], best[2]
+    if min_len < 6:
+        raise FitError(f"min_len must be >= 6, got {min_len}")
+    suffix, after = _segment(diff, min(max_k, n // min_len - 1), min_len)
+    bics = [
+        n * np.log(max(sse, 1e-12) / n) + (2 * (k + 1) + k) * np.log(n)
+        for k, sse in enumerate(suffix[:, 0])
+    ]
+    k = int(np.argmin(bics))
+    return k, _breakpoints(diff, after, k)
 
 
 def build_trend_model(

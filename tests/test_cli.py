@@ -229,6 +229,9 @@ BAD_KEYS = [
     ("motor", "fit", "segmentation.k", None, "segmentation.k"),
     ("crude", "translate", "translate.calibration.pairs_csv", DELETE, "translate.calibration.pairs_csv"),
     ("motor", "forecast", "forecast.trend", {"kind": "mirror"}, "forecast.trend.pivot"),
+    ("crude", "translate", "translate.calibration", [], "translate.calibration"),
+    ("crude", "diff", "series.component.id", [], "series.component.id"),
+    ("motor", "diff", "series.headline.base_note", 7, "series.headline.base_note"),
 ]
 
 

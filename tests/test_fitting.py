@@ -243,6 +243,52 @@ class TestDetectBreakpoints:
         assert k == 1
         assert abs(months_between(points[0], MonthStamp(1995, 1))) <= 3
 
+    def test_breakpoints_invariant_under_affine_map(self):
+        # Small signal far from zero: the prefix sums must not cancel it away.
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            n = int(rng.integers(60, 121))
+            cut = int(rng.integers(12, n - 12))
+            t = np.arange(n)
+            y = np.where(t < cut, 0.3 * t, 0.3 * cut - 0.4 * (t - cut)) + rng.normal(0, 1, n)
+            y = 1e-2 * y
+            want = detect_breakpoints(make_diff("1990-01", y), 1, 6)
+            for a in (1e-2, 1.0, 1e3):
+                for c in (-1e6, 0.0, 1e5, 1e6):
+                    got = detect_breakpoints(make_diff("1990-01", a * y + c), 1, 6)
+                    assert got == want, (n, cut, a, c)
+
+    def test_select_matches_per_k_bic_oracle(self):
+        def oracle(values, max_k, min_len):
+            n = len(values)
+            d = make_diff("1990-01", values)
+            best = None
+            for k in range(max_k + 1):
+                if n < (k + 1) * min_len:
+                    break
+                points = detect_breakpoints(d, k, min_len)
+                cuts = [months_between(p, d.start) for p in points]
+                sse = sse_of_pieces(values, cuts)
+                bic = n * np.log(max(sse, 1e-12) / n) + (3 * k + 2) * np.log(n)
+                if best is None or bic < best[0]:
+                    best = (bic, k, points)
+            return best[1], best[2]
+
+        rng = np.random.default_rng(18)
+        for trial in range(30):
+            n = int(rng.integers(30, 100))
+            planted = int(rng.integers(0, 4))
+            cuts = sorted(rng.choice(np.arange(6, n - 6), size=planted, replace=False))
+            y = np.zeros(n)
+            level = 0.0
+            for lo, hi in zip([0, *cuts], [*cuts, n]):
+                y[lo:hi] = level + rng.normal(0, 3) * np.arange(hi - lo) / 12.0
+                level = y[hi - 1]
+            y += rng.normal(0, rng.choice([0.1, 1.0]), n)
+            max_k, min_len = trial % 4, int(rng.choice([6, 8, 12]))
+            got = select_breakpoint_count(make_diff("1990-01", y), max_k, min_len)
+            assert got == oracle(y, max_k, min_len), (trial, n, planted, max_k, min_len)
+
 
 class TestBuildTrendModel:
     def test_halfwidth_zero_partitions_exactly(self):
