@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .forecast import Forecast
@@ -123,17 +123,7 @@ def rolling_backtest(
             )
         history = diff.restrict(diff.start, origin)
         forecast = forecaster(history, origin, horizon)
-        report = score(forecast, diff)
-        reports.append(
-            BacktestReport(
-                n=report.n,
-                mae=report.mae,
-                rmse=report.rmse,
-                bias=report.bias,
-                direction_hit_rate=report.direction_hit_rate,
-                origin=origin,
-            )
-        )
+        reports.append(replace(score(forecast, diff), origin=origin))
     return reports
 
 

@@ -72,7 +72,7 @@ def _get(section: dict, key: str, where: str, convert=None, default=_REQUIRED):
         return value
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key '{path}': {exc}") from None
 
 

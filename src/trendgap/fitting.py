@@ -182,21 +182,6 @@ class TrendModel:
         return cls.from_dict(json.loads(text))
 
 
-def _window_arrays(diff: DifferenceSeries, window: tuple[MonthStamp, MonthStamp]):
-    lo, hi = window
-    if hi < lo:
-        raise FitError(f"window end {hi} before start {lo}")
-    obs = [(s, v) for s, v in diff.observations if lo <= s <= hi]
-    if len(obs) < 2:
-        raise FitError(f"window {lo}..{hi} has {len(obs)} observations, need >= 2")
-    start = obs[0][0]
-    if months_between(obs[-1][0], start) + 1 != len(obs):
-        raise FitError(f"window {lo}..{hi} has missing months; fits require gap-free data")
-    x = np.array([months_between(s, start) / 12.0 for s, _ in obs])
-    y = np.array([v for _, v in obs])
-    return obs, x, y
-
-
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
     """Least-squares line through (x, y): (intercept, slope, r_squared, residual_sigma)."""
     if np.ptp(x) == 0.0:
@@ -225,11 +210,18 @@ def fit_ols(diff: DifferenceSeries, window: tuple[MonthStamp, MonthStamp]) -> Li
         Inclusive bounds; the fit is anchored at the first observed month,
         so ``intercept`` is the trend value there.
     """
-    obs, x, y = _window_arrays(diff, window)
-    intercept, slope, r2, sigma = _ols(x, y)
+    lo, hi = window
+    if hi < lo:
+        raise FitError(f"window end {hi} before start {lo}")
+    part = diff._take(diff._window(lo, hi))
+    if len(part) < 2:
+        raise FitError(f"window {lo}..{hi} has {len(part)} observations, need >= 2")
+    if not part.is_contiguous():
+        raise FitError(f"window {lo}..{hi} has missing months; fits require gap-free data")
+    intercept, slope, r2, sigma = _ols(np.arange(len(part)) / 12.0, part._values)
     return LinearSegment(
-        start=obs[0][0],
-        end=obs[-1][0],
+        start=part.start,
+        end=part.end,
         intercept=intercept,
         slope=slope,
         r_squared=r2,
@@ -316,7 +308,7 @@ def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
     if not diff.is_contiguous():
         raise FitError("breakpoint detection requires a gap-free series")
     n = len(diff)
-    cost = _SegmentCost(np.array(diff.values))
+    cost = _SegmentCost(diff._values)
     suffix = np.full((max_k + 1, n + 1), np.inf)
     after = np.zeros((max_k + 1, n + 1), dtype=int)
     starts = np.arange(n - min_len + 1)

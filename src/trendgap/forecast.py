@@ -44,8 +44,8 @@ class Forecast:
             self, "path", tuple((s, float(v)) for s, v in self.path)
         )
         object.__setattr__(self, "band_sigma", float(self.band_sigma))
-        if self.band_sigma < 0.0:
-            raise ValueError(f"negative band_sigma {self.band_sigma}")
+        if not 0.0 <= self.band_sigma < math.inf:
+            raise ValueError(f"band_sigma must be finite and >= 0, got {self.band_sigma}")
         if not self.path:
             raise ValueError("empty forecast path")
         expected = self.origin.add_months(1)
@@ -57,6 +57,9 @@ class Forecast:
         for (a, _), (b, _) in zip(self.path, self.path[1:]):
             if b <= a:
                 raise ValueError(f"path stamps not strictly increasing at {b}")
+        for stamp, value in self.path:
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite forecast value {value!r} at {stamp}")
 
     @property
     def stamps(self) -> tuple[MonthStamp, ...]:

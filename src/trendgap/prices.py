@@ -107,14 +107,14 @@ def trailing_growth_rate(series: MonthlySeries, origin: MonthStamp, years: int =
     """Mean annual percent growth over the trailing window ending at ``origin``."""
     if not series.has(origin):
         raise PriceError(f"origin {origin} absent from {series.series_id!r}")
-    back = origin.add_months(-12 * years)
-    while not series.has(back) and back < origin:
-        back = back.add_months(1)
+    back = series.restrict(origin.add_months(-12 * years), origin).start
     span_years = months_between(origin, back) / 12.0
     if span_years <= 0:
         raise PriceError("no trailing history to estimate growth from")
-    ratio = series.value_at(origin) / series.value_at(back)
-    return 100.0 * (ratio ** (1.0 / span_years) - 1.0)
+    first, last = series.value_at(back), series.value_at(origin)
+    if first <= 0.0 or last <= 0.0:
+        raise PriceError(f"growth needs positive values: {first!r} at {back}, {last!r} at {origin}")
+    return 100.0 * ((last / first) ** (1.0 / span_years) - 1.0)
 
 
 def calibrate_price(pairs: list[tuple[float, float]]) -> PriceCalibration:
@@ -176,39 +176,32 @@ def lead_lag(
     """
     if max_lag < 0:
         raise PriceError(f"max_lag must be >= 0, got {max_lag}")
-    a_map = dict(a.observations)
-    b_map = dict(b.observations)
-
     candidates: list[tuple[int, float]] = []
     for lag in sorted(range(-max_lag, max_lag + 1), key=lambda l: (abs(l), l)):
-        stamps = [s for s in a_map if s.add_months(lag) in b_map]
-        if len(stamps) < min_overlap:
+        _, ia, ib = np.intersect1d(
+            a._months + lag, b._months, assume_unique=True, return_indices=True
+        )
+        if len(ia) < min_overlap:
             raise PriceError(
-                f"insufficient overlap at lag {lag}: {len(stamps)} months "
+                f"insufficient overlap at lag {lag}: {len(ia)} months "
                 f"(need >= {min_overlap})"
             )
-        stamps.sort()
-        xs = np.array([a_map[s] for s in stamps])
-        ys = np.array([b_map[s.add_months(lag)] for s in stamps])
+        xs, ys = a._values[ia], b._values[ib]
         if detrend:
-            xs = _detrended(stamps, xs)
-            ys = _detrended(stamps, ys)
+            xs = _detrended(a._months[ia], xs)
+            ys = _detrended(a._months[ia], ys)
         sx, sy = xs.std(), ys.std()
         if sx == 0.0 or sy == 0.0:
             corr = 0.0
         else:
             corr = float(np.mean((xs - xs.mean()) * (ys - ys.mean())) / (sx * sy))
         candidates.append((lag, corr))
-
-    best_lag, best_corr = candidates[0]
-    for lag, corr in candidates[1:]:
-        if corr > best_corr:
-            best_lag, best_corr = lag, corr
-    return best_lag, best_corr
+    # max keeps the first of equal correlations: the smallest absolute lag
+    return max(candidates, key=lambda c: c[1])
 
 
-def _detrended(stamps: list[MonthStamp], values: np.ndarray) -> np.ndarray:
-    x = np.array([months_between(s, stamps[0]) / 12.0 for s in stamps])
+def _detrended(months: np.ndarray, values: np.ndarray) -> np.ndarray:
+    x = (months - months[0]) / 12.0
     design = np.column_stack([np.ones_like(x), x])
     coef, _, _, _ = np.linalg.lstsq(design, values, rcond=None)
     return values - design @ coef

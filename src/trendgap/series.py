@@ -8,8 +8,11 @@ components is measured in the same units.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 
 class SeriesError(ValueError):
@@ -43,8 +46,7 @@ class MonthStamp:
         return self.year + (self.month - 1) / 12.0
 
     def add_months(self, n: int) -> "MonthStamp":
-        total = self.year * 12 + (self.month - 1) + n
-        return MonthStamp(total // 12, total % 12 + 1)
+        return _stamp(_ordinal(self) + n)
 
     @classmethod
     def parse(cls, token: str) -> "MonthStamp":
@@ -69,88 +71,114 @@ class MonthStamp:
 
 def months_between(later: MonthStamp, earlier: MonthStamp) -> int:
     """Signed whole-month distance, positive when ``later`` is after ``earlier``."""
-    return (later.year - earlier.year) * 12 + (later.month - earlier.month)
+    return _ordinal(later) - _ordinal(earlier)
+
+
+def _ordinal(stamp: MonthStamp) -> int:
+    return stamp.year * 12 + stamp.month - 1
+
+
+def _stamp(ordinal) -> MonthStamp:
+    return MonthStamp(int(ordinal) // 12, int(ordinal) % 12 + 1)
 
 
 Observation = tuple[MonthStamp, float]
 
 
 class _ObservationMixin:
-    """Shared validation and read access for stamped series dataclasses.
+    """Storage, validation and read access shared by both series types.
 
+    A series is two aligned arrays: ``_months``, strictly increasing month
+    ordinals (year * 12 + month - 1), and ``_values``, finite float64 values.
+    ``observations``, ``stamps`` and ``values`` are views built on demand.
     Subclasses name themselves for error messages with a ``_label`` property.
     """
 
-    observations: tuple[Observation, ...]
+    def _store(self, observations) -> None:
+        obs = tuple(observations)
+        months = np.array([_ordinal(stamp) for stamp, _ in obs], dtype=np.int64)
+        self._check(months, np.array([float(value) for _, value in obs], dtype=np.float64))
 
-    def __post_init__(self):
-        obs = tuple((stamp, float(value)) for stamp, value in self.observations)
-        if not obs:
+    def _check(self, months: np.ndarray, values: np.ndarray) -> None:
+        """Keep the arrays if they hold a valid series; report the first bad month."""
+        if not len(months):
             raise SeriesError(f"empty {self._label}")
-        prev = None
-        for stamp, value in obs:
-            if not math.isfinite(value):
-                raise SeriesError(f"non-finite value {value!r} at {stamp} in {self._label}")
-            if prev is not None and stamp <= prev:
-                raise SeriesError(f"stamps not strictly increasing at {stamp} in {self._label}")
-            prev = stamp
-        object.__setattr__(self, "observations", obs)
+        bad = ~np.isfinite(values)
+        bad[1:] |= months[1:] <= months[:-1]
+        if bad.any():
+            i = int(bad.argmax())
+            at = f"at {_stamp(months[i])} in {self._label}"
+            if not math.isfinite(values[i]):
+                raise SeriesError(f"non-finite value {float(values[i])!r} {at}")
+            raise SeriesError(f"stamps not strictly increasing {at}")
+        self._months, self._values = months, values
+
+    @classmethod
+    def _from_arrays(cls, months: np.ndarray, values: np.ndarray, **fields):
+        """A series of these months and values, validated as the constructor does."""
+        series = cls.__new__(cls)
+        vars(series).update(fields)
+        series._check(months, values)
+        return series
+
+    def _take(self, keep):
+        """This series cut to the positions ``keep`` (a slice or an index array)."""
+        part = copy.copy(self)
+        part._months, part._values = self._months[keep], self._values[keep]
+        return part
+
+    def _window(self, start: MonthStamp, end: MonthStamp) -> slice:
+        """The positions of the months in ``start..end``."""
+        return slice(*np.searchsorted(self._months, [_ordinal(start), _ordinal(end) + 1]).tolist())
 
     def restrict(self, start: MonthStamp, end: MonthStamp):
         """The same series cut to the months in ``start..end``."""
-        kept = tuple(o for o in self.observations if start <= o[0] <= end)
-        if not kept:
+        keep = self._window(start, end)
+        if keep.stop <= keep.start:
             raise SeriesError(f"{self._label} has no data in {start}..{end}")
-        return replace(self, observations=kept)
+        return self._take(keep)
+
+    @property
+    def observations(self) -> tuple[Observation, ...]:
+        return tuple(zip(self.stamps, self.values))
 
     @property
     def stamps(self) -> tuple[MonthStamp, ...]:
-        return tuple(s for s, _ in self.observations)
+        return tuple(_stamp(m) for m in self._months.tolist())
 
     @property
     def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.observations)
+        return tuple(self._values.tolist())
 
     @property
     def start(self) -> MonthStamp:
-        return self.observations[0][0]
+        return _stamp(self._months[0])
 
     @property
     def end(self) -> MonthStamp:
-        return self.observations[-1][0]
+        return _stamp(self._months[-1])
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self._months)
 
     def value_at(self, stamp: MonthStamp) -> float:
-        try:
-            return self._index()[stamp]
-        except KeyError:
-            raise SeriesError(f"no observation for {stamp}") from None
+        found = self._values[self._window(stamp, stamp)]
+        if not len(found):
+            raise SeriesError(f"no observation for {stamp}")
+        return float(found[0])
 
     def has(self, stamp: MonthStamp) -> bool:
-        return stamp in self._index()
-
-    def _index(self) -> dict[MonthStamp, float]:
-        cached = getattr(self, "_stamp_index", None)
-        if cached is None:
-            cached = dict(self.observations)
-            object.__setattr__(self, "_stamp_index", cached)
-        return cached
+        return len(self._months[self._window(stamp, stamp)]) > 0
 
     def missing_months(self) -> tuple[MonthStamp, ...]:
         """Months inside the span with no observation (gaps are legal at parse time)."""
-        gaps = []
-        for (a, _), (b, _) in zip(self.observations, self.observations[1:]):
-            for k in range(1, months_between(b, a)):
-                gaps.append(a.add_months(k))
-        return tuple(gaps)
+        span = np.arange(self._months[0], self._months[-1] + 1)
+        return tuple(_stamp(m) for m in np.setdiff1d(span, self._months).tolist())
 
     def is_contiguous(self) -> bool:
-        return months_between(self.end, self.start) + 1 == len(self.observations)
+        return int(self._months[-1] - self._months[0]) + 1 == len(self._months)
 
 
-@dataclass(frozen=True)
 class MonthlySeries(_ObservationMixin):
     """One published monthly index series.
 
@@ -164,22 +192,23 @@ class MonthlySeries(_ObservationMixin):
         Strictly increasing stamps, finite index-point values.
     """
 
-    series_id: str
-    base_note: str
-    observations: tuple[Observation, ...]
+    def __init__(self, series_id: str, base_note: str, observations: tuple[Observation, ...]):
+        self.series_id = series_id
+        self.base_note = base_note
+        self._store(observations)
 
     @property
     def _label(self) -> str:
         return f"series {self.series_id!r}"
 
 
-@dataclass(frozen=True)
 class DifferenceSeries(_ObservationMixin):
     """Aligned per-month difference between two index series (minuend - subtrahend)."""
 
-    minuend_id: str
-    subtrahend_id: str
-    observations: tuple[Observation, ...]
+    def __init__(self, minuend_id: str, subtrahend_id: str, observations: tuple[Observation, ...]):
+        self.minuend_id = minuend_id
+        self.subtrahend_id = subtrahend_id
+        self._store(observations)
 
     @property
     def _label(self) -> str:
@@ -231,8 +260,7 @@ def parse_series_csv(text: str, series_id: str, base_note: str = "") -> MonthlyS
 
     if not rows:
         raise ParseError("empty series")
-    rows.sort(key=lambda o: o[0])
-    return MonthlySeries(series_id, base_note, tuple(rows))
+    return MonthlySeries(series_id, base_note, tuple(sorted(rows)))
 
 
 def series_to_csv(series: _ObservationMixin) -> str:
@@ -244,27 +272,21 @@ def series_to_csv(series: _ObservationMixin) -> str:
 
 def align(a: MonthlySeries, b: MonthlySeries) -> tuple[MonthlySeries, MonthlySeries]:
     """Restrict both series to the exact intersection of their months."""
-    common = set(a.stamps) & set(b.stamps)
-    if not common:
+    common, keep_a, keep_b = np.intersect1d(
+        a._months, b._months, assume_unique=True, return_indices=True
+    )
+    if not len(common):
         raise SeriesError(
             f"no overlapping months between {a.series_id!r} and {b.series_id!r}"
         )
-    keep_a = tuple(o for o in a.observations if o[0] in common)
-    keep_b = tuple(o for o in b.observations if o[0] in common)
-    return (
-        MonthlySeries(a.series_id, a.base_note, keep_a),
-        MonthlySeries(b.series_id, b.base_note, keep_b),
-    )
+    return a._take(keep_a), b._take(keep_b)
 
 
 def difference(headline: MonthlySeries, component: MonthlySeries) -> DifferenceSeries:
     """Per-month ``headline - component`` over the aligned intersection."""
     ha, ca = align(headline, component)
-    obs = tuple(
-        (stamp, hv - cv)
-        for (stamp, hv), (_, cv) in zip(ha.observations, ca.observations)
-    )
-    return DifferenceSeries(headline.series_id, component.series_id, obs)
+    ids = {"minuend_id": headline.series_id, "subtrahend_id": component.series_id}
+    return DifferenceSeries._from_arrays(ha._months, ha._values - ca._values, **ids)
 
 
 def rebase(series: MonthlySeries, anchor: MonthStamp, anchor_value: float) -> MonthlySeries:
@@ -277,12 +299,11 @@ def rebase(series: MonthlySeries, anchor: MonthStamp, anchor_value: float) -> Mo
     at_anchor = series.value_at(anchor)
     if at_anchor == 0.0:
         raise SeriesError(f"cannot rebase {series.series_id!r}: zero value at {anchor}")
-    factor = anchor_value / at_anchor
-    obs = tuple(
-        (stamp, anchor_value if stamp == anchor else value * factor)
-        for stamp, value in series.observations
-    )
+    values = series._values * (anchor_value / at_anchor)
+    values[series._window(anchor, anchor)] = anchor_value
     note = f"rebased to {anchor_value!r} at {anchor}"
     if series.base_note:
         note = f"{series.base_note}; {note}"
-    return MonthlySeries(series.series_id, note, obs)
+    return MonthlySeries._from_arrays(
+        series._months, values, series_id=series.series_id, base_note=note
+    )

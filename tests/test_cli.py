@@ -1,11 +1,15 @@
 """Command-line pipeline behavior, exit codes and file formats."""
 
+import contextlib
 import io
 import json
+import shutil
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trendgap.cli import main, series_from_api_payload
 
@@ -288,6 +292,122 @@ class TestBacktestLookahead:
         assert run("backtest", "--config", str(cfg_path), "--out", str(motor_out)) == 2
         assert "whole series" in capsys.readouterr().err
         assert not (motor_out / "backtest.csv").exists()
+
+
+def prepare(tmp_path, name, steps):
+    """Run ``steps`` of the fixture pipeline ``name`` into ``tmp_path / 'out'``."""
+    out = tmp_path / "out"
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(fixture_config(name)))
+    for step in steps:
+        assert run(step, "--config", str(good), "--out", str(out)) == 0
+    return out
+
+
+class TestNonFiniteResults:
+    """A config or input that yields a non-finite number exits 2 and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "forecast",
+        [
+            {"trend": {"kind": "endpoint", "start": ["2009-06", "nan"], "end": ["2016-01", 75.0]}},
+            {"mode": "pendulum", "amplitude": 1e400, "half_period": 6},
+        ],
+        ids=["nan-anchor", "infinite-amplitude"],
+    )
+    def test_forecast_exits_two(self, tmp_path, capsys, forecast):
+        out = prepare(tmp_path, "motor", ("diff", "fit"))
+        config = fixture_config("motor")
+        config["forecast"].update(forecast)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run("forecast", "--config", str(bad), "--out", str(out)) == 2
+        assert "non-finite forecast value" in capsys.readouterr().err
+        assert not (out / "forecast.csv").exists()
+        assert not (out / "forecast.json").exists()
+
+    def test_translate_of_infinite_band_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "forecast.csv").write_text("date,predicted,low,high\n2011-01,-50.0,-inf,inf\n")
+        assert run("translate", "--calibration", "heuristic", "--out", str(out)) == 2
+        assert "band_sigma must be finite" in capsys.readouterr().err
+        assert not (out / "translated_prices.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_trailing_growth_from_non_positive_headline_exits_two(self, tmp_path, capsys, value):
+        out = prepare(tmp_path, "crude", ("diff", "fit", "forecast"))
+        headline = tmp_path / "headline.csv"
+        text = (FIXTURES / "ppi_all_commodities.csv").read_text()
+        headline.write_text(text.replace("\n2005-12,152.7\n", f"\n2005-12,{value}\n"))
+        config = fixture_config("crude")
+        config["translate"]["headline"] = {"path": str(headline), "id": "WPU00000000"}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run("translate", "--config", str(bad), "--out", str(out)) == 2
+        assert "positive" in capsys.readouterr().err
+        assert snapshot(out) == before
+
+
+PIPELINES = {
+    "motor": ("diff", "fit", "forecast", "backtest"),
+    "crude": ("diff", "fit", "forecast", "translate", "backtest"),
+}
+
+
+def key_paths(section: dict, prefix: tuple = ()):
+    for key, value in section.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def pipeline_outs(tmp_path_factory):
+    """Every artefact of both fixture pipelines, one directory per config."""
+    outs = {}
+    for name, steps in PIPELINES.items():
+        outs[name] = prepare(tmp_path_factory.mktemp(name), name, steps)
+    return outs
+
+
+@st.composite
+def config_edits(draw):
+    name = draw(st.sampled_from(sorted(PIPELINES)))
+    path = draw(st.sampled_from(list(key_paths(fixture_config(name)))))
+    value = draw(st.sampled_from([DELETE, None, [], {}, "x", -1, 1e400, "nan"]))
+    return name, path, value, draw(st.sampled_from(PIPELINES[name]))
+
+
+class TestConfigFuzz:
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(edit=config_edits())
+    def test_deleted_or_retyped_key_exits_zero_or_two(self, pipeline_outs, tmp_path_factory, edit):
+        """Any edit of one key exits 0 or 2, never 1, and exit 2 leaves --out as it was."""
+        name, path, value, command = edit
+        config = fixture_config(name)
+        section = config
+        for part in path[:-1]:
+            section = section[part]
+        if value is DELETE:
+            del section[path[-1]]
+        else:
+            section[path[-1]] = value
+        work = tmp_path_factory.mktemp("fuzz")
+        out = work / "out"
+        shutil.copytree(pipeline_outs[name], out)
+        bad = work / "bad.json"
+        bad.write_text(json.dumps(config))
+        before = snapshot(out)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(command, "--config", str(bad), "--out", str(out))
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert snapshot(out) == before
 
 
 FETCH_ARGS = ("fetch", "--series-id", "CUSR0000SA0", "--start-year", "2009", "--end-year", "2009")

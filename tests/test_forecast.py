@@ -229,6 +229,18 @@ class TestForecastType:
                 band_sigma=0.0,
             )
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, bad):
+        path = ((MonthStamp(2010, 2), 1.0), (MonthStamp(2010, 3), bad))
+        with pytest.raises(ValueError, match=r"non-finite forecast value .* at 2010-03"):
+            Forecast(mode="along-trend", origin=MonthStamp(2010, 1), path=path, band_sigma=0.0)
+
+    @pytest.mark.parametrize("band", [float("nan"), float("inf"), -1.0])
+    def test_band_must_be_finite_and_non_negative(self, band):
+        path = ((MonthStamp(2010, 2), 1.0),)
+        with pytest.raises(ValueError, match="band_sigma must be finite and >= 0"):
+            Forecast(mode="along-trend", origin=MonthStamp(2010, 1), path=path, band_sigma=band)
+
     def test_csv_format(self):
         f = forecast_along_trend(flat_trend(2.0, sigma=1.0), MonthStamp(2010, 1), 2)
         lines = f.to_csv().splitlines()

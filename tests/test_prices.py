@@ -147,6 +147,15 @@ class TestExtrapolateHeadline:
         rate = trailing_growth_rate(s, MonthStamp(2009, 12), years=5)
         assert rate == pytest.approx(3.0, abs=0.01)
 
+    @pytest.mark.parametrize("at", [11, 71], ids=["window-start", "origin"])
+    @pytest.mark.parametrize("bad", [0.0, -5.0])
+    def test_trailing_growth_needs_positive_endpoints(self, at, bad):
+        values = [100.0 * 1.03 ** (i / 12.0) for i in range(72)]
+        values[at] = bad
+        s = make_monthly("h", "2004-12", values)
+        with pytest.raises(PriceError, match="positive"):
+            trailing_growth_rate(s, MonthStamp(2010, 11), years=5)
+
 
 class TestCalibration:
     def test_exact_line(self):

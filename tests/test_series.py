@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from trendgap import (
+    DifferenceSeries,
     MonthlySeries,
     MonthStamp,
     ParseError,
+    PriceError,
     SeriesError,
     align,
     difference,
+    lead_lag,
     months_between,
     parse_series_csv,
     rebase,
@@ -228,3 +231,171 @@ class TestInvariants:
         obs = ((MonthStamp(2000, 1), 1.0), (MonthStamp(2000, 1), 2.0))
         with pytest.raises(SeriesError, match="strictly increasing"):
             MonthlySeries("x", "", obs)
+
+
+# The tuple-and-dict implementations that the array-backed series replaced,
+# kept here as the reference for gappy series.
+
+
+def ref_add_months(stamp, n):
+    total = stamp.year * 12 + (stamp.month - 1) + n
+    return MonthStamp(total // 12, total % 12 + 1)
+
+
+def ref_months_between(later, earlier):
+    return (later.year - earlier.year) * 12 + (later.month - earlier.month)
+
+
+def ref_restrict(series, start, end):
+    kept = tuple(o for o in series.observations if start <= o[0] <= end)
+    if not kept:
+        raise SeriesError(f"series {series.series_id!r} has no data in {start}..{end}")
+    return kept
+
+
+def ref_align(a, b):
+    common = set(a.stamps) & set(b.stamps)
+    if not common:
+        raise SeriesError(f"no overlapping months between {a.series_id!r} and {b.series_id!r}")
+    keep_a = tuple(o for o in a.observations if o[0] in common)
+    keep_b = tuple(o for o in b.observations if o[0] in common)
+    return keep_a, keep_b
+
+
+def ref_difference(a, b):
+    keep_a, keep_b = ref_align(a, b)
+    return tuple((s, hv - cv) for (s, hv), (_, cv) in zip(keep_a, keep_b))
+
+
+def ref_missing_months(series):
+    obs = series.observations
+    gaps = []
+    for (a, _), (b, _) in zip(obs, obs[1:]):
+        for k in range(1, ref_months_between(b, a)):
+            gaps.append(ref_add_months(a, k))
+    return tuple(gaps)
+
+
+def ref_value_at(series, stamp):
+    try:
+        return dict(series.observations)[stamp]
+    except KeyError:
+        raise SeriesError(f"no observation for {stamp}") from None
+
+
+def ref_rebase(series, anchor, anchor_value):
+    index = dict(series.observations)
+    if anchor not in index:
+        raise SeriesError(f"anchor month {anchor} absent from {series.series_id!r}")
+    if index[anchor] == 0.0:
+        raise SeriesError(f"cannot rebase {series.series_id!r}: zero value at {anchor}")
+    factor = anchor_value / index[anchor]
+    obs = tuple(
+        (stamp, anchor_value if stamp == anchor else value * factor)
+        for stamp, value in series.observations
+    )
+    return f"{series.base_note}; rebased to {anchor_value!r} at {anchor}", obs
+
+
+def ref_detrended(stamps, values):
+    x = np.array([ref_months_between(s, stamps[0]) / 12.0 for s in stamps])
+    design = np.column_stack([np.ones_like(x), x])
+    coef, _, _, _ = np.linalg.lstsq(design, values, rcond=None)
+    return values - design @ coef
+
+
+def ref_lead_lag(a, b, max_lag, min_overlap, detrend):
+    a_map, b_map = dict(a.observations), dict(b.observations)
+    candidates = []
+    for lag in sorted(range(-max_lag, max_lag + 1), key=lambda l: (abs(l), l)):
+        stamps = sorted(s for s in a_map if ref_add_months(s, lag) in b_map)
+        if len(stamps) < min_overlap:
+            raise PriceError(
+                f"insufficient overlap at lag {lag}: {len(stamps)} months "
+                f"(need >= {min_overlap})"
+            )
+        xs = np.array([a_map[s] for s in stamps])
+        ys = np.array([b_map[ref_add_months(s, lag)] for s in stamps])
+        if detrend:
+            xs, ys = ref_detrended(stamps, xs), ref_detrended(stamps, ys)
+        sx, sy = xs.std(), ys.std()
+        corr = 0.0 if sx == 0.0 or sy == 0.0 else float(
+            np.mean((xs - xs.mean()) * (ys - ys.mean())) / (sx * sy)
+        )
+        candidates.append((lag, corr))
+    best_lag, best_corr = candidates[0]
+    for lag, corr in candidates[1:]:
+        if corr > best_corr:
+            best_lag, best_corr = lag, corr
+    return best_lag, best_corr
+
+
+def outcome(call):
+    """The result of ``call()``, or the type and text of the error it raised."""
+    try:
+        return "ok", call()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def gappy_series(rng, series_id, drop, start):
+    n = int(rng.integers(30, 120))
+    kind = rng.random()
+    if kind < 0.15:
+        values = np.full(n, 4.0)  # every lag correlates 0.0: lead_lag must break the tie
+    elif kind < 0.6:
+        values = np.round(rng.normal(0.0, 3.0, n))  # small integers: ties and zeros
+    else:
+        values = rng.normal(100.0, 10.0, n)
+    kept = rng.random(n) >= drop
+    kept[0] = True
+    obs = tuple((start.add_months(i), float(v)) for i, v in enumerate(values) if kept[i])
+    return MonthlySeries(series_id, "base", obs)
+
+
+class TestGappyOracle:
+    """Array-backed operations against the tuple-and-dict code, on series with gaps."""
+
+    @pytest.mark.parametrize("drop", [0.0, 0.05, 0.3])
+    def test_operations_match_reference(self, drop):
+        rng = np.random.default_rng(int(drop * 100) + 17)
+        origin = MonthStamp(1990, 1)
+        for _ in range(40):
+            a = gappy_series(rng, "a", drop, origin.add_months(int(rng.integers(0, 24))))
+            offset = int(rng.integers(0, 24)) if rng.random() < 0.9 else 400  # some disjoint
+            b = gappy_series(rng, "b", drop, origin.add_months(offset))
+
+            def obs(pair):
+                return tuple(s.observations for s in pair)
+
+            assert outcome(lambda: obs(align(a, b))) == outcome(lambda: ref_align(a, b))
+            assert outcome(lambda: difference(a, b).observations) == outcome(
+                lambda: ref_difference(a, b)
+            )
+            assert a.missing_months() == ref_missing_months(a)
+            assert a.is_contiguous() == (not ref_missing_months(a))
+
+            for _ in range(5):
+                lo = a.start.add_months(int(rng.integers(-6, len(a) + 6)))
+                hi = a.start.add_months(int(rng.integers(-6, len(a) + 6)))
+                assert outcome(lambda: a.restrict(lo, hi).observations) == outcome(
+                    lambda: ref_restrict(a, lo, hi)
+                )
+                probe = a.start.add_months(int(rng.integers(-3, len(a) + 3)))
+                assert a.has(probe) == (probe in dict(a.observations))
+                assert outcome(lambda: a.value_at(probe)) == outcome(
+                    lambda: ref_value_at(a, probe)
+                )
+                target = float(rng.choice([100.0, 7.5, -3.0]))
+                assert outcome(
+                    lambda: (rebase(a, probe, target).base_note, rebase(a, probe, target).observations)
+                ) == outcome(lambda: ref_rebase(a, probe, target))
+
+            da = DifferenceSeries("a-m", "a-s", a.observations)
+            db = DifferenceSeries("b-m", "b-s", b.observations)
+            max_lag = int(rng.integers(0, 7))
+            min_overlap = int(rng.choice([2, 12, 24, 60]))
+            for detrend in (False, True):
+                assert outcome(lambda: lead_lag(da, db, max_lag, min_overlap, detrend)) == outcome(
+                    lambda: ref_lead_lag(da, db, max_lag, min_overlap, detrend)
+                )
