@@ -229,17 +229,12 @@ def cmd_fit(args) -> int:
 def _residuals_csv(diff: DifferenceSeries, model: TrendModel) -> str:
     lines = ["date,value,predicted,residual,zone"]
     for stamp, value in diff.observations:
-        segment = model.segment_at(stamp)
-        if segment is not None:
-            zone = f"trend-{model.segments.index(segment)}"
-        elif model.transition_at(stamp) is not None:
-            lines.append(f"{stamp},{value!r},,,transition")
-            continue
+        zone, segment = model.zone(stamp)
+        if segment is None:
+            lines.append(f"{stamp},{value!r},,,{zone}")
         else:
-            segment = model.nearest_segment(stamp)
-            zone = "extrapolation"
-        predicted = segment.predicted(stamp)
-        lines.append(f"{stamp},{value!r},{predicted!r},{value - predicted!r},{zone}")
+            predicted = segment.predicted(stamp)
+            lines.append(f"{stamp},{value!r},{predicted!r},{value - predicted!r},{zone}")
     return "\n".join(lines) + "\n"
 
 
@@ -420,13 +415,16 @@ def cmd_translate(args) -> int:
 def _read_forecast_csv(path: Path) -> Forecast:
     """Read a ``forecast.csv`` back; its band is the first row's predicted minus low."""
     text = _read_text(path)
-    lines = [ln.rstrip("\r") for ln in text.split("\n") if ln.strip()]
-    if not lines or lines[0] != "date,predicted,low,high":
+    lines = [(n, ln.rstrip("\r")) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
+    if not lines or lines[0][1] != "date,predicted,low,high":
         raise ConfigError(f"{path}: expected header 'date,predicted,low,high'")
     rows = []
-    for line in lines[1:]:
-        date, pred, low, high = line.split(",")
-        rows.append((MonthStamp.parse(date), float(pred), float(low), float(high)))
+    for line_no, line in lines[1:]:
+        try:
+            date, pred, low, high = line.split(",")
+            rows.append((MonthStamp.parse(date), float(pred), float(low), float(high)))
+        except ValueError as exc:
+            raise ConfigError(f"{path}, line {line_no}: {exc}") from None
     if not rows:
         raise ConfigError(f"{path}: no forecast rows")
     # the file does not record the forecast regime

@@ -141,25 +141,23 @@ class TrendModel:
                     f"transition {w.start}..{w.end} is not strictly between segments"
                 )
 
-    def segment_at(self, stamp: MonthStamp) -> LinearSegment | None:
-        for s in self.segments:
+    def zone(self, stamp: MonthStamp) -> tuple[str, LinearSegment | None]:
+        """Which trend governs ``stamp``, as ``(label, segment)``.
+
+        Inside segment i this is ``("trend-<i>", segment)``, inside a
+        transition window ``("transition", None)``, and anywhere else
+        ``("extrapolation", nearest segment)``, ties going to the earlier one.
+        """
+        for i, s in enumerate(self.segments):
             if s.contains(stamp):
-                return s
-        return None
+                return f"trend-{i}", s
+        if any(w.contains(stamp) for w in self.transitions):
+            return "transition", None
 
-    def transition_at(self, stamp: MonthStamp) -> TransitionWindow | None:
-        for w in self.transitions:
-            if w.contains(stamp):
-                return w
-        return None
-
-    def nearest_segment(self, stamp: MonthStamp) -> LinearSegment:
         def distance(s: LinearSegment) -> int:
-            if s.contains(stamp):
-                return 0
             return min(abs(months_between(stamp, s.start)), abs(months_between(stamp, s.end)))
 
-        return min(self.segments, key=distance)
+        return "extrapolation", min(self.segments, key=distance)
 
     def to_dict(self) -> dict:
         return {
@@ -251,12 +249,9 @@ def classify_deviation(model: TrendModel, stamp: MonthStamp, value: float) -> De
     z-score; stamps outside every segment use the nearest segment's forward
     extrapolation and are flagged.
     """
-    if model.transition_at(stamp) is not None:
-        return DeviationClass(label="in-transition", z=None, segment=None)
-    segment = model.segment_at(stamp)
-    extrapolated = segment is None
+    zone, segment = model.zone(stamp)
     if segment is None:
-        segment = model.nearest_segment(stamp)
+        return DeviationClass(label="in-transition", z=None, segment=None)
     dev = residual(segment, stamp, value)
     if segment.residual_sigma > 0.0:
         z = dev / segment.residual_sigma
@@ -266,7 +261,9 @@ def classify_deviation(model: TrendModel, stamp: MonthStamp, value: float) -> De
         label = "on-trend"
     else:
         label = "above" if dev > 0 else "below"
-    return DeviationClass(label=label, z=float(z), segment=segment, extrapolated=extrapolated)
+    return DeviationClass(
+        label=label, z=float(z), segment=segment, extrapolated=zone == "extrapolation"
+    )
 
 
 class _SegmentCost:
@@ -433,36 +430,24 @@ def build_trend_model(
             raise FitError("tail_start must come after the last breakpoint")
         fit_end = tail_start.add_months(-1)
 
-    windows: list[tuple[MonthStamp, MonthStamp]] = []
+    pieces: list[tuple[MonthStamp, MonthStamp]] = []
+    cursor = span_start
     for p in points:
-        if transition_halfwidth == 0:
-            continue
-        w = (p.add_months(-transition_halfwidth), p.add_months(transition_halfwidth - 1))
-        if windows and w[0] <= windows[-1][1]:
+        lo, hi = p.add_months(-transition_halfwidth), p.add_months(transition_halfwidth - 1)
+        if transitions and lo <= transitions[-1].end:
             raise FitError(
                 f"transition windows around {p} overlap; halfwidth too large "
                 "for the breakpoint spacing"
             )
-        windows.append(w)
-
-    pieces: list[tuple[MonthStamp, MonthStamp]] = []
-    cursor = span_start
-    if transition_halfwidth == 0:
-        # Degenerate windows: pieces split exactly at the breakpoints.
-        for p in points:
-            pieces.append((cursor, p.add_months(-1)))
-            cursor = p
-        pieces.append((cursor, fit_end))
-    else:
-        for w in windows:
-            pieces.append((cursor, w[0].add_months(-1)))
-            cursor = w[1].add_months(1)
-            transitions.append(TransitionWindow(*w))
-        pieces.append((cursor, fit_end))
+        pieces.append((cursor, lo.add_months(-1)))
+        if lo <= hi:
+            transitions.append(TransitionWindow(lo, hi))
+        cursor = hi.add_months(1)
+    pieces.append((cursor, fit_end))
 
     segments = []
     for lo, hi in pieces:
-        if hi < lo or months_between(hi, lo) + 1 < 2:
+        if months_between(hi, lo) < 1:
             raise FitError(
                 f"piece {lo}..{hi} is too short to fit; reduce transition_halfwidth"
             )

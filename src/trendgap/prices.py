@@ -95,12 +95,20 @@ def extrapolate_headline(
         raise PriceError(f"origin {origin} absent from {series.series_id!r}")
     if not math.isfinite(annual_rate):
         raise PriceError(f"annual_rate must be finite, got {annual_rate}")
+    if annual_rate <= -100.0:
+        raise PriceError(f"annual_rate must be > -100, got {annual_rate}")
     base = series.value_at(origin)
     factor = 1.0 + annual_rate / 100.0
-    return [
-        (origin.add_months(m), base * factor ** (m / 12.0))
-        for m in range(1, horizon + 1)
-    ]
+    try:
+        path = [
+            (origin.add_months(m), base * factor ** (m / 12.0))
+            for m in range(1, horizon + 1)
+        ]
+        if all(math.isfinite(value) for _, value in path):
+            return path
+    except OverflowError:
+        pass
+    raise PriceError(f"annual_rate {annual_rate} overflows the extrapolated headline")
 
 
 def trailing_growth_rate(series: MonthlySeries, origin: MonthStamp, years: int = 5) -> float:
@@ -121,6 +129,10 @@ def calibrate_price(pairs: list[tuple[float, float]]) -> PriceCalibration:
     """Fit ``price = alpha * index + beta`` by least squares on (index, USD) pairs."""
     xs = np.array([float(i) for i, _ in pairs])
     ys = np.array([float(p) for _, p in pairs])
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise PriceError(f"calibration pair {i + 1} is not finite: ({xs[i]}, {ys[i]})")
     if len(xs) < 2 or np.ptp(xs) == 0.0:
         raise PriceError("need at least 2 pairs with distinct index values")
     design = np.column_stack([xs, np.ones_like(xs)])
@@ -140,12 +152,11 @@ def index_to_price(cal: PriceCalibration, index: float) -> float:
 
 def parse_calibration_pairs_csv(text: str) -> list[tuple[float, float]]:
     """Parse ``index,price_usd`` CSV content into calibration pairs."""
-    lines = [ln.rstrip("\r").strip() for ln in text.split("\n")]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != "index,price_usd":
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
+    if not lines or lines[0][1] != "index,price_usd":
         raise PriceError("expected header 'index,price_usd'")
     pairs = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 2:
             raise PriceError(f"line {line_no}: expected 2 fields")

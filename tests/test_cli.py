@@ -352,6 +352,59 @@ class TestNonFiniteResults:
         assert snapshot(out) == before
 
 
+    @pytest.mark.parametrize("rate", [-150, 1e308, 2.5e62])
+    def test_extrapolated_headline_out_of_range_exits_two(self, tmp_path, capsys, rate):
+        out = prepare(tmp_path, "crude", ("diff", "fit", "forecast"))
+        config = fixture_config("crude")
+        config["translate"]["headline"] = {"path": str(FIXTURES / "ppi_all_commodities.csv")}
+        config["translate"]["annual_rate"] = rate
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run("translate", "--config", str(bad), "--out", str(out)) == 2
+        assert "annual_rate" in capsys.readouterr().err
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize(
+        "row, bad", [("-120.0,inf", "inf"), ("nan,119.19", "nan")], ids=["inf-price", "nan-index"]
+    )
+    def test_non_finite_calibration_pair_exits_two(self, tmp_path, capfd, row, bad):
+        out = prepare(tmp_path, "crude", ("diff", "fit", "forecast"))
+        pairs = tmp_path / "pairs.csv"
+        text = (FIXTURES / "crude_price_pairs.csv").read_text()
+        pairs.write_text(text.replace("\n-120.0,119.19\n", f"\n{row}\n"))
+        config = fixture_config("crude")
+        config["translate"]["calibration"]["pairs_csv"] = str(pairs)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        before = snapshot(out)
+        capfd.readouterr()
+        assert run("translate", "--config", str(cfg), "--out", str(out)) == 2
+        err = capfd.readouterr().err
+        assert "calibration pair 2 is not finite" in err and bad in err
+        assert "DLASCL" not in err
+        assert snapshot(out) == before
+
+
+class TestMalformedForecastCsv:
+    @pytest.mark.parametrize(
+        "row, detail",
+        [("2011-02,-50.0,-52.0", "not enough values"), ("2011-02,x,-52.0,-48.0", "'x'")],
+        ids=["short-row", "bad-number"],
+    )
+    def test_error_names_file_and_line_and_exits_two(self, tmp_path, capsys, row, detail):
+        out = tmp_path / "out"
+        out.mkdir()
+        forecast = out / "forecast.csv"
+        forecast.write_text(f"date,predicted,low,high\n\n2011-01,-50.0,-52.0,-48.0\n{row}\n")
+        before = snapshot(out)
+        assert run("translate", "--calibration", "heuristic", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{forecast}, line 4: " in err and detail in err
+        assert snapshot(out) == before
+
+
 PIPELINES = {
     "motor": ("diff", "fit", "forecast", "backtest"),
     "crude": ("diff", "fit", "forecast", "translate", "backtest"),

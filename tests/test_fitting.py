@@ -5,6 +5,7 @@ import pytest
 
 from trendgap import (
     DifferenceSeries,
+    MAX_TRANSITION_MONTHS,
     FitError,
     LinearSegment,
     MonthStamp,
@@ -18,6 +19,7 @@ from trendgap import (
     residual,
     select_breakpoint_count,
 )
+from trendgap.cli import _residuals_csv
 
 
 def make_diff(start, values, name="d"):
@@ -408,3 +410,218 @@ class TestTrendModelSerialization:
         b = LinearSegment(MonthStamp(2004, 12), MonthStamp(2006, 12), 0.0, 1.0, 0.9, 1.0)
         with pytest.raises(ValueError, match="overlap"):
             TrendModel((a, b), ())
+
+
+# Test-local copies of the trend-model assembly and the month-by-month
+# classification from before TrendModel.zone, kept as oracles.
+
+
+def old_build_trend_model(diff, breakpoints, transition_halfwidth, tail_start=None):
+    if transition_halfwidth < 0:
+        raise FitError("transition_halfwidth must be >= 0")
+    if 2 * transition_halfwidth > MAX_TRANSITION_MONTHS:
+        raise FitError(
+            f"transition_halfwidth {transition_halfwidth} implies a window wider "
+            f"than {MAX_TRANSITION_MONTHS} months"
+        )
+    points = list(breakpoints)
+    if points != sorted(points):
+        raise FitError("breakpoints must be sorted")
+    span_start, span_end = diff.start, diff.end
+    for p in points:
+        if not (span_start < p <= span_end):
+            raise FitError(f"breakpoint {p} outside series span {span_start}..{span_end}")
+    fit_end = span_end
+    transitions = []
+    if tail_start is not None:
+        if not (span_start < tail_start <= span_end):
+            raise FitError(f"tail_start {tail_start} outside series span")
+        if points and tail_start <= points[-1]:
+            raise FitError("tail_start must come after the last breakpoint")
+        fit_end = tail_start.add_months(-1)
+    windows = []
+    for p in points:
+        if transition_halfwidth == 0:
+            continue
+        w = (p.add_months(-transition_halfwidth), p.add_months(transition_halfwidth - 1))
+        if windows and w[0] <= windows[-1][1]:
+            raise FitError(
+                f"transition windows around {p} overlap; halfwidth too large "
+                "for the breakpoint spacing"
+            )
+        windows.append(w)
+    pieces = []
+    cursor = span_start
+    if transition_halfwidth == 0:
+        for p in points:
+            pieces.append((cursor, p.add_months(-1)))
+            cursor = p
+        pieces.append((cursor, fit_end))
+    else:
+        for w in windows:
+            pieces.append((cursor, w[0].add_months(-1)))
+            cursor = w[1].add_months(1)
+            transitions.append(TransitionWindow(*w))
+        pieces.append((cursor, fit_end))
+    segments = []
+    for lo, hi in pieces:
+        if hi < lo or months_between(hi, lo) + 1 < 2:
+            raise FitError(
+                f"piece {lo}..{hi} is too short to fit; reduce transition_halfwidth"
+            )
+        segments.append(fit_ols(diff, (lo, hi)))
+    if tail_start is not None:
+        transitions.append(TransitionWindow(tail_start, span_end))
+    return TrendModel(segments=tuple(segments), transitions=tuple(transitions))
+
+
+def old_residuals_csv(diff, model):
+    """The segment-first lookup that residuals.csv used."""
+    lines = ["date,value,predicted,residual,zone"]
+    for stamp, value in diff.observations:
+        segment = next((s for s in model.segments if s.contains(stamp)), None)
+        if segment is not None:
+            zone = f"trend-{model.segments.index(segment)}"
+        elif any(w.contains(stamp) for w in model.transitions):
+            lines.append(f"{stamp},{value!r},,,transition")
+            continue
+        else:
+            segment = old_nearest_segment(model, stamp)
+            zone = "extrapolation"
+        predicted = segment.predicted(stamp)
+        lines.append(f"{stamp},{value!r},{predicted!r},{value - predicted!r},{zone}")
+    return "\n".join(lines) + "\n"
+
+
+def old_nearest_segment(model, stamp):
+    def distance(s):
+        if s.contains(stamp):
+            return 0
+        return min(abs(months_between(stamp, s.start)), abs(months_between(stamp, s.end)))
+
+    return min(model.segments, key=distance)
+
+
+def old_classify_deviation(model, stamp, value):
+    """The transition-first classification, as (label, z, segment, extrapolated)."""
+    if any(w.contains(stamp) for w in model.transitions):
+        return "in-transition", None, None, False
+    segment = next((s for s in model.segments if s.contains(stamp)), None)
+    extrapolated = segment is None
+    if segment is None:
+        segment = old_nearest_segment(model, stamp)
+    dev = residual(segment, stamp, value)
+    if segment.residual_sigma > 0.0:
+        z = dev / segment.residual_sigma
+    else:
+        z = 0.0 if dev == 0.0 else float("inf") * np.sign(dev)
+    if abs(z) <= 1.0:
+        label = "on-trend"
+    else:
+        label = "above" if dev > 0 else "below"
+    return label, float(z), segment, extrapolated
+
+
+def random_build_case(rng):
+    """A seeded series, 0-3 breakpoints (some unsorted), halfwidth 0-19, tail on or off."""
+    n = int(rng.integers(24, 160))
+    start = MonthStamp(1990, 1).add_months(int(rng.integers(0, 240)))
+    values = np.cumsum(rng.normal(0, 1, n))
+    keep = np.ones(n, dtype=bool)
+    if rng.random() < 0.15:
+        keep[rng.integers(1, n - 1, size=int(rng.integers(1, 4)))] = False
+    obs = tuple((start.add_months(i), float(values[i])) for i in range(n) if keep[i])
+    diff = DifferenceSeries("a", "b", obs)
+    # offsets 0 and n put a breakpoint just outside the span
+    offsets = rng.integers(0, n + 1, size=int(rng.integers(0, 4)))
+    points = [start.add_months(int(m)) for m in offsets]
+    if rng.random() < 0.85:
+        points.sort()
+    tail = start.add_months(int(rng.integers(1, n))) if rng.random() < 0.5 else None
+    return diff, points, int(rng.integers(0, 20)), tail
+
+
+def random_laid_model(rng):
+    """Segments with gaps of any length, some gaps partly covered by transitions."""
+    cursor = MonthStamp(2000, 1).add_months(int(rng.integers(0, 12)))
+    segments, transitions = [], []
+    for _ in range(int(rng.integers(1, 5))):
+        if segments:
+            gap = int(rng.integers(0, 9))
+            if gap and rng.random() < 0.6:
+                a = int(rng.integers(0, gap))
+                b = int(rng.integers(a, gap))
+                transitions.append(TransitionWindow(cursor.add_months(a), cursor.add_months(b)))
+            cursor = cursor.add_months(gap)
+        end = cursor.add_months(int(rng.integers(0, 30)))
+        sigma = 0.0 if rng.random() < 0.1 else float(rng.random() * 2)
+        segments.append(
+            LinearSegment(cursor, end, rng.normal(0, 5), rng.normal(0, 5), rng.random(), sigma)
+        )
+        cursor = end.add_months(1)
+    if rng.random() < 0.5:
+        a = int(rng.integers(0, 6))
+        transitions.append(
+            TransitionWindow(cursor.add_months(a), cursor.add_months(a + int(rng.integers(0, 12))))
+        )
+    return TrendModel(segments, transitions)
+
+
+def built_outcome(build, diff, points, halfwidth, tail):
+    try:
+        model = build(diff, points, halfwidth, tail_start=tail)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return model.segments, model.transitions
+
+
+class TestTrendModelOracle:
+    def test_build_matches_oracle(self):
+        rng = np.random.default_rng(50)
+        kinds = set()
+        for trial in range(600):
+            case = random_build_case(rng)
+            want = built_outcome(old_build_trend_model, *case)
+            assert built_outcome(build_trend_model, *case) == want, (trial, case[1:])
+            kinds.add(want[0] if isinstance(want[0], type) else "model")
+        assert {"model", FitError, ValueError} <= kinds
+
+    def test_classification_and_residuals_match_oracle(self):
+        rng = np.random.default_rng(51)
+        models, seen = [], set()
+        while len(models) < 150:
+            diff, points, halfwidth, tail = random_build_case(rng)
+            try:
+                models.append((build_trend_model(diff, points, halfwidth, tail_start=tail), diff))
+            except ValueError:
+                pass
+        models += [(random_laid_model(rng), None) for _ in range(150)]
+        for trial, (model, diff) in enumerate(models):
+            first = model.segments[0].start
+            last = max([model.segments[-1].end, *(w.end for w in model.transitions)])
+            obs = []
+            for m in range(-30, months_between(last, first) + 31):
+                stamp = first.add_months(m)
+                if diff is not None and diff.has(stamp):
+                    obs.append((stamp, diff.value_at(stamp)))
+                else:
+                    obs.append((stamp, float(rng.normal(0, 10))))
+            for stamp, value in obs:
+                got = classify_deviation(model, stamp, value)
+                label, z, segment, extrapolated = old_classify_deviation(model, stamp, value)
+                assert (got.label, got.z, got.segment, got.extrapolated) == (
+                    label, z, segment, extrapolated,
+                ), (trial, stamp)
+                assert got.segment is segment, (trial, stamp)
+                if segment is not None:
+                    label = "extrapolated" if extrapolated else "in-segment"
+                seen.add(label)
+                distances = sorted(
+                    min(abs(months_between(stamp, s.start)), abs(months_between(stamp, s.end)))
+                    for s in model.segments
+                )
+                if extrapolated and len(distances) > 1 and distances[0] == distances[1]:
+                    seen.add("tie")
+            probe = DifferenceSeries("a", "b", tuple(obs))
+            assert _residuals_csv(probe, model) == old_residuals_csv(probe, model), trial
+        assert seen == {"in-segment", "in-transition", "extrapolated", "tie"}

@@ -147,6 +147,19 @@ class TestExtrapolateHeadline:
         rate = trailing_growth_rate(s, MonthStamp(2009, 12), years=5)
         assert rate == pytest.approx(3.0, abs=0.01)
 
+    @pytest.mark.parametrize("rate", [-100.0, -150.0])
+    def test_rate_at_or_below_minus_hundred_rejected(self, rate):
+        s = make_monthly("h", "2009-01", [100.0])
+        with pytest.raises(PriceError, match="> -100"):
+            extrapolate_headline(s, MonthStamp(2009, 1), 3, rate)
+
+    @pytest.mark.parametrize("rate", [1e308, 2.5e62])
+    def test_overflowing_rate_rejected(self, rate):
+        # 1e308 overflows the power itself, 2.5e62 only the product with the base
+        s = make_monthly("h", "2009-01", [100.0])
+        with pytest.raises(PriceError, match="overflows"):
+            extrapolate_headline(s, MonthStamp(2009, 1), 61, rate)
+
     @pytest.mark.parametrize("at", [11, 71], ids=["window-start", "origin"])
     @pytest.mark.parametrize("bad", [0.0, -5.0])
     def test_trailing_growth_needs_positive_endpoints(self, at, bad):
@@ -196,6 +209,19 @@ class TestCalibration:
     def test_degenerate_pairs_rejected(self):
         with pytest.raises(PriceError, match="distinct"):
             calibrate_price([(1.0, 2.0), (1.0, 3.0)])
+
+    @pytest.mark.parametrize(
+        "bad", [(float("inf"), 70.0), (-80.0, float("nan")), (float("-inf"), float("inf"))]
+    )
+    def test_non_finite_pair_rejected(self, bad):
+        with pytest.raises(PriceError, match="pair 2 is not finite"):
+            calibrate_price([(-120.0, 119.4), bad, (-75.0, 74.8)])
+
+    def test_pairs_csv_reports_file_line_numbers(self):
+        with pytest.raises(PriceError, match="line 4: non-numeric"):
+            parse_calibration_pairs_csv("index,price_usd\n\n1,2\n2,x\n")
+        with pytest.raises(PriceError, match="line 5: expected 2 fields"):
+            parse_calibration_pairs_csv("\nindex,price_usd\r\n1,2\r\n \r\n3\r\n")
 
     def test_identity_on_zero(self):
         cal = calibrate_price([(0.0, 0.0), (1.0, 1.0)])
