@@ -129,10 +129,9 @@ def calibrate_price(pairs: list[tuple[float, float]]) -> PriceCalibration:
     """Fit ``price = alpha * index + beta`` by least squares on (index, USD) pairs."""
     xs = np.array([float(i) for i, _ in pairs])
     ys = np.array([float(p) for _, p in pairs])
-    finite = np.isfinite(xs) & np.isfinite(ys)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise PriceError(f"calibration pair {i + 1} is not finite: ({xs[i]}, {ys[i]})")
+    for n, (x, y) in enumerate(zip(xs.tolist(), ys.tolist()), start=1):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise PriceError(f"calibration pair {n} is not finite: ({x}, {y})")
     if len(xs) < 2 or np.ptp(xs) == 0.0:
         raise PriceError("need at least 2 pairs with distinct index values")
     design = np.column_stack([xs, np.ones_like(xs)])
