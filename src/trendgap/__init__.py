@@ -8,118 +8,20 @@ pendulum-overshoot assumptions, translates the result into prices, and
 backtests the whole pipeline.
 """
 
-from .backtest import BacktestError, BacktestReport, reports_to_csv, rolling_backtest, score
-from .fitting import (
-    MAX_TRANSITION_MONTHS,
-    DeviationClass,
-    FitError,
-    LinearSegment,
-    TransitionWindow,
-    TrendModel,
-    build_trend_model,
-    classify_deviation,
-    detect_breakpoints,
-    fit_ols,
-    residual,
-    select_breakpoint_count,
-)
-from .forecast import (
-    ALONG_TREND,
-    PENDULUM,
-    RETURN_TO_TREND,
-    Forecast,
-    ForecastError,
-    chain_forecasts,
-    endpoint_trend,
-    forecast_along_trend,
-    forecast_pendulum,
-    forecast_return_to_trend,
-    mirror_trend,
-)
-from .prices import (
-    CRUDE_OIL_HEURISTIC,
-    PriceCalibration,
-    PriceError,
-    calibrate_price,
-    component_index_from_difference,
-    extrapolate_headline,
-    index_to_price,
-    lead_lag,
-    parse_calibration_pairs_csv,
-    percent_change,
-    trailing_growth_rate,
-)
-from .series import (
-    DifferenceSeries,
-    MonthlySeries,
-    MonthStamp,
-    ParseError,
-    SeriesError,
-    align,
-    difference,
-    months_between,
-    parse_series_csv,
-    rebase,
-    series_to_csv,
-)
+from . import backtest, fitting, forecast, prices, series
+from .backtest import *
+from .fitting import *
+from .forecast import *
+from .prices import *
+from .series import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # series
-    "MonthStamp",
-    "MonthlySeries",
-    "DifferenceSeries",
-    "SeriesError",
-    "ParseError",
-    "months_between",
-    "parse_series_csv",
-    "series_to_csv",
-    "align",
-    "difference",
-    "rebase",
-    # fitting
-    "MAX_TRANSITION_MONTHS",
-    "FitError",
-    "LinearSegment",
-    "TransitionWindow",
-    "TrendModel",
-    "DeviationClass",
-    "fit_ols",
-    "residual",
-    "classify_deviation",
-    "detect_breakpoints",
-    "select_breakpoint_count",
-    "build_trend_model",
-    # forecast
-    "ALONG_TREND",
-    "RETURN_TO_TREND",
-    "PENDULUM",
-    "ForecastError",
-    "Forecast",
-    "mirror_trend",
-    "endpoint_trend",
-    "forecast_along_trend",
-    "forecast_return_to_trend",
-    "forecast_pendulum",
-    "chain_forecasts",
-    # prices
-    "PriceError",
-    "PriceCalibration",
-    "CRUDE_OIL_HEURISTIC",
-    "percent_change",
-    "component_index_from_difference",
-    "extrapolate_headline",
-    "trailing_growth_rate",
-    "calibrate_price",
-    "index_to_price",
-    "parse_calibration_pairs_csv",
-    "lead_lag",
-    # backtest
-    "BacktestError",
-    "BacktestReport",
-    "score",
-    "rolling_backtest",
-    "reports_to_csv",
+    *series.__all__,
+    *fitting.__all__,
+    *forecast.__all__,
+    *prices.__all__,
+    *backtest.__all__,
 ]

@@ -8,7 +8,6 @@ sees strictly nothing after its own origin.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -49,9 +48,6 @@ class BacktestReport:
         if self.origin is not None:
             doc["origin"] = str(self.origin)
         return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def score(forecast: Forecast, actual: DifferenceSeries) -> BacktestReport:

@@ -15,7 +15,14 @@ import sys
 from pathlib import Path
 
 from .backtest import BacktestReport, reports_to_csv, rolling_backtest
-from .fitting import LinearSegment, TrendModel, build_trend_model, detect_breakpoints, fit_ols
+from .fitting import (
+    MAX_TRANSITION_MONTHS,
+    LinearSegment,
+    TrendModel,
+    build_trend_model,
+    detect_breakpoints,
+    fit_ols,
+)
 from .forecast import (
     ALONG_TREND,
     PENDULUM,
@@ -42,6 +49,7 @@ from .series import (
     MonthlySeries,
     MonthStamp,
     difference,
+    months_between,
     parse_series_csv,
     series_to_csv,
 )
@@ -103,6 +111,12 @@ def _path(value) -> Path:
 def _text(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _integer(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
     return value
 
 
@@ -197,18 +211,22 @@ def cmd_fit(args) -> int:
     def option(key, convert, default=None):
         return _get(seg, key, "segmentation", convert, default)
 
-    k = args.k if args.k is not None else option("k", int, 1)
-    min_len = args.min_len if args.min_len is not None else option("min_len", int, 60)
-    halfwidth = option("transition_halfwidth", int, 12)
+    k = args.k if args.k is not None else option("k", _integer, 1)
+    min_len = args.min_len if args.min_len is not None else option("min_len", _integer, 60)
+    halfwidth = option("transition_halfwidth", _integer, 12)
     diff = diff.restrict(
         option("fit_start", _month) or diff.start, option("fit_end", _month) or diff.end
     )
     detect_end = option("detect_end", _month)
     detect_diff = diff if detect_end is None else diff.restrict(diff.start, detect_end)
+    tail_start = option("tail_start", _month)
+    if tail_start is not None and months_between(diff.end, tail_start) >= MAX_TRANSITION_MONTHS:
+        raise ConfigError(
+            f"config key 'segmentation.tail_start': {tail_start}..{diff.end} exceeds the "
+            f"{MAX_TRANSITION_MONTHS}-month limit: {months_between(diff.end, tail_start) + 1} months"
+        )
     breakpoints = detect_breakpoints(detect_diff, k, min_len)
-    model = build_trend_model(
-        diff, breakpoints, halfwidth, tail_start=option("tail_start", _month)
-    )
+    model = build_trend_model(diff, breakpoints, halfwidth, tail_start=tail_start)
 
     _write_all(
         {
@@ -246,7 +264,7 @@ def _model_segment(model: TrendModel | None, trend_cfg: dict, key: str, where: s
             "backtest never uses it, because that model is fitted on the whole "
             "series and so sees past every origin"
         )
-    index = _get(trend_cfg, key, where, int, -1)
+    index = _get(trend_cfg, key, where, _integer, -1)
     try:
         return model.segments[index]
     except IndexError:
@@ -271,7 +289,7 @@ def _trend_from_config(
         return mirror_trend(
             prev,
             _get(trend_cfg, "pivot", where, _anchor),
-            _get(trend_cfg, "duration", where, int, 84),
+            _get(trend_cfg, "duration", where, _integer, 84),
         )
     raise ConfigError(
         f"config key '{where}.kind': unknown trend kind {kind!r} (endpoint | fit | segment | mirror)"
@@ -317,7 +335,7 @@ def _forecast_from_config(
         current,
         trend,
         amplitude=_get(fc, "amplitude", where, float),
-        half_period=_get(fc, "half_period", where, int),
+        half_period=_get(fc, "half_period", where, _integer),
         horizon=horizon,
     )
 
@@ -351,7 +369,7 @@ def _prices_csv(forecast: Forecast, cal) -> str:
 def cmd_forecast(args) -> int:
     config, base, out = _context(args)
     fc = _get(config, "forecast", "", _object)
-    horizon = _get(fc, "horizon", "forecast", int, 0)
+    horizon = _get(fc, "horizon", "forecast", _integer, 0)
     if horizon < 1:
         raise ConfigError(f"forecast.horizon must be >= 1, got {horizon}")
 
@@ -448,7 +466,7 @@ def cmd_backtest(args) -> int:
     origins = _get(bt, "origins", "backtest", _months, [])
     if not origins:
         raise ConfigError("backtest.origins must list at least one origin")
-    horizon = _get(bt, "horizon", "backtest", int, 0)
+    horizon = _get(bt, "horizon", "backtest", _integer, 0)
 
     # no trend model: it is fitted on the whole series, past every origin
     reports = rolling_backtest(
@@ -513,23 +531,29 @@ def cmd_fetch(args) -> int:
     return 0
 
 
-def series_from_api_payload(payload: dict, series_id: str):
-    """Convert a v2 timeseries JSON payload into a MonthlySeries."""
-    if payload.get("status") != "REQUEST_SUCCEEDED":
-        raise ConfigError(f"API request failed: {payload.get('message')}")
-    for entry in payload.get("Results", {}).get("series", []):
-        if entry.get("seriesID") != series_id:
-            continue
-        obs = []
-        for row in entry.get("data", []):
-            period = row.get("period", "")
-            if not period.startswith("M") or period == "M13":
-                continue  # annual averages are not monthly observations
-            stamp = MonthStamp(int(row["year"]), int(period[1:]))
-            obs.append((stamp, float(row["value"])))
-        obs.sort(key=lambda o: o[0])
-        return MonthlySeries(series_id, "", tuple(obs))
-    raise ConfigError(f"series {series_id!r} not in API response")
+def series_from_api_payload(payload, series_id: str):
+    """Convert a v2 timeseries JSON payload into a MonthlySeries; refuse any other shape."""
+    where = f"API response for {series_id!r}"
+    try:
+        if payload.get("status") != "REQUEST_SUCCEEDED":
+            raise ConfigError(f"API request failed: {payload.get('message')}")
+        entries = payload.get("Results", {}).get("series", [])
+        found = [e for e in entries if e.get("seriesID") == series_id]
+        rows = list(found[0].get("data", [])) if found else None
+    except (AttributeError, TypeError):
+        raise ConfigError(f"{where} is not a v2 timeseries payload") from None
+    if rows is None:
+        raise ConfigError(f"series {series_id!r} not in API response")
+    obs = []
+    for n, row in enumerate(rows):
+        try:
+            period = row["period"]
+            if period.startswith("M") and period != "M13":  # M13 is the annual average
+                obs.append((MonthStamp(int(row["year"]), int(period[1:])), float(row["value"])))
+        except (KeyError, TypeError, AttributeError, ValueError):
+            raise ConfigError(f"{where}, data row {n} is malformed: {row!r}") from None
+    obs.sort(key=lambda o: o[0])
+    return MonthlySeries(series_id, "", tuple(obs))
 
 
 # ----------------------------------------------------------------- wiring

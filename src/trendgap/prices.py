@@ -7,7 +7,6 @@ index-to-price map, and the lead of one difference series over another.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -46,18 +45,6 @@ class PriceCalibration:
             "fit_r_squared": self.fit_r_squared,
             "source": self.source,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PriceCalibration":
-        return cls(
-            alpha=doc["alpha"],
-            beta=doc["beta"],
-            fit_r_squared=doc.get("fit_r_squared"),
-            source=doc["source"],
-        )
 
 
 #: The crude-oil rule of thumb: a difference of -120 index points reads as

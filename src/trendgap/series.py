@@ -307,3 +307,18 @@ def rebase(series: MonthlySeries, anchor: MonthStamp, anchor_value: float) -> Mo
     return MonthlySeries._from_arrays(
         series._months, values, series_id=series.series_id, base_note=note
     )
+
+
+__all__ = [
+    "MonthStamp",
+    "MonthlySeries",
+    "DifferenceSeries",
+    "SeriesError",
+    "ParseError",
+    "months_between",
+    "parse_series_csv",
+    "series_to_csv",
+    "align",
+    "difference",
+    "rebase",
+]

@@ -236,14 +236,26 @@ BAD_KEYS = [
     ("crude", "translate", "translate.calibration", [], "translate.calibration"),
     ("crude", "diff", "series.component.id", [], "series.component.id"),
     ("motor", "diff", "series.headline.base_note", 7, "series.headline.base_note"),
+    ("motor", "fit", "segmentation.k", 1.5, "segmentation.k"),
+    ("motor", "forecast", "forecast.horizon", "21", "forecast.horizon"),
+    ("motor", "backtest", "backtest.horizon", 9.99, "backtest.horizon"),
+    ("motor", "fit", "segmentation.min_len", True, "segmentation.min_len"),
 ]
+
+
+def case_ids(cases) -> list[str]:
+    """Each case's key path; a path that an earlier case used also shows its value."""
+    ids: list[str] = []
+    for _, _, key, value, _ in cases:
+        ids.append(f"{key}={value!r}" if key in ids else key)
+    return ids
 
 
 class TestConfigErrors:
     """A missing or mistyped config key exits 2 and names its dotted path."""
 
     @pytest.mark.parametrize(
-        "name, command, key, value, named", BAD_KEYS, ids=[case[2] for case in BAD_KEYS]
+        "name, command, key, value, named", BAD_KEYS, ids=case_ids(BAD_KEYS)
     )
     def test_bad_key_exits_two(self, tmp_path, capsys, name, command, key, value, named):
         out = tmp_path / "out"
@@ -269,6 +281,20 @@ class TestConfigErrors:
 
         assert run(command, "--config", str(bad), "--out", str(out)) == 2
         assert named in capsys.readouterr().err
+        assert snapshot(out) == before
+
+    def test_long_trailing_transition_names_tail_start(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = fixture_config("crude")
+        config["segmentation"].update(tail_start="2005-01", detect_end="2004-12", min_len=36)
+        cfg = tmp_path / "long_tail.json"
+        cfg.write_text(json.dumps(config))
+        assert run("diff", "--config", str(cfg), "--out", str(out)) == 0
+        before = snapshot(out)
+        capsys.readouterr()
+
+        assert run("fit", "--config", str(cfg), "--out", str(out)) == 2
+        assert "segmentation.tail_start" in capsys.readouterr().err
         assert snapshot(out) == before
 
 
@@ -466,6 +492,15 @@ class TestConfigFuzz:
 FETCH_ARGS = ("fetch", "--series-id", "CUSR0000SA0", "--start-year", "2009", "--end-year", "2009")
 
 
+def payload_with_row(row: dict) -> dict:
+    """A v2 payload for CUSR0000SA0 whose second data row is ``row``."""
+    good = {"year": "2009", "period": "M01", "value": "211.9"}
+    return {
+        "status": "REQUEST_SUCCEEDED",
+        "Results": {"series": [{"seriesID": "CUSR0000SA0", "data": [good, row]}]},
+    }
+
+
 class TestFetch:
     def test_writes_csv(self, tmp_path, monkeypatch):
         payload = {
@@ -510,4 +545,26 @@ class TestFetch:
         out = tmp_path / "out"
         assert run(*FETCH_ARGS, "--out", str(out)) == 2
         assert "connection refused" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            (payload_with_row({"year": "2009", "period": "M02"}), "data row 1"),
+            (payload_with_row({"period": "M02", "value": "212.7"}), "data row 1"),
+            (payload_with_row({"year": "2009", "period": None, "value": "212.7"}), "data row 1"),
+            ({"status": "REQUEST_SUCCEEDED", "Results": []}, "not a v2 timeseries payload"),
+            ([{"status": "REQUEST_SUCCEEDED"}], "not a v2 timeseries payload"),
+        ],
+        ids=["no-value", "no-year", "null-period", "results-list", "top-level-list"],
+    )
+    def test_malformed_payload_exits_two(self, tmp_path, monkeypatch, capsys, payload, named):
+        def fake_urlopen(request, timeout):
+            return io.BytesIO(json.dumps(payload).encode())
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        out = tmp_path / "out"
+        assert run(*FETCH_ARGS, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "'CUSR0000SA0'" in err and named in err
         assert not out.exists()
