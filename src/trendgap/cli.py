@@ -1,6 +1,6 @@
 """Command-line pipeline: diff, fit, forecast, translate, backtest, fetch.
 
-Each subcommand reads a JSON config (flags win over config values), validates
+Each subcommand reads a JSON config (each flag sets one config key), validates
 everything up front, computes its outputs in memory and only then writes
 files, so a failing run leaves no partial artifacts. Exit codes: 0 success,
 1 internal error, 2 invalid input or config.
@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .backtest import BacktestReport, reports_to_csv, rolling_backtest
@@ -64,24 +65,38 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
-def _get(section: dict, key: str, where: str, convert=None, default=_REQUIRED):
-    """``section[key]`` passed through ``convert``; ``where`` is the section's dotted path.
+@dataclass
+class Section:
+    """A JSON object of the config and its dotted key path, which errors name."""
 
-    A missing required key, or a value ``convert`` rejects, raises ConfigError
-    naming the full key path. ``null`` counts as absent when the default is None.
-    """
-    path = f"{where}.{key}" if where else key
-    value = section.get(key)
-    if key not in section or (value is None and default is None):
-        if default is _REQUIRED:
-            raise ConfigError(f"config key '{path}' is missing")
-        return default
-    if convert is None:
-        return value
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key '{path}': {exc}") from None
+    values: dict
+    path: str = ""
+
+    def key(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def get(self, key: str, convert=None, default=_REQUIRED):
+        """``values[key]`` passed through ``convert``.
+
+        A missing required key, or a value ``convert`` rejects, raises ConfigError
+        naming the full key path. ``null`` counts as absent when the default is None.
+        """
+        value = self.values.get(key)
+        if key not in self.values or (value is None and default is None):
+            if default is _REQUIRED:
+                raise ConfigError(f"config key '{self.key(key)}' is missing")
+            return default
+        if convert is None:
+            return value
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"config key '{self.key(key)}': {exc}") from None
+
+    def section(self, key: str, default=_REQUIRED) -> Section | None:
+        """The object at ``key``; when absent, ``default`` (None, or a dict to use)."""
+        values = self.get(key, _object, default)
+        return None if values is None else Section(values, self.key(key))
 
 
 def _object(value) -> dict:
@@ -132,28 +147,37 @@ def _read_text(path: Path) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def _context(args) -> tuple[dict, Path, Path]:
-    """The config, the directory its relative paths resolve against, and ``--out``."""
-    config = {}
-    if args.config is not None:
-        config = json.loads(_read_text(Path(args.config)))
-        if not isinstance(config, dict):
-            raise ConfigError("config must be a JSON object")
+def _context(args) -> tuple[Section, Path, Path]:
+    """The config with the given flags set in it, the directory its relative paths
+    resolve against, and the output directory."""
+    values = {} if args.config is None else json.loads(_read_text(Path(args.config)))
+    if not isinstance(values, dict):
+        raise ConfigError("config must be a JSON object")
+    config = Section(values)
+    # every other attribute is a flag, named by the dotted config key it sets
+    for key, value in vars(args).items():
+        if key not in ("command", "config", "func") and value is not None:
+            *parents, last = key.split(".")
+            section = config
+            for part in parents:
+                section.values.setdefault(part, {})
+                section = section.section(part)
+            section.values[last] = value
     base = Path(args.config).parent if args.config else Path.cwd()
-    out = Path(args.out) if args.out else _get(config, "out", "", _path, None)
+    out = config.get("out", _path, None)
     if out is None:
         raise ConfigError("no output directory: pass --out or set 'out' in the config")
     return config, base, out
 
 
-def _load_series(entry: dict, where: str, base: Path) -> MonthlySeries:
-    path = _get(entry, "path", where, _path)
+def _load_series(entry: Section, base: Path) -> MonthlySeries:
+    path = entry.get("path", _path)
     if not path.is_absolute():
         path = base / path
-    series_id = _get(entry, "id", where, _text, None)
+    series_id = entry.get("id", _text, None)
     if series_id is None:
         series_id = path.stem
-    base_note = _get(entry, "base_note", where, _text, "")
+    base_note = entry.get("base_note", _text, "")
     return parse_series_csv(_read_text(path), series_id, base_note=base_note)
 
 
@@ -163,9 +187,9 @@ def _write_all(outputs: dict[Path, str]) -> None:
         path.write_text(text, encoding="utf-8")
 
 
-def _difference_from_config(args, config: dict, out: Path) -> DifferenceSeries:
-    path = args.difference_csv or _get(config, "difference_csv", "", _path, None)
-    parsed = parse_series_csv(_read_text(Path(path or out / "difference.csv")), "difference")
+def _difference_from_config(config: Section, out: Path) -> DifferenceSeries:
+    path = config.get("difference_csv", _path, None) or out / "difference.csv"
+    parsed = parse_series_csv(_read_text(path), "difference")
     return DifferenceSeries("minuend", "subtrahend", parsed.observations)
 
 
@@ -174,15 +198,9 @@ def _difference_from_config(args, config: dict, out: Path) -> DifferenceSeries:
 
 def cmd_diff(args) -> int:
     config, base, out = _context(args)
-    series_cfg = dict(_get(config, "series", "", _object, {}))
-    if args.headline:
-        series_cfg["headline"] = {"path": args.headline, "id": args.headline_id}
-    if args.component:
-        series_cfg["component"] = {"path": args.component, "id": args.component_id}
-    headline, component = (
-        _load_series(_get(series_cfg, role, "series", _object), f"series.{role}", base)
-        for role in ("headline", "component")
-    )
+    series = config.section("series", {})
+    headline = _load_series(series.section("headline"), base)
+    component = _load_series(series.section("component"), base)
     for series in (headline, component):
         gaps = series.missing_months()
         if gaps:
@@ -205,21 +223,16 @@ def cmd_diff(args) -> int:
 
 def cmd_fit(args) -> int:
     config, _, out = _context(args)
-    seg = _get(config, "segmentation", "", _object)
-    diff = _difference_from_config(args, config, out)
-
-    def option(key, convert, default=None):
-        return _get(seg, key, "segmentation", convert, default)
-
-    k = args.k if args.k is not None else option("k", _integer, 1)
-    min_len = args.min_len if args.min_len is not None else option("min_len", _integer, 60)
-    halfwidth = option("transition_halfwidth", _integer, 12)
-    diff = diff.restrict(
-        option("fit_start", _month) or diff.start, option("fit_end", _month) or diff.end
-    )
-    detect_end = option("detect_end", _month)
+    seg = config.section("segmentation")
+    diff = _difference_from_config(config, out)
+    k = seg.get("k", _integer, 1)
+    min_len = seg.get("min_len", _integer, 60)
+    halfwidth = seg.get("transition_halfwidth", _integer, 12)
+    fit_start, fit_end = seg.get("fit_start", _month, None), seg.get("fit_end", _month, None)
+    diff = diff.restrict(fit_start or diff.start, fit_end or diff.end)
+    detect_end = seg.get("detect_end", _month, None)
     detect_diff = diff if detect_end is None else diff.restrict(diff.start, detect_end)
-    tail_start = option("tail_start", _month)
+    tail_start = seg.get("tail_start", _month, None)
     if tail_start is not None and months_between(diff.end, tail_start) >= MAX_TRANSITION_MONTHS:
         raise ConfigError(
             f"config key 'segmentation.tail_start': {tail_start}..{diff.end} exceeds the "
@@ -256,67 +269,59 @@ def _residuals_csv(diff: DifferenceSeries, model: TrendModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _model_segment(model: TrendModel | None, trend_cfg: dict, key: str, where: str):
-    kind = trend_cfg["kind"]
+def _model_segment(model: TrendModel | None, trend: Section, key: str):
+    kind = trend.get("kind")
     if model is None:
         raise ConfigError(
-            f"{where}.kind {kind!r} needs trend_model.json from 'trendgap fit'; "
+            f"{trend.key('kind')} {kind!r} needs trend_model.json from 'trendgap fit'; "
             "backtest never uses it, because that model is fitted on the whole "
             "series and so sees past every origin"
         )
-    index = _get(trend_cfg, key, where, _integer, -1)
+    index = trend.get(key, _integer, -1)
     try:
         return model.segments[index]
     except IndexError:
-        raise ConfigError(f"config key '{where}.{key}': {index} out of range") from None
+        raise ConfigError(f"config key '{trend.key(key)}': {index} out of range") from None
 
 
 def _trend_from_config(
-    trend_cfg: dict, where: str, model: TrendModel | None, diff: DifferenceSeries
+    trend: Section, model: TrendModel | None, diff: DifferenceSeries
 ) -> LinearSegment:
-    kind = trend_cfg.get("kind")
+    kind = trend.get("kind", default=None)
     if kind == "endpoint":
-        return endpoint_trend(
-            _get(trend_cfg, "start", where, _anchor), _get(trend_cfg, "end", where, _anchor)
-        )
+        return endpoint_trend(trend.get("start", _anchor), trend.get("end", _anchor))
     if kind == "fit":
-        window = (_get(trend_cfg, "start", where, _month), _get(trend_cfg, "end", where, _month))
-        return fit_ols(diff, window)
+        return fit_ols(diff, (trend.get("start", _month), trend.get("end", _month)))
     if kind == "segment":
-        return _model_segment(model, trend_cfg, "index", where)
+        return _model_segment(model, trend, "index")
     if kind == "mirror":
-        prev = _model_segment(model, trend_cfg, "segment_index", where)
-        return mirror_trend(
-            prev,
-            _get(trend_cfg, "pivot", where, _anchor),
-            _get(trend_cfg, "duration", where, _integer, 84),
-        )
+        prev = _model_segment(model, trend, "segment_index")
+        return mirror_trend(prev, trend.get("pivot", _anchor), trend.get("duration", _integer, 84))
     raise ConfigError(
-        f"config key '{where}.kind': unknown trend kind {kind!r} (endpoint | fit | segment | mirror)"
+        f"config key '{trend.key('kind')}': unknown trend kind {kind!r} "
+        "(endpoint | fit | segment | mirror)"
     )
 
 
 def _forecast_from_config(
-    fc: dict,
-    where: str,
+    fc: Section,
     diff: DifferenceSeries,
     model: TrendModel | None,
     origin: MonthStamp,
     horizon: int,
 ) -> Forecast:
-    """Build the forecast that the config section at ``where`` describes."""
-    mode = _get(fc, "mode", where)
+    """Build the forecast that the config section ``fc`` describes."""
+    mode = fc.get("mode")
     if mode not in (ALONG_TREND, RETURN_TO_TREND, PENDULUM):
-        raise ConfigError(f"config key '{where}.mode': unknown forecast mode {mode!r}")
-    trend_cfg = _get(fc, "trend", where, _object, {"kind": "segment"})
-    trend = _trend_from_config(trend_cfg, f"{where}.trend", model, diff)
+        raise ConfigError(f"config key '{fc.key('mode')}': unknown forecast mode {mode!r}")
+    trend = _trend_from_config(fc.section("trend", {"kind": "segment"}), model, diff)
 
     if mode == ALONG_TREND:
         return forecast_along_trend(trend, origin, horizon)
 
     current = (origin, diff.value_at(origin))
     if mode == RETURN_TO_TREND:
-        deadline = _get(fc, "deadline", where, _month)
+        deadline = fc.get("deadline", _month)
         first = forecast_return_to_trend(current, trend, deadline)
         steps_to_deadline = len(first.path)
         if horizon > steps_to_deadline:
@@ -328,19 +333,20 @@ def _forecast_from_config(
                 first.band_sigma,
             )
         if horizon < steps_to_deadline:
-            raise ConfigError(f"horizon {horizon} ends before {where}.deadline {deadline}")
+            raise ConfigError(f"horizon {horizon} ends before {fc.key('deadline')} {deadline}")
         return first
 
     return forecast_pendulum(
         current,
         trend,
-        amplitude=_get(fc, "amplitude", where, float),
-        half_period=_get(fc, "half_period", where, _integer),
+        amplitude=fc.get("amplitude", float),
+        half_period=fc.get("half_period", _integer),
         horizon=horizon,
     )
 
 
-def _calibration_from_config(cal_cfg, where: str, base: Path):
+def _calibration_from_config(config: Section, key: str, base: Path):
+    cal_cfg = config.get(key, default=None)
     if cal_cfg in (None, "none"):
         return None
     if cal_cfg == "heuristic" or (
@@ -348,12 +354,12 @@ def _calibration_from_config(cal_cfg, where: str, base: Path):
     ):
         return CRUDE_OIL_HEURISTIC
     if isinstance(cal_cfg, dict) and cal_cfg.get("kind") == "fitted":
-        path = _get(cal_cfg, "pairs_csv", where, _path)
+        path = config.section(key).get("pairs_csv", _path)
         if not path.is_absolute():
             path = base / path
         pairs = parse_calibration_pairs_csv(_read_text(path))
         return calibrate_price(pairs)
-    raise ConfigError(f"{where}: unknown calibration {cal_cfg!r}")
+    raise ConfigError(f"{config.key(key)}: unknown calibration {cal_cfg!r}")
 
 
 def _prices_csv(forecast: Forecast, cal) -> str:
@@ -368,19 +374,19 @@ def _prices_csv(forecast: Forecast, cal) -> str:
 
 def cmd_forecast(args) -> int:
     config, base, out = _context(args)
-    fc = _get(config, "forecast", "", _object)
-    horizon = _get(fc, "horizon", "forecast", _integer, 0)
+    fc = config.section("forecast")
+    horizon = fc.get("horizon", _integer, 0)
     if horizon < 1:
         raise ConfigError(f"forecast.horizon must be >= 1, got {horizon}")
 
     model_path = out / "trend_model.json"
     model = TrendModel.from_json(_read_text(model_path)) if model_path.exists() else None
-    diff = _difference_from_config(args, config, out)
-    origin = _get(fc, "origin", "forecast", _month)
-    f = _forecast_from_config(fc, "forecast", diff, model, origin, horizon)
+    diff = _difference_from_config(config, out)
+    origin = fc.get("origin", _month)
+    f = _forecast_from_config(fc, diff, model, origin, horizon)
 
     outputs = {out / "forecast.csv": f.to_csv(), out / "forecast.json": f.to_json()}
-    cal = _calibration_from_config(config.get("calibration"), "calibration", base)
+    cal = _calibration_from_config(config, "calibration", base)
     if cal is not None:
         outputs[out / "forecast_prices.csv"] = _prices_csv(f, cal)
     _write_all(outputs)
@@ -391,26 +397,19 @@ def cmd_forecast(args) -> int:
 
 def cmd_translate(args) -> int:
     config, base, out = _context(args)
-    tr = _get(config, "translate", "", _object, {})
-
-    path = args.forecast_csv or _get(tr, "forecast_csv", "translate", _path, None)
-    f = _read_forecast_csv(Path(path or out / "forecast.csv"))
-
-    cal_cfg, where = _get(tr, "calibration", "translate", None, None), "translate.calibration"
-    if args.calibration:
-        cal_cfg, where = args.calibration, "--calibration"
-    elif cal_cfg is None:
-        cal_cfg, where = config.get("calibration"), "calibration"
-    cal = _calibration_from_config(cal_cfg, where, base)
+    tr = config.section("translate", {})
+    f = _read_forecast_csv(tr.get("forecast_csv", _path, None) or out / "forecast.csv")
+    cal_section = tr if tr.get("calibration", default=None) is not None else config
+    cal = _calibration_from_config(cal_section, "calibration", base)
     if cal is None:
         raise ConfigError("translate needs a calibration")
 
     outputs = {out / "translated_prices.csv": _prices_csv(f, cal)}
 
-    headline_cfg = _get(tr, "headline", "translate", _object, None)
-    if headline_cfg:
-        headline = _load_series(headline_cfg, "translate.headline", base)
-        rate = _get(tr, "annual_rate", "translate", float, None)
+    headline_cfg = tr.section("headline", None)
+    if headline_cfg is not None:
+        headline = _load_series(headline_cfg, base)
+        rate = tr.get("annual_rate", float, None)
         if rate is None:
             rate = trailing_growth_rate(headline, f.origin)
         extrapolated = extrapolate_headline(headline, f.origin, len(f.path), rate)
@@ -456,31 +455,28 @@ def _read_forecast_csv(path: Path) -> Forecast:
 
 def cmd_backtest(args) -> int:
     config, _, out = _context(args)
-    bt = _get(config, "backtest", "", _object)
-    if bt.get("forecast") is not None:
-        fc, where = _get(bt, "forecast", "backtest", _object), "backtest.forecast"
-    else:
-        fc, where = _get(config, "forecast", "", _object), "forecast"
-    diff = _difference_from_config(args, config, out)
+    bt = config.section("backtest")
+    fc = bt.section("forecast", None) or config.section("forecast")
+    diff = _difference_from_config(config, out)
 
-    origins = _get(bt, "origins", "backtest", _months, [])
+    origins = bt.get("origins", _months, [])
     if not origins:
         raise ConfigError("backtest.origins must list at least one origin")
-    horizon = _get(bt, "horizon", "backtest", _integer, 0)
+    horizon = bt.get("horizon", _integer, 0)
 
     # no trend model: it is fitted on the whole series, past every origin
     reports = rolling_backtest(
         diff,
-        lambda history, origin, h: _forecast_from_config(fc, where, history, None, origin, h),
+        lambda history, origin, h: _forecast_from_config(fc, history, None, origin, h),
         origins,
         horizon,
     )
 
-    baseline_cfg = _get(bt, "baseline", "backtest", _object, None)
+    baseline_cfg = bt.section("baseline", None)
     baseline_reports: list[BacktestReport] = []
-    if baseline_cfg:
-        fit_start = _get(baseline_cfg, "fit_start", "backtest.baseline", _month)
-        fit_end = _get(baseline_cfg, "fit_end", "backtest.baseline", _month)
+    if baseline_cfg is not None:
+        fit_start = baseline_cfg.get("fit_start", _month)
+        fit_end = baseline_cfg.get("fit_end", _month)
 
         def baseline_forecaster(history, origin, h):
             trend = fit_ols(history, (fit_start, min(fit_end, origin)))
@@ -566,43 +562,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--out", help="output directory (overrides config)")
+        setting(p, "--out", "out", help="output directory (overrides config)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("diff", help="difference two index series")
-    common(p)
-    p.add_argument("--headline", help="headline series CSV path")
-    p.add_argument("--headline-id", default=None)
-    p.add_argument("--component", help="component series CSV path")
-    p.add_argument("--component-id", default=None)
-    p.set_defaults(func=cmd_diff)
+    def setting(p, flag, key, **options):
+        """Declare ``flag`` as setting the dotted config key ``key``."""
+        p.add_argument(flag, dest=key, metavar=flag[2:].replace("-", "_").upper(), **options)
 
-    p = sub.add_parser("fit", help="fit trends and turning points")
-    common(p)
-    p.add_argument("--difference-csv", help="difference CSV (default <out>/difference.csv)")
-    p.add_argument("--k", type=int, default=None, help="number of breakpoints")
-    p.add_argument("--min-len", type=int, default=None, help="minimum piece length (months)")
-    p.set_defaults(func=cmd_fit)
+    p = command("diff", cmd_diff, "difference two index series")
+    setting(p, "--headline", "series.headline.path", help="headline series CSV path")
+    setting(p, "--headline-id", "series.headline.id")
+    setting(p, "--component", "series.component.path", help="component series CSV path")
+    setting(p, "--component-id", "series.component.id")
 
-    p = sub.add_parser("forecast", help="forecast the difference path")
-    common(p)
-    p.add_argument("--difference-csv", help="difference CSV (default <out>/difference.csv)")
-    p.set_defaults(func=cmd_forecast)
+    difference_help = "difference CSV (default <out>/difference.csv)"
+    p = command("fit", cmd_fit, "fit trends and turning points")
+    setting(p, "--difference-csv", "difference_csv", help=difference_help)
+    setting(p, "--k", "segmentation.k", type=int, help="number of breakpoints")
+    setting(p, "--min-len", "segmentation.min_len", type=int, help="minimum piece length (months)")
 
-    p = sub.add_parser("translate", help="translate a forecast into prices")
-    common(p)
-    p.add_argument("--forecast-csv", help="forecast CSV (default <out>/forecast.csv)")
-    p.add_argument(
-        "--calibration",
-        help="'heuristic' or omit to use the config calibration",
-    )
-    p.set_defaults(func=cmd_translate)
+    p = command("forecast", cmd_forecast, "forecast the difference path")
+    setting(p, "--difference-csv", "difference_csv", help=difference_help)
 
-    p = sub.add_parser("backtest", help="replay forecasts against actuals")
-    common(p)
-    p.add_argument("--difference-csv", help="difference CSV (default <out>/difference.csv)")
-    p.set_defaults(func=cmd_backtest)
+    p = command("translate", cmd_translate, "translate a forecast into prices")
+    forecast_help = "forecast CSV (default <out>/forecast.csv)"
+    setting(p, "--forecast-csv", "translate.forecast_csv", help=forecast_help)
+    calibration_help = "'heuristic' or omit to use the config calibration"
+    setting(p, "--calibration", "translate.calibration", help=calibration_help)
+
+    p = command("backtest", cmd_backtest, "replay forecasts against actuals")
+    setting(p, "--difference-csv", "difference_csv", help=difference_help)
 
     p = sub.add_parser("fetch", help="fetch a published series into CSV")
     p.add_argument("--series-id", required=True)
