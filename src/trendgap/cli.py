@@ -141,20 +141,24 @@ def _anchor(pair) -> tuple[MonthStamp, float]:
     return _month(pair[0]), float(pair[1])
 
 
-def _read_text(path: Path) -> str:
+def _load(path: Path, parse):
+    """``parse`` applied to the text of the file ``path``; a refusal names the file."""
     if not path.exists():
         raise ConfigError(f"file not found: {path}")
-    return path.read_text(encoding="utf-8")
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        raise ConfigError(f"{path}, {exc}") from None
 
 
 def _context(args) -> tuple[Section, Path, Path]:
     """The config with the given flags set in it, the directory its relative paths
     resolve against, and the output directory."""
-    values = {} if args.config is None else json.loads(_read_text(Path(args.config)))
+    values = {} if args.config is None else _load(Path(args.config), json.loads)
     if not isinstance(values, dict):
         raise ConfigError("config must be a JSON object")
     config = Section(values)
-    # every other attribute is a flag, named by the dotted config key it sets
+    # each attribute but these three is a flag, named by the dotted config key it sets
     for key, value in vars(args).items():
         if key not in ("command", "config", "func") and value is not None:
             *parents, last = key.split(".")
@@ -171,14 +175,12 @@ def _context(args) -> tuple[Section, Path, Path]:
 
 
 def _load_series(entry: Section, base: Path) -> MonthlySeries:
-    path = entry.get("path", _path)
-    if not path.is_absolute():
-        path = base / path
+    path = base / entry.get("path", _path)  # an absolute path replaces base
     series_id = entry.get("id", _text, None)
     if series_id is None:
         series_id = path.stem
     base_note = entry.get("base_note", _text, "")
-    return parse_series_csv(_read_text(path), series_id, base_note=base_note)
+    return _load(path, lambda text: parse_series_csv(text, series_id, base_note=base_note))
 
 
 def _write_all(outputs: dict[Path, str]) -> None:
@@ -189,7 +191,7 @@ def _write_all(outputs: dict[Path, str]) -> None:
 
 def _difference_from_config(config: Section, out: Path) -> DifferenceSeries:
     path = config.get("difference_csv", _path, None) or out / "difference.csv"
-    parsed = parse_series_csv(_read_text(path), "difference")
+    parsed = _load(path, lambda text: parse_series_csv(text, "difference"))
     return DifferenceSeries("minuend", "subtrahend", parsed.observations)
 
 
@@ -198,9 +200,9 @@ def _difference_from_config(config: Section, out: Path) -> DifferenceSeries:
 
 def cmd_diff(args) -> int:
     config, base, out = _context(args)
-    series = config.section("series", {})
-    headline = _load_series(series.section("headline"), base)
-    component = _load_series(series.section("component"), base)
+    series_cfg = config.section("series", {})
+    headline = _load_series(series_cfg.section("headline"), base)
+    component = _load_series(series_cfg.section("component"), base)
     for series in (headline, component):
         gaps = series.missing_months()
         if gaps:
@@ -235,7 +237,7 @@ def cmd_fit(args) -> int:
     tail_start = seg.get("tail_start", _month, None)
     if tail_start is not None and months_between(diff.end, tail_start) >= MAX_TRANSITION_MONTHS:
         raise ConfigError(
-            f"config key 'segmentation.tail_start': {tail_start}..{diff.end} exceeds the "
+            f"config key '{seg.key('tail_start')}': {tail_start}..{diff.end} exceeds the "
             f"{MAX_TRANSITION_MONTHS}-month limit: {months_between(diff.end, tail_start) + 1} months"
         )
     breakpoints = detect_breakpoints(detect_diff, k, min_len)
@@ -270,12 +272,10 @@ def _residuals_csv(diff: DifferenceSeries, model: TrendModel) -> str:
 
 
 def _model_segment(model: TrendModel | None, trend: Section, key: str):
-    kind = trend.get("kind")
     if model is None:
         raise ConfigError(
-            f"{trend.key('kind')} {kind!r} needs trend_model.json from 'trendgap fit'; "
-            "backtest never uses it, because that model is fitted on the whole "
-            "series and so sees past every origin"
+            f"{trend.key('kind')} {trend.get('kind')!r} needs trend_model.json, which is "
+            "missing from the output directory; 'trendgap fit' writes it"
         )
     index = trend.get(key, _integer, -1)
     try:
@@ -347,17 +347,14 @@ def _forecast_from_config(
 
 def _calibration_from_config(config: Section, key: str, base: Path):
     cal_cfg = config.get(key, default=None)
+    kind = cal_cfg.get("kind") if isinstance(cal_cfg, dict) else cal_cfg
     if cal_cfg in (None, "none"):
         return None
-    if cal_cfg == "heuristic" or (
-        isinstance(cal_cfg, dict) and cal_cfg.get("kind") == "heuristic"
-    ):
+    if kind == "heuristic":
         return CRUDE_OIL_HEURISTIC
-    if isinstance(cal_cfg, dict) and cal_cfg.get("kind") == "fitted":
-        path = config.section(key).get("pairs_csv", _path)
-        if not path.is_absolute():
-            path = base / path
-        pairs = parse_calibration_pairs_csv(_read_text(path))
+    if kind == "fitted" and isinstance(cal_cfg, dict):
+        path = base / config.section(key).get("pairs_csv", _path)
+        pairs = _load(path, parse_calibration_pairs_csv)
         return calibrate_price(pairs)
     raise ConfigError(f"{config.key(key)}: unknown calibration {cal_cfg!r}")
 
@@ -380,7 +377,7 @@ def cmd_forecast(args) -> int:
         raise ConfigError(f"forecast.horizon must be >= 1, got {horizon}")
 
     model_path = out / "trend_model.json"
-    model = TrendModel.from_json(_read_text(model_path)) if model_path.exists() else None
+    model = _load(model_path, TrendModel.from_json) if model_path.exists() else None
     diff = _difference_from_config(config, out)
     origin = fc.get("origin", _month)
     f = _forecast_from_config(fc, diff, model, origin, horizon)
@@ -398,7 +395,7 @@ def cmd_forecast(args) -> int:
 def cmd_translate(args) -> int:
     config, base, out = _context(args)
     tr = config.section("translate", {})
-    f = _read_forecast_csv(tr.get("forecast_csv", _path, None) or out / "forecast.csv")
+    f = _load(tr.get("forecast_csv", _path, None) or out / "forecast.csv", _parse_forecast_csv)
     cal_section = tr if tr.get("calibration", default=None) is not None else config
     cal = _calibration_from_config(cal_section, "calibration", base)
     if cal is None:
@@ -429,21 +426,20 @@ def cmd_translate(args) -> int:
     return 0
 
 
-def _read_forecast_csv(path: Path) -> Forecast:
+def _parse_forecast_csv(text: str) -> Forecast:
     """Read a ``forecast.csv`` back; its band is the first row's predicted minus low."""
-    text = _read_text(path)
     lines = [(n, ln.rstrip("\r")) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
     if not lines or lines[0][1] != "date,predicted,low,high":
-        raise ConfigError(f"{path}: expected header 'date,predicted,low,high'")
+        raise ValueError("expected header 'date,predicted,low,high'")
     rows = []
     for line_no, line in lines[1:]:
         try:
             date, pred, low, high = line.split(",")
             rows.append((MonthStamp.parse(date), float(pred), float(low), float(high)))
         except ValueError as exc:
-            raise ConfigError(f"{path}, line {line_no}: {exc}") from None
+            raise ValueError(f"line {line_no}: {exc}") from None
     if not rows:
-        raise ConfigError(f"{path}: no forecast rows")
+        raise ValueError("no forecast rows")
     # the file does not record the forecast regime
     return Forecast(
         mode="unknown",
@@ -457,6 +453,12 @@ def cmd_backtest(args) -> int:
     config, _, out = _context(args)
     bt = config.section("backtest")
     fc = bt.section("forecast", None) or config.section("forecast")
+    trend = fc.section("trend", {"kind": "segment"})
+    if trend.get("kind", default=None) in ("segment", "mirror"):
+        raise ConfigError(
+            f"{trend.key('kind')} {trend.get('kind')!r} needs trend_model.json, which backtest "
+            "never uses: that model is fitted on the whole series and so sees past every origin"
+        )
     diff = _difference_from_config(config, out)
 
     origins = bt.get("origins", _months, [])

@@ -170,10 +170,13 @@ class TrendModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrendModel":
-        return cls(
-            segments=tuple(LinearSegment.from_dict(d) for d in doc["segments"]),
-            transitions=tuple(TransitionWindow.from_dict(d) for d in doc["transitions"]),
-        )
+        """The model :meth:`to_dict` wrote; a malformed document raises ValueError."""
+        try:
+            segments = tuple(LinearSegment.from_dict(d) for d in doc["segments"])
+            transitions = tuple(TransitionWindow.from_dict(d) for d in doc["transitions"])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed trend model: {type(exc).__name__} {exc}") from None
+        return cls(segments=segments, transitions=transitions)
 
     @classmethod
     def from_json(cls, text: str) -> "TrendModel":

@@ -240,6 +240,8 @@ BAD_KEYS = [
     ("motor", "forecast", "forecast.horizon", "21", "forecast.horizon"),
     ("motor", "backtest", "backtest.horizon", 9.99, "backtest.horizon"),
     ("motor", "fit", "segmentation.min_len", True, "segmentation.min_len"),
+    ("crude", "translate", "translate.headline", {}, "translate.headline.path"),
+    ("motor", "backtest", "backtest.baseline", {}, "backtest.baseline.fit_start"),
 ]
 
 
@@ -318,6 +320,30 @@ class TestBacktestLookahead:
         assert run("backtest", "--config", str(cfg_path), "--out", str(motor_out)) == 2
         assert "whole series" in capsys.readouterr().err
         assert not (motor_out / "backtest.csv").exists()
+
+    def test_refused_before_any_input_is_read(self, tmp_path, capsys):
+        config = fixture_config("motor")
+        config["backtest"]["forecast"] = {"mode": "along-trend", "trend": {"kind": "mirror"}}
+        cfg = tmp_path / "mirror.json"
+        cfg.write_text(json.dumps(config))
+        assert run("backtest", "--config", str(cfg), "--out", str(tmp_path / "empty")) == 2
+        err = capsys.readouterr().err
+        assert "backtest.forecast.trend.kind" in err and "whole series" in err
+        assert not (tmp_path / "empty").exists()
+
+    def test_forecast_without_model_says_fit_writes_it(self, tmp_path, capsys):
+        out = prepare(tmp_path, "motor", ("diff",))
+        config = fixture_config("motor")
+        config["forecast"]["trend"] = {"kind": "segment"}
+        cfg = tmp_path / "segment.json"
+        cfg.write_text(json.dumps(config))
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run("forecast", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "forecast.trend.kind" in err and "missing" in err and "'trendgap fit'" in err
+        assert "backtest" not in err
+        assert snapshot(out) == before
 
 
 def prepare(tmp_path, name, steps):
@@ -437,6 +463,14 @@ PIPELINES = {
 }
 
 
+def set_key(config: dict, key: str, value) -> None:
+    """Set the dotted ``key`` of ``config``, making any section it lacks."""
+    *parents, last = key.split(".")
+    for part in parents:
+        config = config.setdefault(part, {})
+    config[last] = value
+
+
 def key_paths(section: dict, prefix: tuple = ()):
     for key, value in section.items():
         yield prefix + (key,)
@@ -487,6 +521,180 @@ class TestConfigFuzz:
         assert code in (0, 2), err.getvalue()
         if code == 2:
             assert snapshot(out) == before
+
+
+# Input files that differ from a pipeline's own, written by ``flag_inputs``.
+SHIFTED_DIFFERENCE, SHORT_FORECAST, SHORT_HEADLINE = "<difference>", "<forecast>", "<headline>"
+
+FLAG_CASES = {
+    "k": ("motor", "fit", {"segmentation.k": 2}, ("--k", "2")),
+    "min-len": ("motor", "fit", {"segmentation.min_len": 120}, ("--min-len", "120")),
+    **{
+        f"difference-csv-{command}": (
+            name,
+            command,
+            {"difference_csv": SHIFTED_DIFFERENCE},
+            ("--difference-csv", SHIFTED_DIFFERENCE),
+        )
+        for name, command in (("motor", "fit"), ("motor", "forecast"), ("crude", "backtest"))
+    },
+    "forecast-csv": (
+        "crude",
+        "translate",
+        {"translate.forecast_csv": SHORT_FORECAST},
+        ("--forecast-csv", SHORT_FORECAST),
+    ),
+    "calibration": (
+        "crude",
+        "translate",
+        {"translate.calibration": "heuristic"},
+        ("--calibration", "heuristic"),
+    ),
+    "headline-and-id": (
+        "motor",
+        "diff",
+        {"series.headline.path": SHORT_HEADLINE, "series.headline.id": "CPI"},
+        ("--headline", SHORT_HEADLINE, "--headline-id", "CPI"),
+    ),
+    "headline-keeps-id": (
+        "motor",
+        "diff",
+        {"series.headline.path": SHORT_HEADLINE},
+        ("--headline", SHORT_HEADLINE),
+    ),
+    "headline-id": ("motor", "diff", {"series.headline.id": "CPI"}, ("--headline-id", "CPI")),
+}
+
+
+def flag_inputs(out, work) -> dict:
+    """Files for ``FLAG_CASES``' placeholders: ``out``'s difference shifted up by 1,
+    its first 12 forecast months, and the motor headline cut after 2004-12."""
+    header, *rows = (out / "difference.csv").read_text().splitlines()
+    shifted = [f"{date},{float(value) + 1.0!r}" for date, value in (r.split(",") for r in rows)]
+    lines = {
+        SHIFTED_DIFFERENCE: [header, *shifted],
+        SHORT_FORECAST: (out / "forecast.csv").read_text().splitlines()[:13],
+        SHORT_HEADLINE: (FIXTURES / "cpi_all_items_sa.csv").read_text().splitlines()[:301],
+    }
+    paths = {}
+    for n, (placeholder, file_lines) in enumerate(lines.items()):
+        path = work / f"input{n}.csv"
+        path.write_text("\n".join(file_lines) + "\n")
+        paths[placeholder] = str(path)
+    return paths
+
+
+class TestFlagsSetConfigKeys:
+    @pytest.mark.parametrize(
+        "name, command, keys, flags", FLAG_CASES.values(), ids=FLAG_CASES.keys()
+    )
+    def test_flag_run_equals_config_run(
+        self, pipeline_outs, tmp_path, capsys, name, command, keys, flags
+    ):
+        """A flag sets its key: --out and stdout match a run with the key in the config."""
+        inputs = flag_inputs(pipeline_outs[name], tmp_path)
+        runs = []
+        for flagged in (False, True):
+            config = fixture_config(name)
+            if not flagged:
+                for key, value in keys.items():
+                    set_key(config, key, inputs.get(value, value))
+            cfg = tmp_path / f"config_{flagged}.json"
+            cfg.write_text(json.dumps(config))
+            out = tmp_path / f"out_{flagged}"
+            shutil.copytree(pipeline_outs[name], out)
+            argv = [inputs.get(arg, arg) for arg in flags] if flagged else []
+            capsys.readouterr()
+            assert run(command, "--config", str(cfg), "--out", str(out), *argv) == 0
+            runs.append((snapshot(out), capsys.readouterr().out))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "name, command, flag, key",
+        [
+            ("motor", "fit", "--difference-csv", "'difference_csv'"),
+            ("motor", "forecast", "--out", "'out'"),
+            ("crude", "translate", "--calibration", "translate.calibration"),
+        ],
+        ids=["difference-csv", "out", "calibration"],
+    )
+    def test_empty_flag_exits_two_naming_its_key(
+        self, pipeline_outs, tmp_path, capsys, name, command, flag, key
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_outs[name], out)
+        config = fixture_config(name)
+        config["out"] = str(out)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(command, "--config", str(cfg), flag, "") == 2
+        assert key in capsys.readouterr().err
+        assert snapshot(out) == before
+
+
+MALFORMED_MODELS = {
+    "empty-object": "{}",
+    "list": "[]",
+    "segments-number": '{"segments": 5, "transitions": []}',
+    "null-slope": None,  # the motor model with its first slope_B set to null
+    "segment-string": '{"segments": ["2000-01"], "transitions": []}',
+    "not-json": '{"segments": [',
+}
+
+
+# case: (command, the crude config key that names the file or None for the config, file text)
+BROKEN_FILES = {
+    "config": ("diff", None, '{"series": '),
+    "config-nested-too-deep": ("diff", None, "[" * 100_000),
+    "headline-csv": ("diff", "series.headline.path", "date,value\n2000-01,1.0\n2000-02\n"),
+    "pairs-csv": (
+        "translate",
+        "translate.calibration.pairs_csv",
+        "index,price_usd\n-120.0,119.19\nx,1.0\n",
+    ),
+}
+
+
+class TestMalformedInputFiles:
+    """A malformed input file exits 2, names the file and leaves --out as it was."""
+
+    @pytest.mark.parametrize("text", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
+    def test_forecast_refuses_malformed_trend_model(self, pipeline_outs, tmp_path, capsys, text):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_outs["motor"], out)
+        model = out / "trend_model.json"
+        if text is None:
+            doc = json.loads(model.read_text())
+            doc["segments"][0]["slope_B"] = None
+            text = json.dumps(doc)
+        model.write_text(text)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(fixture_config("motor")))
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run("forecast", "--config", str(cfg), "--out", str(out)) == 2
+        assert str(model) in capsys.readouterr().err
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("command, key, text", BROKEN_FILES.values(), ids=BROKEN_FILES.keys())
+    def test_error_names_the_file(self, pipeline_outs, tmp_path, capsys, command, key, text):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_outs["crude"], out)
+        broken = tmp_path / "broken"
+        broken.write_text(text)
+        cfg = broken
+        if key is not None:
+            config = fixture_config("crude")
+            set_key(config, key, str(broken))
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps(config))
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(command, "--config", str(cfg), "--out", str(out)) == 2
+        assert f"{broken}, " in capsys.readouterr().err
+        assert snapshot(out) == before
 
 
 FETCH_ARGS = ("fetch", "--series-id", "CUSR0000SA0", "--start-year", "2009", "--end-year", "2009")
