@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .forecast import Forecast
-from .series import DifferenceSeries, MonthStamp
+from .series import DifferenceSeries, MonthStamp, _write_csv
 
 
 class BacktestError(ValueError):
@@ -125,13 +125,10 @@ def rolling_backtest(
 
 def reports_to_csv(reports: list[BacktestReport]) -> str:
     """One row per origin: ``origin,n,mae,rmse,bias,hit_rate``."""
-    lines = ["origin,n,mae,rmse,bias,hit_rate"]
-    for r in reports:
-        origin = str(r.origin) if r.origin is not None else ""
-        lines.append(
-            f"{origin},{r.n},{r.mae!r},{r.rmse!r},{r.bias!r},{r.direction_hit_rate!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return _write_csv(
+        "origin,n,mae,rmse,bias,hit_rate",
+        ((r.origin, r.n, r.mae, r.rmse, r.bias, r.direction_hit_rate) for r in reports),
+    )
 
 
 __all__ = [

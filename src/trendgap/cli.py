@@ -49,6 +49,7 @@ from .series import (
     DifferenceSeries,
     MonthlySeries,
     MonthStamp,
+    _write_csv,
     difference,
     months_between,
     parse_series_csv,
@@ -174,6 +175,11 @@ def _context(args) -> tuple[Section, Path, Path]:
     return config, base, out
 
 
+def _cwd_path(value: str) -> str:
+    """A path flag's value made absolute against the working directory ("" stays, to be refused)."""
+    return str(Path.cwd() / value) if value else value
+
+
 def _load_series(entry: Section, base: Path) -> MonthlySeries:
     path = base / entry.get("path", _path)  # an absolute path replaces base
     series_id = entry.get("id", _text, None)
@@ -184,9 +190,20 @@ def _load_series(entry: Section, base: Path) -> MonthlySeries:
 
 
 def _write_all(outputs: dict[Path, str]) -> None:
-    for path, text in outputs.items():
+    """Write every output or none: each to a temporary file, renamed once all are written."""
+    for path in outputs:
+        if path.exists() and not path.is_file():
+            raise ConfigError(f"cannot write {path}: it exists and is not a regular file")
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+    temporaries = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in outputs}
+    try:
+        for path, text in outputs.items():
+            temporaries[path].write_text(text, encoding="utf-8")
+        for path, temporary in temporaries.items():
+            temporary.replace(path)
+    finally:
+        for temporary in temporaries.values():
+            temporary.unlink(missing_ok=True)
 
 
 def _difference_from_config(config: Section, out: Path) -> DifferenceSeries:
@@ -260,15 +277,13 @@ def cmd_fit(args) -> int:
 
 
 def _residuals_csv(diff: DifferenceSeries, model: TrendModel) -> str:
-    lines = ["date,value,predicted,residual,zone"]
+    rows = []
     for stamp, value in diff.observations:
         zone, segment = model.zone(stamp)
-        if segment is None:
-            lines.append(f"{stamp},{value!r},,,{zone}")
-        else:
-            predicted = segment.predicted(stamp)
-            lines.append(f"{stamp},{value!r},{predicted!r},{value - predicted!r},{zone}")
-    return "\n".join(lines) + "\n"
+        predicted = None if segment is None else segment.predicted(stamp)
+        residual = None if predicted is None else value - predicted
+        rows.append((stamp, value, predicted, residual, zone))
+    return _write_csv("date,value,predicted,residual,zone", rows)
 
 
 def _model_segment(model: TrendModel | None, trend: Section, key: str):
@@ -361,12 +376,11 @@ def _calibration_from_config(config: Section, key: str, base: Path):
 
 def _prices_csv(forecast: Forecast, cal) -> str:
     band = forecast.band_sigma
-    lines = ["date,price_usd,low,high"]
+    rows = []
     for stamp, value in forecast.path:
-        price = index_to_price(cal, value)
         edges = sorted((index_to_price(cal, value - band), index_to_price(cal, value + band)))
-        lines.append(f"{stamp},{price!r},{edges[0]!r},{edges[1]!r}")
-    return "\n".join(lines) + "\n"
+        rows.append((stamp, index_to_price(cal, value), *edges))
+    return _write_csv("date,price_usd,low,high", rows)
 
 
 def cmd_forecast(args) -> int:
@@ -395,7 +409,7 @@ def cmd_forecast(args) -> int:
 def cmd_translate(args) -> int:
     config, base, out = _context(args)
     tr = config.section("translate", {})
-    f = _load(tr.get("forecast_csv", _path, None) or out / "forecast.csv", _parse_forecast_csv)
+    f = _load(tr.get("forecast_csv", _path, None) or out / "forecast.csv", Forecast.from_csv)
     cal_section = tr if tr.get("calibration", default=None) is not None else config
     cal = _calibration_from_config(cal_section, "calibration", base)
     if cal is None:
@@ -410,12 +424,8 @@ def cmd_translate(args) -> int:
         if rate is None:
             rate = trailing_growth_rate(headline, f.origin)
         extrapolated = extrapolate_headline(headline, f.origin, len(f.path), rate)
-        lines = ["date,component_index"]
-        lines.extend(
-            f"{stamp},{value!r}"
-            for stamp, value in component_index_from_difference(extrapolated, f)
-        )
-        outputs[out / "component_index.csv"] = "\n".join(lines) + "\n"
+        component = component_index_from_difference(extrapolated, f)
+        outputs[out / "component_index.csv"] = _write_csv("date,component_index", component)
 
     _write_all(outputs)
     first, last = f.path[0], f.path[-1]
@@ -424,29 +434,6 @@ def cmd_translate(args) -> int:
         f"{last[0]} -> {index_to_price(cal, last[1]):.2f} USD"
     )
     return 0
-
-
-def _parse_forecast_csv(text: str) -> Forecast:
-    """Read a ``forecast.csv`` back; its band is the first row's predicted minus low."""
-    lines = [(n, ln.rstrip("\r")) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
-    if not lines or lines[0][1] != "date,predicted,low,high":
-        raise ValueError("expected header 'date,predicted,low,high'")
-    rows = []
-    for line_no, line in lines[1:]:
-        try:
-            date, pred, low, high = line.split(",")
-            rows.append((MonthStamp.parse(date), float(pred), float(low), float(high)))
-        except ValueError as exc:
-            raise ValueError(f"line {line_no}: {exc}") from None
-    if not rows:
-        raise ValueError("no forecast rows")
-    # the file does not record the forecast regime
-    return Forecast(
-        mode="unknown",
-        origin=rows[0][0].add_months(-1),
-        path=tuple((stamp, value) for stamp, value, _, _ in rows),
-        band_sigma=rows[0][1] - rows[0][2],
-    )
 
 
 def cmd_backtest(args) -> int:
@@ -464,7 +451,9 @@ def cmd_backtest(args) -> int:
     origins = bt.get("origins", _months, [])
     if not origins:
         raise ConfigError("backtest.origins must list at least one origin")
-    horizon = bt.get("horizon", _integer, 0)
+    horizon = bt.get("horizon", _integer)
+    if horizon < 1:
+        raise ConfigError(f"{bt.key('horizon')} must be >= 1, got {horizon}")
 
     # no trend model: it is fitted on the whole series, past every origin
     reports = rolling_backtest(
@@ -576,10 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, dest=key, metavar=flag[2:].replace("-", "_").upper(), **options)
 
     p = command("diff", cmd_diff, "difference two index series")
-    setting(p, "--headline", "series.headline.path", help="headline series CSV path")
-    setting(p, "--headline-id", "series.headline.id")
-    setting(p, "--component", "series.component.path", help="component series CSV path")
-    setting(p, "--component-id", "series.component.id")
+    for role in ("headline", "component"):
+        path_help = f"{role} series CSV path"
+        setting(p, f"--{role}", f"series.{role}.path", type=_cwd_path, help=path_help)
+        setting(p, f"--{role}-id", f"series.{role}.id")
 
     difference_help = "difference CSV (default <out>/difference.csv)"
     p = command("fit", cmd_fit, "fit trends and turning points")

@@ -14,11 +14,13 @@ import math
 from dataclasses import dataclass
 
 from .fitting import LinearSegment
-from .series import MonthStamp, months_between
+from .series import MonthStamp, _read_csv, _write_csv, months_between
 
 ALONG_TREND = "along-trend"
 RETURN_TO_TREND = "return-to-trend"
 PENDULUM = "pendulum"
+
+_CSV_HEADER = "date,predicted,low,high"
 
 
 class ForecastError(ValueError):
@@ -71,12 +73,24 @@ class Forecast:
 
     def to_csv(self) -> str:
         """Render as ``date,predicted,low,high`` rows (low/high = value -/+ sigma)."""
-        lines = ["date,predicted,low,high"]
-        for stamp, value in self.path:
-            lines.append(
-                f"{stamp},{value!r},{value - self.band_sigma!r},{value + self.band_sigma!r}"
-            )
-        return "\n".join(lines) + "\n"
+        band = self.band_sigma
+        return _write_csv(_CSV_HEADER, ((s, v, v - band, v + band) for s, v in self.path))
+
+    @classmethod
+    def from_csv(cls, text: str) -> "Forecast":
+        """Read :meth:`to_csv` text back: the band is the first row's predicted minus low,
+        and the mode is ``"unknown"``, since the text does not record it."""
+        rows = []
+        for line_no, fields in _read_csv(text, _CSV_HEADER, ValueError):
+            try:
+                date, pred, low, high = fields
+                rows.append((MonthStamp.parse(date), float(pred), float(low), float(high)))
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
+        if not rows:
+            raise ValueError("no forecast rows")
+        path = tuple((stamp, value) for stamp, value, _, _ in rows)
+        return cls("unknown", rows[0][0].add_months(-1), path, rows[0][1] - rows[0][2])
 
     def to_dict(self) -> dict:
         return {

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forecast import Forecast
-from .series import DifferenceSeries, MonthlySeries, MonthStamp, months_between
+from .series import DifferenceSeries, MonthlySeries, MonthStamp, _read_csv, months_between
 
 
 class PriceError(ValueError):
@@ -138,18 +138,14 @@ def index_to_price(cal: PriceCalibration, index: float) -> float:
 
 def parse_calibration_pairs_csv(text: str) -> list[tuple[float, float]]:
     """Parse ``index,price_usd`` CSV content into calibration pairs."""
-    lines = [(n, ln.strip()) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
-    if not lines or lines[0][1] != "index,price_usd":
-        raise PriceError("expected header 'index,price_usd'")
     pairs = []
-    for line_no, line in lines[1:]:
-        parts = line.split(",")
+    for line_no, parts in _read_csv(text, "index,price_usd", PriceError):
         if len(parts) != 2:
-            raise PriceError(f"line {line_no}: expected 2 fields")
+            raise PriceError(f"line {line_no}: expected 2 fields, got {len(parts)}")
         try:
             pairs.append((float(parts[0]), float(parts[1])))
         except ValueError:
-            raise PriceError(f"line {line_no}: non-numeric pair {line!r}") from None
+            raise PriceError(f"line {line_no}: non-numeric pair {','.join(parts)!r}") from None
     if not pairs:
         raise PriceError("no calibration pairs")
     return pairs

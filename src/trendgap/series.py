@@ -215,29 +215,35 @@ class DifferenceSeries(_ObservationMixin):
         return f"difference {self.minuend_id!r}-{self.subtrahend_id!r}"
 
 
+def _read_csv(text: str, header: str, error: type[Exception]) -> list[tuple[int, list[str]]]:
+    """The 1-based ``(line number, fields)`` of each non-blank line after ``header``, which
+    must be the first non-blank line (else ``error`` names the line and the text found).
+    CR and the whitespace around a line are ignored."""
+    lines = [(n, line) for n, raw in enumerate(text.split("\n"), start=1) if (line := raw.strip())]
+    line_no, found = lines[0] if lines else (1, "")
+    if found != header:
+        raise error(f"line {line_no}: expected header {header!r}, got {found!r}")
+    return [(n, line.split(",")) for n, line in lines[1:]]
+
+
+def _write_csv(header: str, rows) -> str:
+    """``header`` and one comma-joined line per row, each ending in a newline. ``None`` is
+    an empty field; other values are written with ``str``, a float's exact ``repr``."""
+    lines = [header]
+    lines.extend(",".join("" if v is None else str(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def parse_series_csv(text: str, series_id: str, base_note: str = "") -> MonthlySeries:
     """Parse ``date,value`` CSV content into a :class:`MonthlySeries`.
 
-    The header row must be exactly ``date,value``; data rows are
+    The first non-blank line must be exactly ``date,value``; data rows are
     ``YYYY-MM,<decimal>`` in any order. LF and CRLF line endings are accepted.
     Errors report the offending 1-based line number.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines = lines[:-1]
-    if not lines:
-        raise ParseError("empty input")
-    header = lines[0].rstrip("\r").strip()
-    if header != "date,value":
-        raise ParseError(f"expected header 'date,value', got {header!r}", line_no=1)
-
     seen: dict[MonthStamp, int] = {}
     rows: list[Observation] = []
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.rstrip("\r").strip()
-        if not line:
-            continue
-        parts = line.split(",")
+    for line_no, parts in _read_csv(text, "date,value", ParseError):
         if len(parts) != 2:
             raise ParseError(f"expected 2 fields, got {len(parts)}", line_no=line_no)
         try:
@@ -265,9 +271,7 @@ def parse_series_csv(text: str, series_id: str, base_note: str = "") -> MonthlyS
 
 def series_to_csv(series: _ObservationMixin) -> str:
     """Render any stamped series back to the ``date,value`` CSV format."""
-    lines = ["date,value"]
-    lines.extend(f"{stamp},{value!r}" for stamp, value in series.observations)
-    return "\n".join(lines) + "\n"
+    return _write_csv("date,value", series.observations)
 
 
 def align(a: MonthlySeries, b: MonthlySeries) -> tuple[MonthlySeries, MonthlySeries]:

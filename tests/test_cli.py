@@ -1,11 +1,13 @@
 """Command-line pipeline behavior, exit codes and file formats."""
 
 import contextlib
+import errno
 import io
 import json
 import shutil
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -221,7 +223,14 @@ def snapshot(out) -> dict:
     return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
 
-DELETE = object()
+class Delete:
+    """Marks a config key to delete; its repr is stable, so test ids that show it are too."""
+
+    def __repr__(self) -> str:
+        return "DELETE"
+
+
+DELETE = Delete()
 
 
 BAD_KEYS = [
@@ -242,6 +251,8 @@ BAD_KEYS = [
     ("motor", "fit", "segmentation.min_len", True, "segmentation.min_len"),
     ("crude", "translate", "translate.headline", {}, "translate.headline.path"),
     ("motor", "backtest", "backtest.baseline", {}, "backtest.baseline.fit_start"),
+    ("motor", "backtest", "backtest.horizon", DELETE, "config key 'backtest.horizon' is missing"),
+    ("motor", "backtest", "backtest.horizon", 0, "backtest.horizon must be >= 1"),
 ]
 
 
@@ -615,8 +626,9 @@ class TestFlagsSetConfigKeys:
             ("motor", "fit", "--difference-csv", "'difference_csv'"),
             ("motor", "forecast", "--out", "'out'"),
             ("crude", "translate", "--calibration", "translate.calibration"),
+            ("motor", "diff", "--headline", "series.headline.path"),
         ],
-        ids=["difference-csv", "out", "calibration"],
+        ids=["difference-csv", "out", "calibration", "headline"],
     )
     def test_empty_flag_exits_two_naming_its_key(
         self, pipeline_outs, tmp_path, capsys, name, command, flag, key
@@ -632,6 +644,58 @@ class TestFlagsSetConfigKeys:
         assert run(command, "--config", str(cfg), flag, "") == 2
         assert key in capsys.readouterr().err
         assert snapshot(out) == before
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--headline",), ("--component",), ("--headline", "--component")],
+        ids=["headline", "component", "both"],
+    )
+    def test_relative_series_flag_resolves_against_working_directory(
+        self, pipeline_outs, tmp_path, monkeypatch, capsys, flags
+    ):
+        """A relative series path flag names a file in the working directory, not in the
+        config's directory, as --difference-csv and --forecast-csv do."""
+        config = fixture_config("motor")
+        shutil.copy(config["series"]["headline"]["path"], tmp_path / "local_headline.csv")
+        shutil.copy(config["series"]["component"]["path"], tmp_path / "local_component.csv")
+        monkeypatch.chdir(tmp_path)
+        argv = [arg for flag in flags for arg in (flag, f"local_{flag[2:]}.csv")]
+        assert run("diff", "--config", str(FIXTURES / "motor_config.json"), "--out", "out", *argv) == 0
+        assert "CUSR0000SA0 - CUSR0000SETB" in capsys.readouterr().out
+        expected = (pipeline_outs["motor"] / "difference.csv").read_bytes()
+        assert (tmp_path / "out" / "difference.csv").read_bytes() == expected
+
+
+class TestNoPartialArtefacts:
+    """A run that cannot write every output leaves --out as it was, with no temporary file."""
+
+    @pytest.mark.parametrize("failure", ["target-is-directory", "write-fails"])
+    def test_forecast_writes_all_or_nothing(self, tmp_path, monkeypatch, capsys, failure):
+        out = prepare(tmp_path, "motor", ("diff", "fit", "forecast"))
+        if failure == "target-is-directory":
+            (out / "forecast.json").unlink()
+            (out / "forecast.json").mkdir()
+        else:
+            write_text = Path.write_text
+
+            def disk_full(path, *args, **kwargs):
+                if "forecast.json" in path.name:
+                    raise OSError(errno.ENOSPC, "No space left on device", str(path))
+                return write_text(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, "write_text", disk_full)
+        before, names = snapshot(out), sorted(out.rglob("*"))
+        # a longer horizon changes forecast.csv, so a write that went through would show
+        config = tmp_path / "shifted.json"
+        shifted = fixture_config("motor")
+        shifted["forecast"]["horizon"] += 1
+        config.write_text(json.dumps(shifted))
+        capsys.readouterr()
+
+        assert run("forecast", "--config", str(config), "--out", str(out)) == 2
+        assert "forecast.json" in capsys.readouterr().err
+        assert snapshot(out) == before
+        assert sorted(out.rglob("*")) == names
 
 
 MALFORMED_MODELS = {
