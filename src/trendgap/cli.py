@@ -386,9 +386,9 @@ def _prices_csv(forecast: Forecast, cal) -> str:
 def cmd_forecast(args) -> int:
     config, base, out = _context(args)
     fc = config.section("forecast")
-    horizon = fc.get("horizon", _integer, 0)
+    horizon = fc.get("horizon", _integer)
     if horizon < 1:
-        raise ConfigError(f"forecast.horizon must be >= 1, got {horizon}")
+        raise ConfigError(f"{fc.key('horizon')} must be >= 1, got {horizon}")
 
     model_path = out / "trend_model.json"
     model = _load(model_path, TrendModel.from_json) if model_path.exists() else None

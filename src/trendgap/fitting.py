@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import DifferenceSeries, MonthStamp, months_between
 
@@ -269,32 +270,54 @@ def classify_deviation(model: TrendModel, stamp: MonthStamp, value: float) -> De
     )
 
 
+#: Start positions evaluated per numpy call in a segmentation DP level.
+_BLOCK_ROWS = 16
+
+
 class _SegmentCost:
     """O(1) least-squares SSE of any contiguous month range, via prefix sums.
 
     Positions are in years and both coordinates are centred first: prefix
     sums of a series far from zero would otherwise cancel away the small
-    within-piece variation that decides where the breaks go.
+    within-piece variation that decides where the breaks go. SSEs go to a
+    workspace allocated once, so a DP level does not allocate per block.
     """
 
     def __init__(self, y: np.ndarray):
         x = np.arange(len(y)) / 12.0
         x = x - x.mean()
         y = y - y.mean()
-        # prefix[p] holds the sums of x, y, xx, xy and yy over positions 0..p-1
-        terms = np.column_stack([x, y, x * x, x * y, y * y])
-        self.prefix = np.vstack([np.zeros(5), np.cumsum(terms, axis=0)])
+        # prefix[:, p] holds the sums of x, y, xx, xy and yy over positions 0..p-1
+        terms = np.stack([x, y, x * x, x * y, y * y])
+        self.prefix = np.hstack([np.zeros((5, 1)), np.cumsum(terms, axis=1)])
+        self._work = np.empty((6, _BLOCK_ROWS * len(y)))
 
-    def sse(self, i, j) -> np.ndarray:
-        """SSE of the OLS line on positions i..j inclusive; broadcasts over arrays."""
-        m = j - i + 1
-        sx, sy, sxx, sxy, syy = (self.prefix[j + 1] - self.prefix[i]).T
-        var_x = sxx - sx * sx / m
-        cov_xy = sxy - sx * sy / m
-        var_y = syy - sy * sy / m
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sse = var_y - np.where(var_x > 0.0, cov_xy * cov_xy / np.maximum(var_x, 1e-300), 0.0)
-        return np.maximum(sse, 0.0)
+    def sse(self, starts: range, ends: range) -> np.ndarray:
+        """SSE of the OLS line on positions i..b inclusive, rows i in ``starts``
+        and columns b in ``ends``, in the workspace the next call overwrites.
+        A cell with b < i is junk but raises no warning."""
+        # m[r, c] = ends[c] - starts[r] + 1, as windows over one run of lengths
+        # clamped to >= 1, so that no cell divides by zero
+        first = ends.start - starts.start + 1
+        lengths = np.maximum(np.arange(first - len(starts) + 1, first + len(ends)), 1.0)
+        m = sliding_window_view(lengths, len(ends))[::-1]
+        work = self._work[:, : m.size].reshape(6, *m.shape)
+        sx, sy, sxx, sxy, syy, tmp = work
+        right = self.prefix[:, None, ends.start + 1 : ends.stop + 1]
+        np.subtract(right, self.prefix[:, starts.start : starts.stop, None], out=work[:5])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # var_x = sxx - sx * sx / m, cov_xy = sxy - sx * sy / m and
+            # var_y = syy - sy * sy / m, each overwriting its sum
+            for a, b, total in ((sx, sx, sxx), (sx, sy, sxy), (sy, sy, syy)):
+                np.divide(np.multiply(a, b, out=tmp), m, out=tmp)
+                np.subtract(total, tmp, out=total)
+            var_x, cov_xy, sse = sxx, sxy, syy
+            # sse = var_y - where(var_x > 0, cov_xy * cov_xy / max(var_x, 1e-300), 0),
+            # with sx, no longer needed, holding the clamped var_x
+            np.multiply(cov_xy, cov_xy, out=tmp)
+            np.divide(tmp, np.maximum(var_x, 1e-300, out=sx), out=tmp)
+            np.subtract(sse, tmp, out=sse, where=var_x > 0.0)
+        return np.maximum(sse, 0.0, out=sse)
 
 
 def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
@@ -311,17 +334,24 @@ def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
     cost = _SegmentCost(diff._values)
     suffix = np.full((max_k + 1, n + 1), np.inf)
     after = np.zeros((max_k + 1, n + 1), dtype=int)
-    starts = np.arange(n - min_len + 1)
-    suffix[0][starts] = cost.sse(starts, n - 1)
+    suffix[0][: n - min_len + 1] = cost.sse(range(n - min_len + 1), range(n - 1, n))[:, 0]
+    short = np.tri(_BLOCK_ROWS, k=-1, dtype=bool)
     for m in range(1, max_k + 1):
-        # piece i..b, then m-1 breaks in b+1..n-1
-        for i in range(n - (m + 1) * min_len, -1, -1):
-            bs = np.arange(i + min_len - 1, n - m * min_len)
-            totals = cost.sse(i, bs) + suffix[m - 1][bs + 1]
-            # argmin returns the first minimum, i.e. the earliest feasible break
-            best = int(np.argmin(totals))
-            suffix[m][i] = totals[best]
-            after[m][i] = bs[best] + 1
+        # piece i..b, then m-1 breaks in b+1..n-1; rows of a level are independent
+        stop = n - m * min_len
+        for i0 in range(0, stop - min_len + 1, _BLOCK_ROWS):
+            rows = range(i0, min(i0 + _BLOCK_ROWS, stop - min_len + 1))
+            lo = i0 + min_len - 1
+            totals = cost.sse(rows, range(lo, stop))
+            totals += suffix[m - 1][lo + 1 : stop + 1]
+            # row r starts at i0 + r, so its first r cells are pieces shorter than min_len
+            r = np.arange(len(rows))
+            totals[:, : len(r)][short[: len(r), : len(r)]] = np.inf
+            # argmin returns the first minimum, i.e. the earliest feasible break;
+            # a row with no finite total keeps its first feasible break
+            best = np.maximum(np.argmin(totals, axis=1), r)
+            suffix[m][i0 : rows.stop] = totals[r, best]
+            after[m][i0 : rows.stop] = lo + best + 1
     return suffix, after
 
 

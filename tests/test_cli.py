@@ -253,6 +253,7 @@ BAD_KEYS = [
     ("motor", "backtest", "backtest.baseline", {}, "backtest.baseline.fit_start"),
     ("motor", "backtest", "backtest.horizon", DELETE, "config key 'backtest.horizon' is missing"),
     ("motor", "backtest", "backtest.horizon", 0, "backtest.horizon must be >= 1"),
+    ("motor", "forecast", "forecast.horizon", DELETE, "config key 'forecast.horizon' is missing"),
 ]
 
 

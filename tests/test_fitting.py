@@ -1,5 +1,7 @@
 """OLS fitting, breakpoint detection and trend-model assembly."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from trendgap import (
     select_breakpoint_count,
 )
 from trendgap.cli import _residuals_csv
+from trendgap.fitting import _segment
 
 
 def make_diff(start, values, name="d"):
@@ -290,6 +293,114 @@ class TestDetectBreakpoints:
             max_k, min_len = trial % 4, int(rng.choice([6, 8, 12]))
             got = select_breakpoint_count(make_diff("1990-01", y), max_k, min_len)
             assert got == oracle(y, max_k, min_len), (trial, n, planted, max_k, min_len)
+
+
+class PerRowSegmentCost:
+    """The per-row DP's segment cost, kept verbatim as the tables' oracle."""
+
+    def __init__(self, y: np.ndarray):
+        x = np.arange(len(y)) / 12.0
+        x = x - x.mean()
+        y = y - y.mean()
+        # prefix[p] holds the sums of x, y, xx, xy and yy over positions 0..p-1
+        terms = np.column_stack([x, y, x * x, x * y, y * y])
+        self.prefix = np.vstack([np.zeros(5), np.cumsum(terms, axis=0)])
+
+    def sse(self, i, j) -> np.ndarray:
+        """SSE of the OLS line on positions i..j inclusive; broadcasts over arrays."""
+        m = j - i + 1
+        sx, sy, sxx, sxy, syy = (self.prefix[j + 1] - self.prefix[i]).T
+        var_x = sxx - sx * sx / m
+        cov_xy = sxy - sx * sy / m
+        var_y = syy - sy * sy / m
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sse = var_y - np.where(var_x > 0.0, cov_xy * cov_xy / np.maximum(var_x, 1e-300), 0.0)
+        return np.maximum(sse, 0.0)
+
+
+def per_row_segment(diff, max_k, min_len):
+    """The DP that evaluated one start position per numpy call (tables' oracle)."""
+    n = len(diff)
+    cost = PerRowSegmentCost(diff._values)
+    suffix = np.full((max_k + 1, n + 1), np.inf)
+    after = np.zeros((max_k + 1, n + 1), dtype=int)
+    starts = np.arange(n - min_len + 1)
+    suffix[0][starts] = cost.sse(starts, n - 1)
+    for m in range(1, max_k + 1):
+        # piece i..b, then m-1 breaks in b+1..n-1
+        for i in range(n - (m + 1) * min_len, -1, -1):
+            bs = np.arange(i + min_len - 1, n - m * min_len)
+            totals = cost.sse(i, bs) + suffix[m - 1][bs + 1]
+            # argmin returns the first minimum, i.e. the earliest feasible break
+            best = int(np.argmin(totals))
+            suffix[m][i] = totals[best]
+            after[m][i] = bs[best] + 1
+    return suffix, after
+
+
+class TestBlockedSegmentTables:
+    """The blocked DP levels give the per-row DP's tables bit for bit."""
+
+    MIN_LENS = (6, 7, 15, 16, 17, 31, 32, 33, 60)  # below, at and above the block size
+    MAX_K = 4
+
+    @staticmethod
+    def kinds(n, rng):
+        walk = np.cumsum(rng.normal(0, 1, n)) + 0.2 * np.arange(n)
+        return {
+            "walk": walk,
+            "rounded": np.round(walk),  # few distinct values: tied totals
+            "constant": np.full(n, 3.0),  # every SSE zero: every total tied
+            "offset-1e5": walk + 1e5,
+            "offset-1e6": walk + 1e6,
+            "scale-1e-2": 1e-2 * walk,
+        }
+
+    @classmethod
+    def lengths(cls, min_len):
+        exact = [(k + 1) * min_len for k in range(cls.MAX_K + 1)]
+        return sorted({n for e in exact for n in (e, e + 1)} | {400})
+
+    @pytest.mark.parametrize("min_len", MIN_LENS)
+    def test_tables_match_per_row_dp(self, min_len):
+        rng = np.random.default_rng(min_len)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in self.lengths(min_len):
+                for kind, y in self.kinds(n, rng).items():
+                    diff = make_diff("1900-01", y)
+                    want_suffix, want_after = per_row_segment(diff, self.MAX_K, min_len)
+                    got_suffix, got_after = _segment(diff, self.MAX_K, min_len)
+                    assert np.array_equal(got_suffix, want_suffix), (n, kind)
+                    assert np.array_equal(got_after, want_after), (n, kind)
+
+    def test_overflowing_series_match_and_are_infeasible(self):
+        # Sums of squares overflow, so no segmentation is feasible; the prefix
+        # sums warn in both DPs. Scaled noise turns the SSEs nan or inf. Two
+        # huge last months leave every total of a break row inf, where the
+        # earliest feasible break must still be recorded.
+        rng = np.random.default_rng(20)
+        series = {
+            "1e153": 1e153 * rng.normal(0, 1, 200),
+            "1e200": 1e200 * rng.normal(0, 1, 200),
+            "tail": np.concatenate([rng.normal(0, 1, 198), [-1e155, 1e155]]),
+        }
+        for label, y in series.items():
+            d = make_diff("1900-01", y)
+            with warnings.catch_warnings(record=True) as old:
+                warnings.simplefilter("always")
+                want_suffix, want_after = per_row_segment(d, 3, 20)
+            with warnings.catch_warnings(record=True) as new:
+                warnings.simplefilter("always")
+                got_suffix, got_after = _segment(d, 3, 20)
+            assert not np.isfinite(got_suffix[:, 0]).any(), label
+            assert np.array_equal(got_suffix, want_suffix, equal_nan=True), label
+            assert np.array_equal(got_after, want_after), label
+            assert {str(w.message) for w in new} <= {str(w.message) for w in old}, label
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with pytest.raises(FitError, match="no feasible segmentation"):
+                    detect_breakpoints(d, 2, 20)
 
 
 class TestBuildTrendModel:
