@@ -327,6 +327,10 @@ def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
     breaks, and ``after[m][i]`` is the position just right of the earliest
     optimal first break there. Following ``after`` forward from position 0
     yields the lexicographically smallest optimal breakpoint set.
+
+    Every caller reads the top level only at position 0, so for ``max_k >= 1``
+    only that cell of it is computed: ``suffix[max_k]`` and ``after[max_k]``
+    hold position 0, and are ``inf`` and 0 everywhere else.
     """
     if not diff.is_contiguous():
         raise FitError("breakpoint detection requires a gap-free series")
@@ -339,8 +343,9 @@ def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
     for m in range(1, max_k + 1):
         # piece i..b, then m-1 breaks in b+1..n-1; rows of a level are independent
         stop = n - m * min_len
-        for i0 in range(0, stop - min_len + 1, _BLOCK_ROWS):
-            rows = range(i0, min(i0 + _BLOCK_ROWS, stop - min_len + 1))
+        last = stop - min_len + 1 if m < max_k else min(1, stop - min_len + 1)
+        for i0 in range(0, last, _BLOCK_ROWS):
+            rows = range(i0, min(i0 + _BLOCK_ROWS, last))
             lo = i0 + min_len - 1
             totals = cost.sse(rows, range(lo, stop))
             totals += suffix[m - 1][lo + 1 : stop + 1]
@@ -406,8 +411,9 @@ def select_breakpoint_count(
 
     Scores each k in 0..max_k by ``n log(SSE/n) + p log(n)`` with p the
     number of fitted parameters, and returns the best (k, breakpoints).
-    One segmentation pass serves every k. Explicit k remains the
-    recommended path when the structure is known.
+    One segmentation pass serves every k; a k whose SSE is not finite is
+    never chosen, and FitError is raised when none is. Explicit k remains
+    the recommended path when the structure is known.
     """
     if max_k < 0:
         raise FitError(f"max_k must be >= 0, got {max_k}")
@@ -417,8 +423,12 @@ def select_breakpoint_count(
     if min_len < 6:
         raise FitError(f"min_len must be >= 6, got {min_len}")
     suffix, after = _segment(diff, min(max_k, n // min_len - 1), min_len)
+    if not np.isfinite(suffix[:, 0]).any():
+        raise FitError("no feasible segmentation")
     bics = [
         n * np.log(max(sse, 1e-12) / n) + (2 * (k + 1) + k) * np.log(n)
+        if np.isfinite(sse)
+        else np.inf
         for k, sse in enumerate(suffix[:, 0])
     ]
     k = int(np.argmin(bics))

@@ -1,5 +1,7 @@
 """OLS fitting, breakpoint detection and trend-model assembly."""
 
+import functools
+import itertools
 import warnings
 
 import numpy as np
@@ -168,6 +170,28 @@ def exhaustive_breakpoints(values, k, min_len):
     return best
 
 
+def exhaustive_breakpoints_k3(values, min_len):
+    """Brute-force optimal three cut positions; each piece is fitted once."""
+    n = len(values)
+
+    @functools.lru_cache(maxsize=None)
+    def piece(lo, hi):
+        x = np.arange(lo, hi) / 12.0
+        y = np.asarray(values[lo:hi], dtype=float)
+        coef = np.polyfit(x, y, 1)
+        return float(np.sum((y - np.polyval(coef, x)) ** 2))
+
+    best = (np.inf, [])
+    for cuts in itertools.combinations(range(min_len, n - min_len + 1), 3):
+        bounds = (0, *cuts, n)
+        if any(hi - lo < min_len for lo, hi in zip(bounds, bounds[1:])):
+            continue
+        sse = sum(piece(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+        if sse < best[0] - 1e-12:
+            best = (sse, list(cuts))
+    return best
+
+
 class TestDetectBreakpoints:
     def test_k_zero_returns_empty(self):
         rng = np.random.default_rng(8)
@@ -212,6 +236,17 @@ class TestDetectBreakpoints:
         got = detect_breakpoints(d, 2, 6)
         _, expected = exhaustive_breakpoints(y, 2, 6)
         assert [months_between(b, d.start) for b in got] == expected
+
+    def test_dp_equals_exhaustive_k3(self):
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            n = int(rng.integers(40, 61))
+            walk = np.cumsum(rng.normal(0, 1, n)) + 0.2 * np.arange(n)
+            for y in (walk, np.round(walk)):  # rounded: few distinct values
+                d = make_diff("1990-01", y)
+                got = detect_breakpoints(d, 3, 6)
+                _, expected = exhaustive_breakpoints_k3(y, 6)
+                assert [months_between(b, d.start) for b in got] == expected, n
 
     def test_sse_monotone_in_k(self):
         rng = np.random.default_rng(14)
@@ -339,10 +374,16 @@ def per_row_segment(diff, max_k, min_len):
 
 
 class TestBlockedSegmentTables:
-    """The blocked DP levels give the per-row DP's tables bit for bit."""
+    """The blocked DP levels give the per-row DP's tables bit for bit.
+
+    The top level is computed only at position 0, the one cell of it that
+    callers read, so there it is compared at that cell and must be blank
+    (inf and 0) everywhere else.
+    """
 
     MIN_LENS = (6, 7, 15, 16, 17, 31, 32, 33, 60)  # below, at and above the block size
     MAX_K = 4
+    TOP = MAX_K + 1
 
     @staticmethod
     def kinds(n, rng):
@@ -358,49 +399,102 @@ class TestBlockedSegmentTables:
 
     @classmethod
     def lengths(cls, min_len):
-        exact = [(k + 1) * min_len for k in range(cls.MAX_K + 1)]
+        exact = [(k + 1) * min_len for k in range(cls.TOP + 1)]
         return sorted({n for e in exact for n in (e, e + 1)} | {400})
+
+    @classmethod
+    @functools.cache
+    def grid(cls, min_len):
+        """(n, kind, series, per-row suffix, per-row after) for every case."""
+        rng = np.random.default_rng(min_len)
+        cases = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in cls.lengths(min_len):
+                for kind, y in cls.kinds(n, rng).items():
+                    diff = make_diff("1900-01", y)
+                    cases.append((n, kind, diff, *per_row_segment(diff, cls.TOP, min_len)))
+        return cases
+
+    @staticmethod
+    def assert_tables_match(got, want, label, equal_nan=False):
+        top = len(got[0]) - 1
+        for g, w in zip(got, want):
+            assert np.array_equal(g[:top], w[:top], equal_nan=equal_nan), label
+            assert np.array_equal(g[top, :1], w[top, :1], equal_nan=equal_nan), label
+        suffix, after = got
+        assert np.isinf(suffix[top, 1:]).all() and not after[top, 1:].any(), label
 
     @pytest.mark.parametrize("min_len", MIN_LENS)
     def test_tables_match_per_row_dp(self, min_len):
-        rng = np.random.default_rng(min_len)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for n in self.lengths(min_len):
-                for kind, y in self.kinds(n, rng).items():
-                    diff = make_diff("1900-01", y)
-                    want_suffix, want_after = per_row_segment(diff, self.MAX_K, min_len)
-                    got_suffix, got_after = _segment(diff, self.MAX_K, min_len)
-                    assert np.array_equal(got_suffix, want_suffix), (n, kind)
-                    assert np.array_equal(got_after, want_after), (n, kind)
+            for n, kind, diff, *want in self.grid(min_len):
+                self.assert_tables_match(_segment(diff, self.TOP, min_len), want, (n, kind))
 
-    def test_overflowing_series_match_and_are_infeasible(self):
+    @pytest.mark.parametrize("min_len", MIN_LENS)
+    def test_callers_follow_per_row_tables(self, min_len):
+        # What callers read: the path through ``after`` from position 0 for
+        # each k, and the BIC over ``suffix[:, 0]``.
+        def path(diff, after, k):
+            points, i = [], 0
+            for m in range(k, 0, -1):
+                i = int(after[m][i])
+                points.append(diff.start.add_months(i))
+            return points
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, kind, diff, suffix, after in self.grid(min_len):
+                top = min(self.MAX_K, n // min_len - 1)
+                for k in range(top + 1):
+                    got = detect_breakpoints(diff, k, min_len)
+                    assert got == path(diff, after, k), (n, kind, k)
+                bics = [
+                    n * np.log(max(sse, 1e-12) / n) + (3 * k + 2) * np.log(n)
+                    for k, sse in enumerate(suffix[: top + 1, 0])
+                ]
+                k = int(np.argmin(bics))
+                got = select_breakpoint_count(diff, self.MAX_K, min_len)
+                assert got == (k, path(diff, after, k)), (n, kind)
+
+    @staticmethod
+    def overflowing():
         # Sums of squares overflow, so no segmentation is feasible; the prefix
         # sums warn in both DPs. Scaled noise turns the SSEs nan or inf. Two
         # huge last months leave every total of a break row inf, where the
         # earliest feasible break must still be recorded.
         rng = np.random.default_rng(20)
-        series = {
+        return {
             "1e153": 1e153 * rng.normal(0, 1, 200),
             "1e200": 1e200 * rng.normal(0, 1, 200),
             "tail": np.concatenate([rng.normal(0, 1, 198), [-1e155, 1e155]]),
         }
-        for label, y in series.items():
+
+    def test_overflowing_series_match_and_are_infeasible(self):
+        for label, y in self.overflowing().items():
             d = make_diff("1900-01", y)
             with warnings.catch_warnings(record=True) as old:
                 warnings.simplefilter("always")
-                want_suffix, want_after = per_row_segment(d, 3, 20)
+                want = per_row_segment(d, 4, 20)
             with warnings.catch_warnings(record=True) as new:
                 warnings.simplefilter("always")
-                got_suffix, got_after = _segment(d, 3, 20)
-            assert not np.isfinite(got_suffix[:, 0]).any(), label
-            assert np.array_equal(got_suffix, want_suffix, equal_nan=True), label
-            assert np.array_equal(got_after, want_after), label
+                got = _segment(d, 4, 20)
+            assert not np.isfinite(got[0][:, 0]).any(), label
+            self.assert_tables_match(got, want, label, equal_nan=True)
             assert {str(w.message) for w in new} <= {str(w.message) for w in old}, label
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 with pytest.raises(FitError, match="no feasible segmentation"):
                     detect_breakpoints(d, 2, 20)
+
+    def test_select_refuses_overflowing_series(self):
+        for label, y in self.overflowing().items():
+            d = make_diff("1900-01", y)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with pytest.raises(FitError, match="no feasible segmentation"):
+                    select_breakpoint_count(d, 3, 20)
 
 
 class TestBuildTrendModel:
