@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .forecast import Forecast
-from .series import DifferenceSeries, MonthStamp, _write_csv
+from .series import DifferenceSeries, MonthStamp, _ordinal, _write_csv
 
 
 class BacktestError(ValueError):
@@ -52,22 +52,23 @@ class BacktestReport:
 
 def score(forecast: Forecast, actual: DifferenceSeries) -> BacktestReport:
     """Compare a forecast path to realized values month by month."""
+    at, found = actual._lookup([_ordinal(stamp) for stamp, _ in forecast.path])
     overlap = [
-        (stamp, pred, actual.value_at(stamp))
-        for stamp, pred in forecast.path
-        if actual.has(stamp)
+        (pred, act)
+        for (_, pred), act, keep in zip(forecast.path, actual._values[at].tolist(), found.tolist())
+        if keep
     ]
     if not overlap:
         raise BacktestError("forecast and actuals share no months")
 
-    errors = [pred - act for _, pred, act in overlap]
+    errors = [pred - act for pred, act in overlap]
     n = len(errors)
     mae = sum(abs(e) for e in errors) / n
     rmse = math.sqrt(sum(e * e for e in errors) / n)
     bias = sum(errors) / n
 
     hits = counted = 0
-    for (_, p0, a0), (_, p1, a1) in zip(overlap, overlap[1:]):
+    for (p0, a0), (p1, a1) in zip(overlap, overlap[1:]):
         dp, da = p1 - p0, a1 - a0
         if dp == 0.0 or da == 0.0:
             continue

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .series import DifferenceSeries, MonthStamp, months_between
+from .series import DifferenceSeries, MonthStamp, _stamp, months_between
 
 #: Transitions between trends last three years at most.
 MAX_TRANSITION_MONTHS = 36
@@ -54,7 +54,11 @@ class LinearSegment:
 
     def predicted(self, stamp: MonthStamp) -> float:
         """Trend value at ``stamp``; extrapolates freely outside the window."""
-        return self.intercept + self.slope * (months_between(stamp, self.start) / 12.0)
+        return self._at(months_between(stamp, self.start))
+
+    def _at(self, k: int) -> float:
+        """Trend value ``k`` months after the window's first month."""
+        return self.intercept + self.slope * (k / 12.0)
 
     def contains(self, stamp: MonthStamp) -> bool:
         return self.start <= stamp <= self.end
@@ -215,15 +219,18 @@ def fit_ols(diff: DifferenceSeries, window: tuple[MonthStamp, MonthStamp]) -> Li
     lo, hi = window
     if hi < lo:
         raise FitError(f"window end {hi} before start {lo}")
-    part = diff._take(diff._window(lo, hi))
-    if len(part) < 2:
-        raise FitError(f"window {lo}..{hi} has {len(part)} observations, need >= 2")
-    if not part.is_contiguous():
-        raise FitError(f"window {lo}..{hi} has missing months; fits require gap-free data")
-    intercept, slope, r2, sigma = _ols(np.arange(len(part)) / 12.0, part._values)
+    keep = diff._window(lo, hi)
+    months = diff._months[keep]
+    n = len(months)
+    if n < 2:
+        raise FitError(f"window {lo}..{hi} has {n} observations, need >= 2")
+    if months[-1] - months[0] + 1 != n:
+        gap = diff._take(keep).missing_months()[0]
+        raise FitError(f"window {lo}..{hi} has missing months from {gap}; fits require gap-free data")
+    intercept, slope, r2, sigma = _ols(np.arange(n) / 12.0, diff._values[keep])
     return LinearSegment(
-        start=part.start,
-        end=part.end,
+        start=_stamp(months[0]),
+        end=_stamp(months[-1]),
         intercept=intercept,
         slope=slope,
         r_squared=r2,
@@ -333,7 +340,10 @@ def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
     hold position 0, and are ``inf`` and 0 everywhere else.
     """
     if not diff.is_contiguous():
-        raise FitError("breakpoint detection requires a gap-free series")
+        raise FitError(
+            "breakpoint detection requires a gap-free series; "
+            f"first missing month {diff.missing_months()[0]}"
+        )
     n = len(diff)
     cost = _SegmentCost(diff._values)
     suffix = np.full((max_k + 1, n + 1), np.inf)
@@ -471,6 +481,11 @@ def build_trend_model(
             raise FitError(f"tail_start {tail_start} outside series span")
         if points and tail_start <= points[-1]:
             raise FitError("tail_start must come after the last breakpoint")
+        if months_between(span_end, tail_start) >= MAX_TRANSITION_MONTHS:
+            raise FitError(
+                f"tail_start {tail_start} leaves a trailing transition {tail_start}..{span_end} "
+                f"longer than {MAX_TRANSITION_MONTHS} months"
+            )
         fit_end = tail_start.add_months(-1)
 
     pieces: list[tuple[MonthStamp, MonthStamp]] = []

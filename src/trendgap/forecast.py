@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .fitting import LinearSegment
-from .series import MonthStamp, _read_csv, _write_csv, months_between
+from .series import MonthStamp, _ordinal, _read_csv, _stamp, _write_csv, months_between
 
 ALONG_TREND = "along-trend"
 RETURN_TO_TREND = "return-to-trend"
@@ -50,15 +50,16 @@ class Forecast:
             raise ValueError(f"band_sigma must be finite and >= 0, got {self.band_sigma}")
         if not self.path:
             raise ValueError("empty forecast path")
-        expected = self.origin.add_months(1)
-        if self.path[0][0] != expected:
+        months = [_ordinal(s) for s, _ in self.path]
+        expected = _ordinal(self.origin) + 1
+        if months[0] != expected:
             raise ValueError(
-                f"path must start the month after origin ({expected}), "
+                f"path must start the month after origin ({_stamp(expected)}), "
                 f"got {self.path[0][0]}"
             )
-        for (a, _), (b, _) in zip(self.path, self.path[1:]):
+        for a, b, (stamp, _) in zip(months, months[1:], self.path[1:]):
             if b <= a:
-                raise ValueError(f"path stamps not strictly increasing at {b}")
+                raise ValueError(f"path stamps not strictly increasing at {stamp}")
         for stamp, value in self.path:
             if not math.isfinite(value):
                 raise ValueError(f"non-finite forecast value {value!r} at {stamp}")
@@ -155,10 +156,8 @@ def forecast_along_trend(
     """Evaluate the trend line monthly for ``horizon`` months after ``origin``."""
     if horizon < 1:
         raise ForecastError(f"horizon must be >= 1, got {horizon}")
-    path = tuple(
-        (stamp, trend.predicted(stamp))
-        for stamp in (origin.add_months(m) for m in range(1, horizon + 1))
-    )
+    at, k = _ordinal(origin), months_between(origin, trend.start)
+    path = tuple((_stamp(at + m), trend._at(k + m)) for m in range(1, horizon + 1))
     return Forecast(
         mode=ALONG_TREND, origin=origin, path=path, band_sigma=trend.residual_sigma
     )
@@ -178,15 +177,14 @@ def forecast_return_to_trend(
     if n < 1:
         raise ForecastError(f"deadline {deadline} must come after origin {origin}")
     deviation = float(value) - trend.predicted(origin)
-    path = []
-    for m in range(1, n + 1):
-        stamp = origin.add_months(m)
-        remaining = deviation * (1.0 - m / n)
-        path.append((stamp, trend.predicted(stamp) + remaining))
+    at, k = _ordinal(origin), months_between(origin, trend.start)
+    path = tuple(
+        (_stamp(at + m), trend._at(k + m) + deviation * (1.0 - m / n)) for m in range(1, n + 1)
+    )
     return Forecast(
         mode=RETURN_TO_TREND,
         origin=origin,
-        path=tuple(path),
+        path=path,
         band_sigma=trend.residual_sigma,
     )
 
@@ -224,13 +222,9 @@ def forecast_pendulum(
         # past the first crossing: full swings of the target amplitude
         return wave * amplitude * side
 
-    path = tuple(
-        (origin.add_months(m), trend.predicted(origin.add_months(m)) + deviation(m))
-        for m in range(1, horizon + 1)
-    )
-    return Forecast(
-        mode=PENDULUM, origin=origin, path=tuple(path), band_sigma=trend.residual_sigma
-    )
+    at, k = _ordinal(origin), months_between(origin, trend.start)
+    path = tuple((_stamp(at + m), trend._at(k + m) + deviation(m)) for m in range(1, horizon + 1))
+    return Forecast(mode=PENDULUM, origin=origin, path=path, band_sigma=trend.residual_sigma)
 
 
 def chain_forecasts(first: Forecast, second: Forecast) -> tuple[tuple[MonthStamp, float], ...]:

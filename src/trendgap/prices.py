@@ -171,9 +171,8 @@ def lead_lag(
         raise PriceError(f"max_lag must be >= 0, got {max_lag}")
     candidates: list[tuple[int, float]] = []
     for lag in sorted(range(-max_lag, max_lag + 1), key=lambda l: (abs(l), l)):
-        _, ia, ib = np.intersect1d(
-            a._months + lag, b._months, assume_unique=True, return_indices=True
-        )
+        at, found = b._lookup(a._months + lag)
+        ia, ib = np.flatnonzero(found), at[found]
         if len(ia) < min_overlap:
             raise PriceError(
                 f"insufficient overlap at lag {lag}: {len(ia)} months "

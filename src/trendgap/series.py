@@ -51,22 +51,10 @@ class MonthStamp:
     @classmethod
     def parse(cls, token: str) -> "MonthStamp":
         """Parse a ``YYYY-MM`` token."""
-        parts = token.strip().split("-")
-        if (
-            len(parts) != 2
-            or len(parts[0]) != 4
-            or len(parts[1]) != 2
-            or not parts[0].isdigit()
-            or not parts[1].isdigit()
-        ):
-            raise ValueError(f"malformed date token {token!r}, expected YYYY-MM")
-        year, month = int(parts[0]), int(parts[1])
-        if not 1 <= month <= 12:
-            raise ValueError(f"malformed date token {token!r}: month out of range")
-        return cls(year, month)
+        return _stamp(_parse_ordinal(token))
 
     def __str__(self) -> str:
-        return f"{self.year:04d}-{self.month:02d}"
+        return _month_text(_ordinal(self))
 
 
 def months_between(later: MonthStamp, earlier: MonthStamp) -> int:
@@ -82,6 +70,21 @@ def _stamp(ordinal) -> MonthStamp:
     return MonthStamp(int(ordinal) // 12, int(ordinal) % 12 + 1)
 
 
+def _month_text(ordinal: int) -> str:
+    return f"{ordinal // 12:04d}-{ordinal % 12 + 1:02d}"
+
+
+def _parse_ordinal(token: str) -> int:
+    """The ordinal of a ``YYYY-MM`` token; ValueError says what is wrong with it."""
+    parts = token.strip().split("-")
+    if len(parts) != 2 or len(parts[0]) != 4 or len(parts[1]) != 2 or not "".join(parts).isdigit():
+        raise ValueError(f"malformed date token {token!r}, expected YYYY-MM")
+    year, month = int(parts[0]), int(parts[1])
+    if not 1 <= month <= 12:
+        raise ValueError(f"malformed date token {token!r}: month out of range")
+    return year * 12 + month - 1
+
+
 Observation = tuple[MonthStamp, float]
 
 
@@ -92,6 +95,9 @@ class _ObservationMixin:
     ordinals (year * 12 + month - 1), and ``_values``, finite float64 values.
     ``observations``, ``stamps`` and ``values`` are views built on demand.
     Subclasses name themselves for error messages with a ``_label`` property.
+
+    Per-month paths work on the ordinals and value arrays; ``MonthStamp``
+    objects are built only at the API boundary, where a caller receives them.
     """
 
     def _store(self, observations) -> None:
@@ -160,6 +166,12 @@ class _ObservationMixin:
 
     def __len__(self) -> int:
         return len(self._months)
+
+    def _lookup(self, months) -> tuple[np.ndarray, np.ndarray]:
+        """Each of the ordinals ``months``: its position here, and whether it is observed
+        (the position of an unobserved month means nothing)."""
+        at = np.minimum(np.searchsorted(self._months, months), len(self._months) - 1)
+        return at, self._months[at] == months
 
     def value_at(self, stamp: MonthStamp) -> float:
         found = self._values[self._window(stamp, stamp)]
@@ -241,37 +253,42 @@ def parse_series_csv(text: str, series_id: str, base_note: str = "") -> MonthlyS
     ``YYYY-MM,<decimal>`` in any order. LF and CRLF line endings are accepted.
     Errors report the offending 1-based line number.
     """
-    seen: dict[MonthStamp, int] = {}
-    rows: list[Observation] = []
+    seen: dict[int, int] = {}
+    values: list[float] = []
     for line_no, parts in _read_csv(text, "date,value", ParseError):
         if len(parts) != 2:
             raise ParseError(f"expected 2 fields, got {len(parts)}", line_no=line_no)
         try:
-            stamp = MonthStamp.parse(parts[0])
+            month = _parse_ordinal(parts[0])
         except ValueError as exc:
             raise ParseError(str(exc), line_no=line_no) from None
-        if stamp in seen:
+        if month in seen:
             raise ParseError(
-                f"duplicate month {stamp} (first seen on line {seen[stamp]})",
+                f"duplicate month {_month_text(month)} (first seen on line {seen[month]})",
                 line_no=line_no,
             )
-        seen[stamp] = line_no
+        seen[month] = line_no
         try:
             value = float(parts[1])
         except ValueError:
             raise ParseError(f"non-numeric value {parts[1]!r}", line_no=line_no) from None
         if not math.isfinite(value):
             raise ParseError(f"non-finite value {parts[1]!r}", line_no=line_no)
-        rows.append((stamp, value))
+        values.append(value)
 
-    if not rows:
+    if not values:
         raise ParseError("empty series")
-    return MonthlySeries(series_id, base_note, tuple(sorted(rows)))
+    months = np.fromiter(seen, dtype=np.int64, count=len(values))
+    order = np.argsort(months)
+    return MonthlySeries._from_arrays(
+        months[order], np.array(values)[order], series_id=series_id, base_note=base_note
+    )
 
 
 def series_to_csv(series: _ObservationMixin) -> str:
     """Render any stamped series back to the ``date,value`` CSV format."""
-    return _write_csv("date,value", series.observations)
+    months = map(_month_text, series._months.tolist())
+    return _write_csv("date,value", zip(months, series._values.tolist()))
 
 
 def align(a: MonthlySeries, b: MonthlySeries) -> tuple[MonthlySeries, MonthlySeries]:

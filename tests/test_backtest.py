@@ -7,6 +7,7 @@ import pytest
 
 from trendgap import (
     BacktestError,
+    BacktestReport,
     DifferenceSeries,
     Forecast,
     MonthStamp,
@@ -59,7 +60,64 @@ def loop_oracle(pred, act):
     )
 
 
+def old_score(forecast, actual):
+    """Verbatim copy of the month-by-month scorer before ordinal lookups, kept as an oracle."""
+    overlap = [
+        (stamp, pred, actual.value_at(stamp))
+        for stamp, pred in forecast.path
+        if actual.has(stamp)
+    ]
+    if not overlap:
+        raise BacktestError("forecast and actuals share no months")
+
+    errors = [pred - act for _, pred, act in overlap]
+    n = len(errors)
+    mae = sum(abs(e) for e in errors) / n
+    rmse = math.sqrt(sum(e * e for e in errors) / n)
+    bias = sum(errors) / n
+
+    hits = counted = 0
+    for (_, p0, a0), (_, p1, a1) in zip(overlap, overlap[1:]):
+        dp, da = p1 - p0, a1 - a0
+        if dp == 0.0 or da == 0.0:
+            continue
+        counted += 1
+        if (dp > 0) == (da > 0):
+            hits += 1
+    hit_rate = hits / counted if counted else 1.0
+
+    return BacktestReport(n=n, mae=mae, rmse=rmse, bias=bias, direction_hit_rate=hit_rate)
+
+
+def scored(scorer, forecast, actual):
+    try:
+        return scorer(forecast, actual)
+    except BacktestError as exc:
+        return str(exc)
+
+
 class TestScore:
+    def test_gapped_actuals_match_the_month_by_month_oracle(self):
+        rng = np.random.default_rng(52)
+        outcomes = set()
+        for trial in range(300):
+            n = int(rng.integers(1, 80))
+            keep = rng.random(n) < rng.choice([1.0, 0.8, 0.4])
+            act = np.round(rng.normal(0, 10, n), int(rng.choice([0, 1, 8])))
+            first = MonthStamp(2000, 1).add_months(int(rng.integers(0, 12)))
+            obs = tuple((first.add_months(i), float(v)) for i, v in enumerate(act) if keep[i])
+            if not obs:
+                continue
+            actual = DifferenceSeries("m", "s", obs)
+            # forecasts start before, inside and after the actuals
+            start = first.add_months(int(rng.integers(-30, n + 5)))
+            pred = np.round(rng.normal(0, 10, int(rng.integers(1, 30))), int(rng.choice([0, 8])))
+            f = make_forecast(str(start), pred)
+            want = scored(old_score, f, actual)
+            assert scored(score, f, actual) == want, trial
+            outcomes.add(type(want))
+        assert outcomes == {BacktestReport, str}
+
     def test_perfect_forecast(self):
         values = [1.0, 3.0, 2.0, 5.0]
         f = make_forecast("2010-01", values)

@@ -297,6 +297,27 @@ class TestConfigErrors:
         assert named in capsys.readouterr().err
         assert snapshot(out) == before
 
+    def test_gap_in_the_fit_window_names_the_first_missing_month(self, tmp_path, capsys):
+        config = fixture_config("motor")
+        headline = Path(config["series"]["headline"]["path"])
+        kept = [
+            line for line in headline.read_text().splitlines()
+            if not line.startswith(("2003-05,", "2003-06,"))
+        ]
+        gapped = tmp_path / "headline.csv"
+        gapped.write_text("\n".join(kept) + "\n")
+        config["series"]["headline"]["path"] = str(gapped)
+        cfg = tmp_path / "gapped.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run("diff", "--config", str(cfg), "--out", str(out)) == 0
+        assert "first: 2003-05" in capsys.readouterr().err
+        before = snapshot(out)
+
+        assert run("fit", "--config", str(cfg), "--out", str(out)) == 2
+        assert "first missing month 2003-05" in capsys.readouterr().err
+        assert snapshot(out) == before
+
     def test_long_trailing_transition_names_tail_start(self, tmp_path, capsys):
         out = tmp_path / "out"
         config = fixture_config("crude")

@@ -114,6 +114,29 @@ class TestFitOls:
         with pytest.raises(FitError, match="missing months"):
             fit_ols(d, (d.start, d.end))
 
+    def test_gap_error_names_the_first_missing_month(self):
+        months = [*range(3), 5, 6, *range(9, 30)]
+        obs = tuple((MonthStamp(2000, 1).add_months(m), float(m % 7)) for m in months)
+        d = DifferenceSeries("a", "b", obs)
+        with pytest.raises(FitError, match="missing months from 2000-04;"):
+            fit_ols(d, (MonthStamp(1999, 1), d.end))
+        with pytest.raises(FitError, match="missing months from 2000-08;"):
+            fit_ols(d, (MonthStamp(2000, 5), d.end))
+        assert fit_ols(d, (MonthStamp(2000, 6), MonthStamp(2000, 7))).start == MonthStamp(2000, 6)
+        for segment in (lambda: detect_breakpoints(d, 1, 6), lambda: select_breakpoint_count(d, 2, 6)):
+            with pytest.raises(FitError, match="gap-free series; first missing month 2000-04$"):
+                segment()
+
+    def test_long_trailing_transition_names_tail_start(self):
+        d = make_diff("2000-01", np.arange(120.0))
+        tail = d.end.add_months(-35)
+        assert build_trend_model(d, [], 0, tail_start=tail).transitions[-1].duration_months == 36
+        with pytest.raises(FitError) as raised:
+            build_trend_model(d, [], 0, tail_start=tail.add_months(-1))
+        assert str(raised.value) == (
+            "tail_start 2006-12 leaves a trailing transition 2006-12..2009-12 longer than 36 months"
+        )
+
     def test_predicted_anchors_at_window_start(self):
         values = [10.0 - 1.5 * (i / 12.0) for i in range(36)]
         d = make_diff("1999-01", values)
@@ -643,6 +666,11 @@ def old_build_trend_model(diff, breakpoints, transition_halfwidth, tail_start=No
             raise FitError(f"tail_start {tail_start} outside series span")
         if points and tail_start <= points[-1]:
             raise FitError("tail_start must come after the last breakpoint")
+        if months_between(span_end, tail_start) >= MAX_TRANSITION_MONTHS:
+            raise FitError(
+                f"tail_start {tail_start} leaves a trailing transition {tail_start}..{span_end} "
+                f"longer than {MAX_TRANSITION_MONTHS} months"
+            )
         fit_end = tail_start.add_months(-1)
     windows = []
     for p in points:
@@ -789,7 +817,9 @@ class TestTrendModelOracle:
             want = built_outcome(old_build_trend_model, *case)
             assert built_outcome(build_trend_model, *case) == want, (trial, case[1:])
             kinds.add(want[0] if isinstance(want[0], type) else "model")
-        assert {"model", FitError, ValueError} <= kinds
+            if want[0] is FitError and "trailing transition" in want[1]:
+                kinds.add("long tail")
+        assert {"model", FitError, "long tail"} <= kinds
 
     def test_classification_and_residuals_match_oracle(self):
         rng = np.random.default_rng(51)

@@ -1,5 +1,8 @@
 """Successor trends and the three forecast regimes."""
 
+import math
+
+import numpy as np
 import pytest
 
 from trendgap import (
@@ -13,6 +16,7 @@ from trendgap import (
     forecast_pendulum,
     forecast_return_to_trend,
     mirror_trend,
+    months_between,
 )
 
 
@@ -269,3 +273,91 @@ class TestForecastType:
         a = forecast_pendulum((MonthStamp(2009, 3), 45.0), trend, 30.0, 9, 24)
         b = forecast_pendulum((MonthStamp(2009, 3), 45.0), trend, 30.0, 9, 24)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "months, message",
+        [
+            ((3,), "path must start the month after origin (2010-02), got 2010-03"),
+            ((2, 4, 4), "path stamps not strictly increasing at 2010-04"),
+            ((2, 3, 1), "path stamps not strictly increasing at 2010-01"),
+        ],
+    )
+    def test_path_order_messages(self, months, message):
+        path = tuple((MonthStamp(2010, m), 1.0) for m in months)
+        with pytest.raises(ValueError) as raised:
+            Forecast(mode="along-trend", origin=MonthStamp(2010, 1), path=path, band_sigma=0.0)
+        assert str(raised.value) == message
+
+
+def old_forecast_pendulum(current, trend, amplitude, half_period, horizon):
+    """The stamp-by-stamp pendulum path, kept as an oracle (``old_predicted`` standing in
+    for ``trend.predicted``)."""
+    origin, value = current
+    start_dev = float(value) - old_predicted(trend, origin)
+    side = math.copysign(1.0, start_dev) if start_dev != 0.0 else 1.0
+
+    def deviation(m: int) -> float:
+        phase = math.pi * m / half_period
+        wave = math.cos(phase)
+        if m <= half_period / 2:
+            return wave * abs(start_dev) * side
+        return wave * amplitude * side
+
+    return tuple(
+        (origin.add_months(m), old_predicted(trend, origin.add_months(m)) + deviation(m))
+        for m in range(1, horizon + 1)
+    )
+
+
+def old_predicted(trend, stamp):
+    """Verbatim body of ``LinearSegment.predicted`` before it called ``_at``."""
+    return trend.intercept + trend.slope * (months_between(stamp, trend.start) / 12.0)
+
+
+def random_trends(rng):
+    """Seeded (trend, origin) pairs whose trends start far before, just around, and far
+    after the origin."""
+    origin = MonthStamp(2009, 3)
+    for offset in [-2400, -361, -13, -1, 0, 1, 7, 240, 1200]:
+        start = origin.add_months(offset)
+        intercept, slope = rng.normal(0, 80), rng.normal(0, 30)
+        yield LinearSegment(start, start.add_months(60), intercept, slope, 0.5, 2.0), origin
+
+
+class TestPathsEqualTrendValues:
+    """Each path value is computed as ``trend.predicted(stamp)`` would, bit for bit."""
+
+    def test_along_trend(self):
+        rng = np.random.default_rng(71)
+        for trend, origin in random_trends(rng):
+            horizon = int(rng.integers(1, 40))
+            stamps = [origin.add_months(m) for m in range(1, horizon + 1)]
+            f = forecast_along_trend(trend, origin, horizon)
+            assert f.path == tuple((s, trend.predicted(s)) for s in stamps)
+            assert f.path == tuple((s, old_predicted(trend, s)) for s in stamps)
+
+    def test_return_to_trend(self):
+        rng = np.random.default_rng(72)
+        for trend, origin in random_trends(rng):
+            n = int(rng.integers(1, 40))
+            value = trend.predicted(origin) + rng.normal(0, 20)
+            f = forecast_return_to_trend((origin, value), trend, origin.add_months(n))
+            deviation = value - old_predicted(trend, origin)
+            stamps = [origin.add_months(m) for m in range(1, n + 1)]
+            want = tuple(
+                (s, old_predicted(trend, s) + deviation * (1.0 - m / n))
+                for m, s in enumerate(stamps, start=1)
+            )
+            assert f.path == want
+
+    def test_pendulum(self):
+        rng = np.random.default_rng(73)
+        for trend, origin in random_trends(rng):
+            args = (
+                (origin, trend.predicted(origin) + rng.normal(0, 20)),
+                trend,
+                float(rng.uniform(1, 30)),
+                int(rng.integers(2, 13)),
+                int(rng.integers(1, 40)),
+            )
+            assert forecast_pendulum(*args).path == old_forecast_pendulum(*args)

@@ -1,5 +1,7 @@
 """Series parsing, alignment, differencing and rebasing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from trendgap import (
     rebase,
     series_to_csv,
 )
+from trendgap.series import _read_csv, _write_csv
 
 
 def make_series(series_id, start, values):
@@ -399,3 +402,152 @@ class TestGappyOracle:
                 assert outcome(lambda: lead_lag(da, db, max_lag, min_overlap, detrend)) == outcome(
                     lambda: ref_lead_lag(da, db, max_lag, min_overlap, detrend)
                 )
+
+
+# Verbatim copies of the parser that kept MonthStamp objects per row, kept as an
+# oracle for the ordinal-based parse_series_csv. MonthStamp.__str__ now runs through
+# the code under test, so its old body is copied too.
+
+
+def old_str(stamp):
+    return f"{stamp.year:04d}-{stamp.month:02d}"
+
+
+def old_parse_stamp(token):
+    parts = token.strip().split("-")
+    if (
+        len(parts) != 2
+        or len(parts[0]) != 4
+        or len(parts[1]) != 2
+        or not parts[0].isdigit()
+        or not parts[1].isdigit()
+    ):
+        raise ValueError(f"malformed date token {token!r}, expected YYYY-MM")
+    year, month = int(parts[0]), int(parts[1])
+    if not 1 <= month <= 12:
+        raise ValueError(f"malformed date token {token!r}: month out of range")
+    return MonthStamp(year, month)
+
+
+def old_parse_series_csv(text, series_id, base_note=""):
+    seen = {}
+    rows = []
+    for line_no, parts in _read_csv(text, "date,value", ParseError):
+        if len(parts) != 2:
+            raise ParseError(f"expected 2 fields, got {len(parts)}", line_no=line_no)
+        try:
+            stamp = old_parse_stamp(parts[0])
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no=line_no) from None
+        if stamp in seen:
+            raise ParseError(
+                f"duplicate month {old_str(stamp)} (first seen on line {seen[stamp]})",
+                line_no=line_no,
+            )
+        seen[stamp] = line_no
+        try:
+            value = float(parts[1])
+        except ValueError:
+            raise ParseError(f"non-numeric value {parts[1]!r}", line_no=line_no) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite value {parts[1]!r}", line_no=line_no)
+        rows.append((stamp, value))
+
+    if not rows:
+        raise ParseError("empty series")
+    return MonthlySeries(series_id, base_note, tuple(sorted(rows)))
+
+
+# (date token, value text) rows that each break one check, or pass one that looks odd
+ODD_ROWS = [
+    ("2000-1", "1.0"),
+    ("2000-13", "1.0"),
+    ("2000-00", "1.0"),
+    ("200-01", "1.0"),
+    ("2000/01", "1.0"),
+    ("2000-01-01", "1.0"),
+    ("", "1.0"),
+    ("²000-01", "1.0"),
+    ("２０００-01", "1.0"),
+    ("MONTH", "1.0"),
+    ("2000-01 ", " 1.5"),
+    ("1999-12", "abc"),
+    ("1999-11", ""),
+    ("1999-10", "nan"),
+    ("1999-09", "-inf"),
+    ("1999-08", "1e999"),
+    ("1999-07", "0x10"),
+    ("1999-06", "1_000.5"),
+]
+
+
+def random_series_text(rng):
+    """Seeded ``date,value`` text: shuffled months, with some duplicated, odd or
+    malformed rows, extra fields, blank lines and CRLF endings."""
+    start = int(rng.integers(1990 * 12, 2010 * 12))
+    months = start + np.sort(rng.choice(200, size=int(rng.integers(0, 40)), replace=False))
+    values = rng.normal(0, 50, len(months))
+    rows = [f"{m // 12:04d}-{m % 12 + 1:02d},{float(v)!r}" for m, v in zip(months, values)]
+    rng.shuffle(rows)
+    for _ in range(int(rng.integers(0, 3))):
+        kind = rng.random()
+        at = int(rng.integers(0, len(rows) + 1))
+        if kind < 0.3 and rows:
+            rows.insert(at, rows[int(rng.integers(0, len(rows)))])  # a duplicate month
+        elif kind < 0.8:
+            rows.insert(at, ",".join(ODD_ROWS[int(rng.integers(0, len(ODD_ROWS)))]))
+        elif kind < 0.9:
+            rows.insert(at, "2001-05,1.0,2.0")
+        else:
+            rows.insert(at, "")
+    header = "date,value" if rng.random() < 0.95 else "date;value"
+    newline = "\r\n" if rng.random() < 0.3 else "\n"
+    return newline.join([header, *rows]) + (newline if rng.random() < 0.8 else "")
+
+
+def parsed(parse, text):
+    """The series ``parse`` makes of ``text``, or the type, text and line of its error."""
+    try:
+        series = parse(text, "x", "note")
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line_no
+    assert series._months.dtype == np.int64 and series._values.dtype == np.float64
+    return series.series_id, series.base_note, series.observations
+
+
+class TestParseOracle:
+    def test_seeded_inputs_match_the_per_stamp_parser(self):
+        rng = np.random.default_rng(61)
+        kinds = set()
+        for trial in range(400):
+            text = random_series_text(rng)
+            want = parsed(old_parse_series_csv, text)
+            assert parsed(parse_series_csv, text) == want, (trial, text)
+            message = want[1].split(": ", 1)[-1] if want[0] is ParseError else "ok"
+            kinds.add(" ".join(message.split()[:2]))
+        # every check was reached, and int() refusing a non-ASCII digit that isdigit() allows
+        assert kinds == {
+            "ok", "expected header", "expected 2", "malformed date", "invalid literal",
+            "duplicate month", "non-numeric value", "non-finite value", "empty series",
+        }
+
+    @pytest.mark.parametrize("token", [row[0] for row in ODD_ROWS] + ["1998-01", "9999-12"])
+    def test_month_stamp_parse_matches_the_old_parser(self, token):
+        assert outcome(lambda: MonthStamp.parse(token)) == outcome(lambda: old_parse_stamp(token))
+
+
+class TestMonthText:
+    @pytest.mark.parametrize("start", ["0000-06", "0001-01", "0999-11", "1999-12", "9999-01"])
+    def test_series_to_csv_equals_the_observation_rows(self, start):
+        rng = np.random.default_rng(62)
+        first = MonthStamp.parse(start)
+        obs = tuple(
+            (first.add_months(m), float(v)) for m, v in zip(range(0, 24, 2), rng.normal(0, 1e3, 12))
+        )
+        series = MonthlySeries("x", "", obs)
+        assert series_to_csv(series) == _write_csv("date,value", series.observations)
+        assert series_to_csv(series) == _write_csv(
+            "date,value", ((old_str(stamp), value) for stamp, value in obs)
+        )
+        assert series_to_csv(series).splitlines()[1].startswith(f"{start},")
+        assert [str(stamp) for stamp, _ in obs] == [old_str(stamp) for stamp, _ in obs]
