@@ -277,7 +277,7 @@ def classify_deviation(model: TrendModel, stamp: MonthStamp, value: float) -> De
     )
 
 
-#: Start positions evaluated per numpy call in a segmentation DP level.
+#: Start positions per block of the segmentation DP, whose piece SSEs are one numpy sweep.
 _BLOCK_ROWS = 16
 
 
@@ -287,7 +287,7 @@ class _SegmentCost:
     Positions are in years and both coordinates are centred first: prefix
     sums of a series far from zero would otherwise cancel away the small
     within-piece variation that decides where the breaks go. SSEs go to a
-    workspace allocated once, so a DP level does not allocate per block.
+    workspace allocated once, so the DP does not allocate per block.
     """
 
     def __init__(self, y: np.ndarray):
@@ -335,9 +335,11 @@ def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
     optimal first break there. Following ``after`` forward from position 0
     yields the lexicographically smallest optimal breakpoint set.
 
-    Every caller reads the top level only at position 0, so for ``max_k >= 1``
-    only that cell of it is computed: ``suffix[max_k]`` and ``after[max_k]``
-    hold position 0, and are ``inf`` and 0 everywhere else.
+    Start positions go in blocks of ``_BLOCK_ROWS``, right to left, and each
+    block's piece SSEs are computed once and read by every level. Callers read
+    the top level only at position 0, so for ``max_k >= 1`` only that cell of
+    it is computed: ``suffix[max_k]`` and ``after[max_k]`` hold position 0,
+    and are ``inf`` and 0 everywhere else.
     """
     if not diff.is_contiguous():
         raise FitError(
@@ -349,18 +351,26 @@ def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
     suffix = np.full((max_k + 1, n + 1), np.inf)
     after = np.zeros((max_k + 1, n + 1), dtype=int)
     suffix[0][: n - min_len + 1] = cost.sse(range(n - min_len + 1), range(n - 1, n))[:, 0]
+    # level m fills positions 0..n - (m + 1) * min_len, the top level only 0
+    last = [n - (m + 1) * min_len + 1 for m in range(max_k + 1)]
+    last[-1] = min(1, last[-1])
     short = np.tri(_BLOCK_ROWS, k=-1, dtype=bool)
-    for m in range(1, max_k + 1):
-        # piece i..b, then m-1 breaks in b+1..n-1; rows of a level are independent
-        stop = n - m * min_len
-        last = stop - min_len + 1 if m < max_k else min(1, stop - min_len + 1)
-        for i0 in range(0, last, _BLOCK_ROWS):
-            rows = range(i0, min(i0 + _BLOCK_ROWS, last))
-            lo = i0 + min_len - 1
-            totals = cost.sse(rows, range(lo, stop))
-            totals += suffix[m - 1][lo + 1 : stop + 1]
-            # row r starts at i0 + r, so its first r cells are pieces shorter than min_len
+    work = np.empty(_BLOCK_ROWS * n)
+    # levels run bottom up within a block, and level m reads level m-1 only at
+    # positions >= i0 + min_len, which this block or one to its right has filled
+    for i0 in reversed(range(0, max(last[1:], default=0), _BLOCK_ROWS)):
+        lo = i0 + min_len - 1
+        # pieces i..b for level 1's breaks, the widest; every level reads a corner
+        sse = cost.sse(range(i0, min(i0 + _BLOCK_ROWS, last[1])), range(lo, n - min_len))
+        for m in range(1, max_k + 1):
+            # piece i..b, then m-1 breaks in b+1..n-1
+            rows, stop = range(i0, min(i0 + _BLOCK_ROWS, last[m])), n - m * min_len
+            if not rows:
+                break
             r = np.arange(len(rows))
+            totals = work[: len(r) * (stop - lo)].reshape(len(r), stop - lo)
+            np.add(sse[: len(r), : stop - lo], suffix[m - 1][lo + 1 : stop + 1], out=totals)
+            # row r starts at i0 + r, so its first r cells are pieces shorter than min_len
             totals[:, : len(r)][short[: len(r), : len(r)]] = np.inf
             # argmin returns the first minimum, i.e. the earliest feasible break;
             # a row with no finite total keeps its first feasible break

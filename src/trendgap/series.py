@@ -31,14 +31,17 @@ class ParseError(SeriesError):
 
 @dataclass(frozen=True, order=True)
 class MonthStamp:
-    """A calendar month. Ordering is (year, month)."""
+    """A calendar month of years 0..9999. Ordering is (year, month)."""
 
     year: int
     month: int
 
     def __post_init__(self):
-        if not 1 <= self.month <= 12:
-            raise ValueError(f"month must be in 1..12, got {self.month}")
+        # years stop at 4 digits, so that every stamp reads back from its YYYY-MM text
+        if not (0 <= self.year <= 9999 and 1 <= self.month <= 12):
+            raise ValueError(
+                f"no month {self.year}-{self.month}: year must be in 0..9999 and month in 1..12"
+            )
 
     @property
     def t(self) -> float:

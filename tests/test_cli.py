@@ -420,6 +420,16 @@ class TestNonFiniteResults:
         assert "band_sigma must be finite" in capsys.readouterr().err
         assert not (out / "translated_prices.csv").exists()
 
+    def test_translate_of_forecast_from_year_zero_exits_two(self, tmp_path, capsys):
+        # its origin, the month before the path, would fall in year -1
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "forecast.csv").write_text("date,predicted,low,high\n0000-01,-50.0,-60.0,-40.0\n")
+        assert run("translate", "--calibration", "heuristic", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{out / 'forecast.csv'}, no month -1-12: year must be in 0..9999" in err
+        assert not (out / "translated_prices.csv").exists()
+
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_trailing_growth_from_non_positive_headline_exits_two(self, tmp_path, capsys, value):
         out = prepare(tmp_path, "crude", ("diff", "fit", "forecast"))

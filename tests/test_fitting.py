@@ -396,12 +396,26 @@ def per_row_segment(diff, max_k, min_len):
     return suffix, after
 
 
-class TestBlockedSegmentTables:
-    """The blocked DP levels give the per-row DP's tables bit for bit.
+def planted(n, k, rng):
+    """A kinked trend whose slope flips sign at k turning points, plus AR(1) noise."""
+    breaks = np.arange(1, k + 1) * n // (k + 1) + rng.integers(-50, 51, k)
+    flips = np.searchsorted(breaks, np.arange(n), side="right") % 2
+    slope = np.where(flips, -1.0, 1.0) * rng.uniform(0.2, 1.0)
+    noise, shocks = np.zeros(n), rng.normal(0, 2.0, n)
+    for t in range(1, n):
+        noise[t] = 0.85 * noise[t - 1] + shocks[t]
+    return np.cumsum(slope) + noise
 
-    The top level is computed only at position 0, the one cell of it that
-    callers read, so there it is compared at that cell and must be blank
-    (inf and 0) everywhere else.
+
+class TestBlockedSegmentTables:
+    """The blocked DP gives the per-row DP's tables bit for bit, at every max_k.
+
+    Each block of start positions computes its piece SSEs in one sweep that
+    every level reads, and which rows a block computes depends on max_k, so
+    each max_k in 1..TOP is compared. Levels below max_k must match
+    everywhere. The top level is computed only at position 0, the one cell of
+    it that callers read, so there it is compared at that cell and must be
+    blank (inf and 0) everywhere else.
     """
 
     MIN_LENS = (6, 7, 15, 16, 17, 31, 32, 33, 60)  # below, at and above the block size
@@ -426,17 +440,27 @@ class TestBlockedSegmentTables:
         return sorted({n for e in exact for n in (e, e + 1)} | {400})
 
     @classmethod
+    def series(cls, min_len):
+        rng = np.random.default_rng(min_len)
+        for n in cls.lengths(min_len):
+            yield from ((n, kind, y) for kind, y in cls.kinds(n, rng).items())
+        if min_len == 60:  # the benchmark's shape: 1200 months, 1 to 3 turning points
+            yield from ((1200, f"planted-{k}", planted(1200, k, rng)) for k in (1, 2, 3))
+
+    @classmethod
     @functools.cache
     def grid(cls, min_len):
-        """(n, kind, series, per-row suffix, per-row after) for every case."""
-        rng = np.random.default_rng(min_len)
+        """(n, kind, series, per-row suffix, per-row after) for every case.
+
+        A per-row level does not depend on max_k, so the tables at TOP hold
+        the oracle for every smaller max_k in their first max_k + 1 levels.
+        """
         cases = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for n in cls.lengths(min_len):
-                for kind, y in cls.kinds(n, rng).items():
-                    diff = make_diff("1900-01", y)
-                    cases.append((n, kind, diff, *per_row_segment(diff, cls.TOP, min_len)))
+            for n, kind, y in cls.series(min_len):
+                diff = make_diff("1900-01", y)
+                cases.append((n, kind, diff, *per_row_segment(diff, cls.TOP, min_len)))
         return cases
 
     @staticmethod
@@ -452,8 +476,11 @@ class TestBlockedSegmentTables:
     def test_tables_match_per_row_dp(self, min_len):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for n, kind, diff, *want in self.grid(min_len):
-                self.assert_tables_match(_segment(diff, self.TOP, min_len), want, (n, kind))
+            for n, kind, diff, suffix, after in self.grid(min_len):
+                for max_k in range(1, self.TOP + 1):
+                    want = suffix[: max_k + 1], after[: max_k + 1]
+                    got = _segment(diff, max_k, min_len)
+                    self.assert_tables_match(got, want, (n, kind, max_k))
 
     @pytest.mark.parametrize("min_len", MIN_LENS)
     def test_callers_follow_per_row_tables(self, min_len):
@@ -497,15 +524,17 @@ class TestBlockedSegmentTables:
     def test_overflowing_series_match_and_are_infeasible(self):
         for label, y in self.overflowing().items():
             d = make_diff("1900-01", y)
-            with warnings.catch_warnings(record=True) as old:
-                warnings.simplefilter("always")
-                want = per_row_segment(d, 4, 20)
-            with warnings.catch_warnings(record=True) as new:
-                warnings.simplefilter("always")
-                got = _segment(d, 4, 20)
-            assert not np.isfinite(got[0][:, 0]).any(), label
-            self.assert_tables_match(got, want, label, equal_nan=True)
-            assert {str(w.message) for w in new} <= {str(w.message) for w in old}, label
+            for max_k in range(1, 5):
+                case = (label, max_k)
+                with warnings.catch_warnings(record=True) as old:
+                    warnings.simplefilter("always")
+                    want = per_row_segment(d, max_k, 20)
+                with warnings.catch_warnings(record=True) as new:
+                    warnings.simplefilter("always")
+                    got = _segment(d, max_k, 20)
+                assert not np.isfinite(got[0][:, 0]).any(), case
+                self.assert_tables_match(got, want, case, equal_nan=True)
+                assert {str(w.message) for w in new} <= {str(w.message) for w in old}, case
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 with pytest.raises(FitError, match="no feasible segmentation"):

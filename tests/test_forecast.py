@@ -106,6 +106,12 @@ class TestAlongTrend:
         with pytest.raises(ForecastError, match="horizon"):
             forecast_along_trend(flat_trend(), MonthStamp(2010, 1), 0)
 
+    def test_path_past_year_9999_is_refused(self):
+        last = forecast_along_trend(flat_trend(), MonthStamp(9999, 6), 6).stamps[-1]
+        assert last == MonthStamp(9999, 12)
+        with pytest.raises(ValueError, match="no month 10000-1: year must be in 0..9999"):
+            forecast_along_trend(flat_trend(), MonthStamp(9999, 6), 7)
+
 
 class TestReturnToTrend:
     def test_ninety_units_in_nine_months(self):

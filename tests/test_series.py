@@ -51,6 +51,10 @@ class TestMonthStamp:
             MonthStamp(2000, 0)
         with pytest.raises(ValueError):
             MonthStamp(2000, 13)
+        # a stamp's text has four year digits, so no other year could be read back
+        for year, month in ((10000, 1), (-1, 12), (12345, 6)):
+            with pytest.raises(ValueError, match=f"no month {year}-{month}: year must be in 0..9999"):
+                MonthStamp(year, month)
 
     def test_add_months_round_trip(self):
         s = MonthStamp(2009, 3)
@@ -63,6 +67,15 @@ class TestMonthStamp:
         assert MonthStamp.parse("2009-03") == MonthStamp(2009, 3)
         with pytest.raises(ValueError):
             MonthStamp.parse("2009-3")
+
+    def test_first_and_last_months_round_trip(self):
+        obs = ((MonthStamp(0, 1), 1.5), (MonthStamp(9999, 12), -2.0))
+        text = series_to_csv(MonthlySeries("x", "", obs))
+        assert text.splitlines()[1:] == ["0000-01,1.5", "9999-12,-2.0"]
+        assert parse_series_csv(text, "x").observations == obs
+        for first, step in ((MonthStamp(0, 1), -1), (MonthStamp(9999, 12), 1)):
+            with pytest.raises(ValueError, match="year must be in 0..9999"):
+                first.add_months(step)
 
 
 class TestParseCsv:
@@ -541,8 +554,9 @@ class TestMonthText:
     def test_series_to_csv_equals_the_observation_rows(self, start):
         rng = np.random.default_rng(62)
         first = MonthStamp.parse(start)
+        # every other month of a year: a series from 9999-01 ends by 9999-12, the last stamp
         obs = tuple(
-            (first.add_months(m), float(v)) for m, v in zip(range(0, 24, 2), rng.normal(0, 1e3, 12))
+            (first.add_months(m), float(v)) for m, v in zip(range(0, 12, 2), rng.normal(0, 1e3, 6))
         )
         series = MonthlySeries("x", "", obs)
         assert series_to_csv(series) == _write_csv("date,value", series.observations)
