@@ -4,6 +4,10 @@ Each subcommand reads a JSON config (each flag sets one config key), validates
 everything up front, computes its outputs in memory and only then writes
 files, so a failing run leaves no partial artifacts. Exit codes: 0 success,
 1 internal error, 2 invalid input or config.
+
+Only ``series`` is imported here: each subcommand, and each helper that only
+some subcommands call, imports the stage modules it runs, so a process loads
+no fitting, forecasting, price or backtest code that its subcommand never uses.
 """
 
 from __future__ import annotations
@@ -14,37 +18,8 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .backtest import BacktestReport, reports_to_csv, rolling_backtest
-from .fitting import (
-    MAX_TRANSITION_MONTHS,
-    LinearSegment,
-    TrendModel,
-    build_trend_model,
-    detect_breakpoints,
-    fit_ols,
-)
-from .forecast import (
-    ALONG_TREND,
-    PENDULUM,
-    RETURN_TO_TREND,
-    Forecast,
-    chain_forecasts,
-    endpoint_trend,
-    forecast_along_trend,
-    forecast_pendulum,
-    forecast_return_to_trend,
-    mirror_trend,
-)
-from .prices import (
-    CRUDE_OIL_HEURISTIC,
-    calibrate_price,
-    component_index_from_difference,
-    extrapolate_headline,
-    index_to_price,
-    parse_calibration_pairs_csv,
-    trailing_growth_rate,
-)
 from .series import (
     DifferenceSeries,
     MonthlySeries,
@@ -55,6 +30,11 @@ from .series import (
     parse_series_csv,
     series_to_csv,
 )
+
+if TYPE_CHECKING:  # names used only in annotations
+    from .backtest import BacktestReport
+    from .fitting import LinearSegment, TrendModel
+    from .forecast import Forecast
 
 DEFAULT_API_BASE = "https://api.bls.gov/publicAPI/v2"
 
@@ -209,7 +189,9 @@ def _write_all(outputs: dict[Path, str]) -> None:
 def _difference_from_config(config: Section, out: Path) -> DifferenceSeries:
     path = config.get("difference_csv", _path, None) or out / "difference.csv"
     parsed = _load(path, lambda text: parse_series_csv(text, "difference"))
-    return DifferenceSeries("minuend", "subtrahend", parsed.observations)
+    return DifferenceSeries._from_arrays(
+        parsed._months, parsed._values, minuend_id="minuend", subtrahend_id="subtrahend"
+    )
 
 
 # ---------------------------------------------------------------- subcommands
@@ -241,6 +223,8 @@ def cmd_diff(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .fitting import MAX_TRANSITION_MONTHS, build_trend_model, detect_breakpoints
+
     config, _, out = _context(args)
     seg = config.section("segmentation")
     diff = _difference_from_config(config, out)
@@ -302,6 +286,9 @@ def _model_segment(model: TrendModel | None, trend: Section, key: str):
 def _trend_from_config(
     trend: Section, model: TrendModel | None, diff: DifferenceSeries
 ) -> LinearSegment:
+    from .fitting import fit_ols
+    from .forecast import endpoint_trend, mirror_trend
+
     kind = trend.get("kind", default=None)
     if kind == "endpoint":
         return endpoint_trend(trend.get("start", _anchor), trend.get("end", _anchor))
@@ -326,6 +313,17 @@ def _forecast_from_config(
     horizon: int,
 ) -> Forecast:
     """Build the forecast that the config section ``fc`` describes."""
+    from .forecast import (
+        ALONG_TREND,
+        PENDULUM,
+        RETURN_TO_TREND,
+        Forecast,
+        chain_forecasts,
+        forecast_along_trend,
+        forecast_pendulum,
+        forecast_return_to_trend,
+    )
+
     mode = fc.get("mode")
     if mode not in (ALONG_TREND, RETURN_TO_TREND, PENDULUM):
         raise ConfigError(f"config key '{fc.key('mode')}': unknown forecast mode {mode!r}")
@@ -365,6 +363,8 @@ def _calibration_from_config(config: Section, key: str, base: Path):
     kind = cal_cfg.get("kind") if isinstance(cal_cfg, dict) else cal_cfg
     if cal_cfg in (None, "none"):
         return None
+    from .prices import CRUDE_OIL_HEURISTIC, calibrate_price, parse_calibration_pairs_csv
+
     if kind == "heuristic":
         return CRUDE_OIL_HEURISTIC
     if kind == "fitted" and isinstance(cal_cfg, dict):
@@ -375,6 +375,8 @@ def _calibration_from_config(config: Section, key: str, base: Path):
 
 
 def _prices_csv(forecast: Forecast, cal) -> str:
+    from .prices import index_to_price
+
     band = forecast.band_sigma
     rows = []
     for stamp, value in forecast.path:
@@ -384,6 +386,8 @@ def _prices_csv(forecast: Forecast, cal) -> str:
 
 
 def cmd_forecast(args) -> int:
+    from .fitting import TrendModel
+
     config, base, out = _context(args)
     fc = config.section("forecast")
     horizon = fc.get("horizon", _integer)
@@ -407,6 +411,14 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from .forecast import Forecast
+    from .prices import (
+        component_index_from_difference,
+        extrapolate_headline,
+        index_to_price,
+        trailing_growth_rate,
+    )
+
     config, base, out = _context(args)
     tr = config.section("translate", {})
     f = _load(tr.get("forecast_csv", _path, None) or out / "forecast.csv", Forecast.from_csv)
@@ -437,6 +449,10 @@ def cmd_translate(args) -> int:
 
 
 def cmd_backtest(args) -> int:
+    from .backtest import reports_to_csv, rolling_backtest
+    from .fitting import fit_ols
+    from .forecast import forecast_along_trend
+
     config, _, out = _context(args)
     bt = config.section("backtest")
     fc = bt.section("forecast", None) or config.section("forecast")

@@ -187,8 +187,10 @@ class _ObservationMixin:
 
     def missing_months(self) -> tuple[MonthStamp, ...]:
         """Months inside the span with no observation (gaps are legal at parse time)."""
-        span = np.arange(self._months[0], self._months[-1] + 1)
-        return tuple(_stamp(m) for m in np.setdiff1d(span, self._months).tolist())
+        first = self._months[0]
+        missing = np.ones(int(self._months[-1] - first) + 1, dtype=bool)
+        missing[self._months - first] = False
+        return tuple(_stamp(m) for m in (np.flatnonzero(missing) + first).tolist())
 
     def is_contiguous(self) -> bool:
         return int(self._months[-1] - self._months[0]) + 1 == len(self._months)

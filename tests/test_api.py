@@ -1,7 +1,18 @@
-"""The package's public surface: one list of names, built from the modules' own."""
+"""The package's public surface: one list of names, built from the modules' own,
+and the modules a fresh interpreter loads for it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import trendgap
 from trendgap import backtest, fitting, forecast, prices, series
+from trendgap.cli import main
+
+from conftest import FIXTURES
 
 #: ``trendgap.__all__`` as it stood before the modules' lists became its source.
 EARLIER_ALL = [
@@ -83,3 +94,73 @@ def test_earlier_names_kept_in_order_with_forecaster_added():
     assert added == ["Forecaster"]
     assert [name for name in trendgap.__all__ if name != "Forecaster"] == EARLIER_ALL
     assert trendgap.__all__.index("Forecaster") == trendgap.__all__.index("BacktestReport") + 1
+
+
+def test_star_import_binds_each_module_object():
+    namespace = {}
+    exec("from trendgap import *", namespace)
+    assert namespace["__version__"] == trendgap.__version__
+    for module in MODULES:
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name), name
+
+
+def test_unknown_attribute_names_itself():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        trendgap.no_such_name
+
+
+def test_dir_lists_every_public_name():
+    assert set(trendgap.__all__) <= set(dir(trendgap))
+
+
+STAGES = {"trendgap.fitting", "trendgap.forecast", "trendgap.prices", "trendgap.backtest"}
+
+
+def loaded_by(code: str) -> set[str]:
+    """The ``trendgap`` modules, and ``numpy.ma`` if loaded, after ``code`` runs in a
+    fresh interpreter."""
+    src = str(Path(trendgap.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        f"{code}\nimport sys\n"
+        "print(*[m for m in sys.modules if m.split('.')[0] == 'trendgap' or m == 'numpy.ma'])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_cli_loads_only_series():
+    assert loaded_by("import trendgap.cli") == {"trendgap", "trendgap.series", "trendgap.cli"}
+
+
+def test_a_stage_module_loads_on_first_use():
+    assert loaded_by("import trendgap") == {"trendgap", "trendgap.series"}
+    code = "import trendgap\nassert trendgap.fitting.fit_ols is trendgap.fit_ols"
+    assert loaded_by(code) == {"trendgap", "trendgap.series", "trendgap.fitting"}
+
+
+def cli_run(*argv) -> str:
+    return f"from trendgap.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+MOTOR_CONFIG = str(FIXTURES / "motor_config.json")
+
+
+def test_diff_loads_no_stage_module(tmp_path):
+    loaded = loaded_by(cli_run("diff", "--config", MOTOR_CONFIG, "--out", str(tmp_path)))
+    assert "trendgap.series" in loaded
+    assert not loaded & (STAGES | {"numpy.ma"})
+
+
+def test_fit_loads_only_fitting(tmp_path):
+    assert main(["diff", "--config", MOTOR_CONFIG, "--out", str(tmp_path)]) == 0
+    loaded = loaded_by(cli_run("fit", "--config", MOTOR_CONFIG, "--out", str(tmp_path)))
+    assert loaded & STAGES == {"trendgap.fitting"}

@@ -416,6 +416,17 @@ class TestGappyOracle:
                     lambda: ref_lead_lag(da, db, max_lag, min_overlap, detrend)
                 )
 
+    @pytest.mark.parametrize(
+        "offsets",
+        [[0], list(range(0, 24, 2)), [0, 1], [0, 13], [0, 11, 12, 40]],
+        ids=["one-month", "every-other-month", "two-months", "one-gap", "mixed-gaps"],
+    )
+    def test_missing_months_of_short_and_sparse_series(self, offsets):
+        start = MonthStamp(1999, 12)
+        a = MonthlySeries("a", "", tuple((start.add_months(k), 1.0) for k in offsets))
+        assert a.missing_months() == ref_missing_months(a)
+        assert a.is_contiguous() == (not ref_missing_months(a))
+
 
 # Verbatim copies of the parser that kept MonthStamp objects per row, kept as an
 # oracle for the ordinal-based parse_series_csv. MonthStamp.__str__ now runs through
