@@ -1,9 +1,10 @@
 """Command-line pipeline: diff, fit, forecast, translate, backtest, fetch.
 
-Each subcommand reads a JSON config (each flag sets one config key), validates
-everything up front, computes its outputs in memory and only then writes
-files, so a failing run leaves no partial artifacts. Exit codes: 0 success,
-1 internal error, 2 invalid input or config.
+Each subcommand is a stage function: it reads a JSON config (each flag sets one
+config key), validates everything up front and computes its outputs and report
+in memory. ``main`` writes every output or none and prints the report only
+after the write, so a failing run leaves no partial artifacts and prints no
+report. Exit codes: 0 success, 1 internal error, 2 invalid input or config.
 
 Only ``series`` is imported here: each subcommand, and each helper that only
 some subcommands call, imports the stage modules it runs, so a process loads
@@ -37,6 +38,9 @@ if TYPE_CHECKING:  # names used only in annotations
     from .forecast import Forecast
 
 DEFAULT_API_BASE = "https://api.bls.gov/publicAPI/v2"
+
+#: What a stage returns: the text of each file to write, and the lines to print once written.
+StageResult = tuple[dict[Path, str], list[str]]
 
 
 class ConfigError(ValueError):
@@ -197,8 +201,7 @@ def _difference_from_config(config: Section, out: Path) -> DifferenceSeries:
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_diff(args) -> int:
-    config, base, out = _context(args)
+def cmd_diff(config: Section, base: Path, out: Path) -> StageResult:
     series_cfg = config.section("series", {})
     headline = _load_series(series_cfg.section("headline"), base)
     component = _load_series(series_cfg.section("component"), base)
@@ -211,21 +214,18 @@ def cmd_diff(args) -> int:
                 file=sys.stderr,
             )
     diff = difference(headline, component)
-
-    _write_all({out / "difference.csv": series_to_csv(diff)})
     if all(v == 0.0 for v in diff.values):
         print("warning: difference is identically zero", file=sys.stderr)
-    print(
+    report = [
         f"difference {diff.minuend_id} - {diff.subtrahend_id}: "
         f"{len(diff)} months, {diff.start}..{diff.end}"
-    )
-    return 0
+    ]
+    return {out / "difference.csv": series_to_csv(diff)}, report
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(config: Section, base: Path, out: Path) -> StageResult:
     from .fitting import MAX_TRANSITION_MONTHS, build_trend_model, detect_breakpoints
 
-    config, _, out = _context(args)
     seg = config.section("segmentation")
     diff = _difference_from_config(config, out)
     k = seg.get("k", _integer, 1)
@@ -236,28 +236,27 @@ def cmd_fit(args) -> int:
     detect_end = seg.get("detect_end", _month, None)
     detect_diff = diff if detect_end is None else diff.restrict(diff.start, detect_end)
     tail_start = seg.get("tail_start", _month, None)
-    if tail_start is not None and months_between(diff.end, tail_start) >= MAX_TRANSITION_MONTHS:
+    tail = 0 if tail_start is None else months_between(diff.end, tail_start) + 1
+    if tail > MAX_TRANSITION_MONTHS:
         raise ConfigError(
             f"config key '{seg.key('tail_start')}': {tail_start}..{diff.end} exceeds the "
-            f"{MAX_TRANSITION_MONTHS}-month limit: {months_between(diff.end, tail_start) + 1} months"
+            f"{MAX_TRANSITION_MONTHS}-month limit: {tail} months"
         )
     breakpoints = detect_breakpoints(detect_diff, k, min_len)
     model = build_trend_model(diff, breakpoints, halfwidth, tail_start=tail_start)
 
-    _write_all(
-        {
-            out / "trend_model.json": model.to_json(),
-            out / "residuals.csv": _residuals_csv(diff, model),
-        }
-    )
-    for i, seg_fit in enumerate(model.segments):
-        print(
-            f"segment {i}: {seg_fit.start}..{seg_fit.end}  "
-            f"slope {seg_fit.slope:+.2f}/yr  R^2 {seg_fit.r_squared:.3f}"
-        )
+    outputs = {
+        out / "trend_model.json": model.to_json(),
+        out / "residuals.csv": _residuals_csv(diff, model),
+    }
+    report = [
+        f"segment {i}: {seg_fit.start}..{seg_fit.end}  "
+        f"slope {seg_fit.slope:+.2f}/yr  R^2 {seg_fit.r_squared:.3f}"
+        for i, seg_fit in enumerate(model.segments)
+    ]
     for w in model.transitions:
-        print(f"transition: {w.start}..{w.end} ({w.duration_months} months)")
-    return 0
+        report.append(f"transition: {w.start}..{w.end} ({w.duration_months} months)")
+    return outputs, report
 
 
 def _residuals_csv(diff: DifferenceSeries, model: TrendModel) -> str:
@@ -385,10 +384,9 @@ def _prices_csv(forecast: Forecast, cal) -> str:
     return _write_csv("date,price_usd,low,high", rows)
 
 
-def cmd_forecast(args) -> int:
+def cmd_forecast(config: Section, base: Path, out: Path) -> StageResult:
     from .fitting import TrendModel
 
-    config, base, out = _context(args)
     fc = config.section("forecast")
     horizon = fc.get("horizon", _integer)
     if horizon < 1:
@@ -404,13 +402,13 @@ def cmd_forecast(args) -> int:
     cal = _calibration_from_config(config, "calibration", base)
     if cal is not None:
         outputs[out / "forecast_prices.csv"] = _prices_csv(f, cal)
-    _write_all(outputs)
-    print(f"forecast ({f.mode}): {f.path[0][0]}..{f.path[-1][0]}, {len(f.path)} months")
-    print(f"terminal value {f.path[-1][1]:+.2f}")
-    return 0
+    return outputs, [
+        f"forecast ({f.mode}): {f.path[0][0]}..{f.path[-1][0]}, {len(f.path)} months",
+        f"terminal value {f.path[-1][1]:+.2f}",
+    ]
 
 
-def cmd_translate(args) -> int:
+def cmd_translate(config: Section, base: Path, out: Path) -> StageResult:
     from .forecast import Forecast
     from .prices import (
         component_index_from_difference,
@@ -419,7 +417,6 @@ def cmd_translate(args) -> int:
         trailing_growth_rate,
     )
 
-    config, base, out = _context(args)
     tr = config.section("translate", {})
     f = _load(tr.get("forecast_csv", _path, None) or out / "forecast.csv", Forecast.from_csv)
     cal_section = tr if tr.get("calibration", default=None) is not None else config
@@ -439,21 +436,18 @@ def cmd_translate(args) -> int:
         component = component_index_from_difference(extrapolated, f)
         outputs[out / "component_index.csv"] = _write_csv("date,component_index", component)
 
-    _write_all(outputs)
     first, last = f.path[0], f.path[-1]
-    print(
+    return outputs, [
         f"prices: {first[0]} -> {index_to_price(cal, first[1]):.2f} USD, "
         f"{last[0]} -> {index_to_price(cal, last[1]):.2f} USD"
-    )
-    return 0
+    ]
 
 
-def cmd_backtest(args) -> int:
+def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
     from .backtest import reports_to_csv, rolling_backtest
     from .fitting import fit_ols
     from .forecast import forecast_along_trend
 
-    config, _, out = _context(args)
     bt = config.section("backtest")
     fc = bt.section("forecast", None) or config.section("forecast")
     trend = fc.section("trend", {"kind": "segment"})
@@ -494,27 +488,26 @@ def cmd_backtest(args) -> int:
     doc: dict = {"reports": [r.to_dict() for r in reports]}
     if baseline_reports:
         doc["baseline_reports"] = [r.to_dict() for r in baseline_reports]
-    _write_all(
-        {
-            out / "backtest.csv": reports_to_csv(reports),
-            out / "backtest.json": json.dumps(doc, indent=2) + "\n",
-        }
-    )
-
-    print("origin    n   mae      rmse     bias     hit_rate")
+    outputs = {
+        out / "backtest.csv": reports_to_csv(reports),
+        out / "backtest.json": json.dumps(doc, indent=2) + "\n",
+    }
+    report = ["origin    n   mae      rmse     bias     hit_rate"]
     for r in reports:
-        print(
+        report.append(
             f"{r.origin}  {r.n:<3d} {r.mae:<8.3f} {r.rmse:<8.3f} "
             f"{r.bias:<+8.3f} {r.direction_hit_rate:.2f}"
         )
     for r in baseline_reports:
-        print(f"{r.origin}  baseline mae {r.mae:.3f} (rmse {r.rmse:.3f})")
-    return 0
+        report.append(f"{r.origin}  baseline mae {r.mae:.3f} (rmse {r.rmse:.3f})")
+    return outputs, report
 
 
-def cmd_fetch(args) -> int:
+def cmd_fetch(args) -> StageResult:
     from urllib.request import Request, urlopen
 
+    if not args.out:
+        raise ConfigError("--out must name a directory, got ''")
     base_url = os.environ.get("TRENDGAP_API_BASE", DEFAULT_API_BASE)
     payload = {
         "seriesid": [args.series_id],
@@ -528,10 +521,8 @@ def cmd_fetch(args) -> int:
     )
     with urlopen(request, timeout=args.timeout) as response:
         series = series_from_api_payload(json.load(response), args.series_id)
-    out = Path(args.out or ".")
-    _write_all({out / f"{args.series_id}.csv": series_to_csv(series)})
-    print(f"fetched {args.series_id}: {len(series)} months, {series.start}..{series.end}")
-    return 0
+    report = f"fetched {args.series_id}: {len(series)} months, {series.start}..{series.end}"
+    return {Path(args.out) / f"{args.series_id}.csv": series_to_csv(series)}, [report]
 
 
 def series_from_api_payload(payload, series_id: str):
@@ -608,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series-id", required=True)
     p.add_argument("--start-year", type=int, required=True)
     p.add_argument("--end-year", type=int, required=True)
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", default=".", help="output directory (default: the working directory)")
     p.add_argument("--timeout", type=float, default=30.0)
     p.set_defaults(func=cmd_fetch)
 
@@ -616,16 +607,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one stage, write every output it returns or none, then print its report."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        stage = args.func
+        outputs, report = stage(args) if stage is cmd_fetch else stage(*_context(args))
+        _write_all(outputs)
+        for line in report:
+            print(line)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failures
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -725,7 +725,34 @@ class TestNoPartialArtefacts:
         capsys.readouterr()
 
         assert run("forecast", "--config", str(config), "--out", str(out)) == 2
-        assert "forecast.json" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "forecast.json" in captured.err
+        assert captured.out == ""
+        assert snapshot(out) == before
+        assert sorted(out.rglob("*")) == names
+
+    # each stage's last target in the crude pipeline, made a directory before the stage runs
+    @pytest.mark.parametrize(
+        "command, target",
+        [
+            ("diff", "difference.csv"),
+            ("fit", "residuals.csv"),
+            ("forecast", "forecast_prices.csv"),
+            ("translate", "translated_prices.csv"),
+            ("backtest", "backtest.json"),
+        ],
+    )
+    def test_no_report_when_the_write_fails(self, tmp_path, capsys, command, target):
+        steps = PIPELINES["crude"]
+        out = prepare(tmp_path, "crude", steps[: steps.index(command)])
+        (out / target).mkdir(parents=True)
+        before, names = snapshot(out), sorted(out.rglob("*"))
+        capsys.readouterr()
+
+        assert run(command, "--config", str(tmp_path / "good.json"), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert target in captured.err
+        assert captured.out == ""
         assert snapshot(out) == before
         assert sorted(out.rglob("*")) == names
 
@@ -850,6 +877,22 @@ class TestFetch:
         assert run(*FETCH_ARGS, "--out", str(out)) == 2
         assert "connection refused" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_out_exits_two(self, tmp_path, monkeypatch, capsys):
+        """An empty --out is refused, not taken as the working directory."""
+
+        payload = payload_with_row({"year": "2009", "period": "M02", "value": "212.7"})
+
+        def fake_urlopen(request, timeout):
+            return io.BytesIO(json.dumps(payload).encode())
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        monkeypatch.chdir(tmp_path)
+        assert run(*FETCH_ARGS, "--out", "") == 2
+        captured = capsys.readouterr()
+        assert "--out" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "payload, named",

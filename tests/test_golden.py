@@ -1,8 +1,10 @@
-"""Fixture pipeline artefacts pinned byte for byte.
+"""Fixture pipeline artefacts and reports pinned byte for byte.
 
 Criterion 10 compares two runs of the same code; these hashes compare the
 code with the outputs it produced before the CLI was rebuilt on the library's
-``Forecast``, so a refactor that changes any artefact byte fails here.
+``Forecast``, so a refactor that changes any artefact byte fails here. Each
+subcommand's stdout report is pinned as literal text, and its stderr must be
+empty.
 """
 
 import contextlib
@@ -37,14 +39,54 @@ GOLDEN_SHA256 = {
     "motor/trend_model.json": "1e09598be65f4f0369a96d5c3d599d9eb3d699cdf3860780aa12b0cbc9faafb9",
 }
 
+GOLDEN_STDOUT = {
+    "motor diff": "difference CUSR0000SA0 - CUSR0000SETB: 372 months, 1980-01..2010-12\n",
+    "motor fit": (
+        "segment 0: 1980-01..1999-11  slope +4.10/yr  R^2 0.937\n"
+        "segment 1: 2001-12..2008-06  slope -21.81/yr  R^2 0.978\n"
+        "transition: 1999-12..2001-11 (24 months)\n"
+        "transition: 2008-07..2010-12 (30 months)\n"
+    ),
+    "motor forecast": (
+        "forecast (return-to-trend+along-trend): 2009-04..2010-12, 21 months\n"
+        "terminal value -15.77\n"
+    ),
+    "motor backtest": (
+        "origin    n   mae      rmse     bias     hit_rate\n"
+        "2009-03  9   1.743    2.219    -0.117   1.00\n"
+        "2009-03  baseline mae 100.698 (rmse 102.547)\n"
+    ),
+    "crude diff": "difference WPU00000000 - WPU0561: 312 months, 1985-01..2010-12\n",
+    "crude fit": (
+        "segment 0: 1988-01..1999-09  slope +2.93/yr  R^2 0.903\n"
+        "segment 1: 2001-10..2007-06  slope -17.29/yr  R^2 0.969\n"
+        "transition: 1999-10..2001-09 (24 months)\n"
+        "transition: 2007-07..2009-06 (24 months)\n"
+    ),
+    "crude forecast": (
+        "forecast (along-trend): 2011-01..2016-01, 61 months\n"
+        "terminal value -31.15\n"
+    ),
+    "crude translate": "prices: 2011-01 -> 63.66 USD, 2016-01 -> 31.49 USD\n",
+    "crude backtest": (
+        "origin    n   mae      rmse     bias     hit_rate\n"
+        "2009-01  12  0.924    1.047    +0.216   0.80\n"
+    ),
+}
+
 
 def test_fixture_artefacts_match_golden_hashes(tmp_path):
+    reports = {}
     for name, commands in PIPELINES.items():
         config = FIXTURES / f"{name}_config.json"
         for command in commands:
-            with contextlib.redirect_stdout(io.StringIO()):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main([command, "--config", str(config), "--out", str(tmp_path / name)])
-            assert code == 0, f"{name} {command} failed"
+            assert code == 0, f"{name} {command} failed: {stderr.getvalue()}"
+            assert stderr.getvalue() == "", f"{name} {command} wrote to stderr"
+            reports[f"{name} {command}"] = stdout.getvalue()
+    assert reports == GOLDEN_STDOUT
     produced = {
         path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(tmp_path.rglob("*"))
