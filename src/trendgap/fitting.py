@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import DifferenceSeries, MonthStamp, _stamp, months_between
 
@@ -299,16 +298,12 @@ class _SegmentCost:
         self.prefix = np.hstack([np.zeros((5, 1)), np.cumsum(terms, axis=1)])
         self._work = np.empty((6, _BLOCK_ROWS * len(y)))
 
-    def sse(self, starts: range, ends: range) -> np.ndarray:
+    def sse(self, starts: range, ends: range, m: np.ndarray) -> np.ndarray:
         """SSE of the OLS line on positions i..b inclusive, rows i in ``starts``
         and columns b in ``ends``, in the workspace the next call overwrites.
-        A cell with b < i is junk but raises no warning."""
-        # m[r, c] = ends[c] - starts[r] + 1, as windows over one run of lengths
-        # clamped to >= 1, so that no cell divides by zero
-        first = ends.start - starts.start + 1
-        lengths = np.maximum(np.arange(first - len(starts) + 1, first + len(ends)), 1.0)
-        m = sliding_window_view(lengths, len(ends))[::-1]
-        work = self._work[:, : m.size].reshape(6, *m.shape)
+        ``m[r, c]`` is the piece length b - i + 1; a cell shorter than two
+        months is junk but raises no warning."""
+        work = self._work[:, : len(starts) * len(ends)].reshape(6, len(starts), len(ends))
         sx, sy, sxx, sxy, syy, tmp = work
         right = self.prefix[:, None, ends.start + 1 : ends.stop + 1]
         np.subtract(right, self.prefix[:, starts.start : starts.stop, None], out=work[:5])
@@ -319,12 +314,11 @@ class _SegmentCost:
                 np.divide(np.multiply(a, b, out=tmp), m, out=tmp)
                 np.subtract(total, tmp, out=total)
             var_x, cov_xy, sse = sxx, sxy, syy
-            # sse = var_y - where(var_x > 0, cov_xy * cov_xy / max(var_x, 1e-300), 0),
-            # with sx, no longer needed, holding the clamped var_x
-            np.multiply(cov_xy, cov_xy, out=tmp)
-            np.divide(tmp, np.maximum(var_x, 1e-300, out=sx), out=tmp)
-            np.subtract(sse, tmp, out=sse, where=var_x > 0.0)
-        return np.maximum(sse, 0.0, out=sse)
+            # sse = var_y - cov_xy * cov_xy / var_x, unguarded: var_x depends on
+            # the positions only and is > 0 for every piece of two or more months
+            np.divide(np.multiply(cov_xy, cov_xy, out=tmp), var_x, out=tmp)
+            np.subtract(sse, tmp, out=sse)
+            return np.maximum(sse, 0.0, out=sse)
 
 
 def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
@@ -336,10 +330,12 @@ def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
     yields the lexicographically smallest optimal breakpoint set.
 
     Start positions go in blocks of ``_BLOCK_ROWS``, right to left, and each
-    block's piece SSEs are computed once and read by every level. Callers read
-    the top level only at position 0, so for ``max_k >= 1`` only that cell of
-    it is computed: ``suffix[max_k]`` and ``after[max_k]`` hold position 0,
-    and are ``inf`` and 0 everywhere else.
+    block's piece SSEs are computed once and read by every level. Only cells
+    that a caller or a higher level reads are computed; every other cell is
+    ``inf`` in ``suffix`` and 0 in ``after``. Callers read the top level only at
+    position 0, so for ``max_k >= 1`` only that cell of it is computed. Level
+    m + 1 at position 0 reads level m only at positions >= min_len, so no
+    level is computed at positions 1..min_len-1, inside the first piece.
     """
     if not diff.is_contiguous():
         raise FitError(
@@ -350,21 +346,30 @@ def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
     cost = _SegmentCost(diff._values)
     suffix = np.full((max_k + 1, n + 1), np.inf)
     after = np.zeros((max_k + 1, n + 1), dtype=int)
-    suffix[0][: n - min_len + 1] = cost.sse(range(n - min_len + 1), range(n - 1, n))[:, 0]
-    # level m fills positions 0..n - (m + 1) * min_len, the top level only 0
+    # level m fills position 0 and positions min_len..n - (m + 1) * min_len,
+    # the top level only 0
     last = [n - (m + 1) * min_len + 1 for m in range(max_k + 1)]
     last[-1] = min(1, last[-1])
+    # level 0 is the one piece i..n-1, of length n - i
+    for rows in (range(1), range(min_len, last[0])):
+        column = n - np.arange(rows.start, rows.stop, dtype=float)[:, None]
+        suffix[0][rows.start : rows.stop] = cost.sse(rows, range(n - 1, n), column)[:, 0]
+    # a block's level-1 piece from its row r to its column c has length min_len + c - r
+    lengths = min_len + np.arange(n, dtype=float) - np.arange(_BLOCK_ROWS)[:, None]
     short = np.tri(_BLOCK_ROWS, k=-1, dtype=bool)
     work = np.empty(_BLOCK_ROWS * n)
-    # levels run bottom up within a block, and level m reads level m-1 only at
-    # positions >= i0 + min_len, which this block or one to its right has filled
-    for i0 in reversed(range(0, max(last[1:], default=0), _BLOCK_ROWS)):
-        lo = i0 + min_len - 1
+    # blocks start at min_len, min_len + _BLOCK_ROWS, ..., and position 0 is a
+    # block of its own; levels run bottom up within a block, and level m reads
+    # level m-1 only at positions >= i0 + min_len, which a block to its right filled
+    firsts = [0, *range(min_len, last[1], _BLOCK_ROWS)] if max_k and last[1] > 0 else []
+    for i0 in reversed(firsts):
+        lo, block = i0 + min_len - 1, i0 + _BLOCK_ROWS if i0 else 1
         # pieces i..b for level 1's breaks, the widest; every level reads a corner
-        sse = cost.sse(range(i0, min(i0 + _BLOCK_ROWS, last[1])), range(lo, n - min_len))
+        rows, ends = range(i0, min(block, last[1])), range(lo, n - min_len)
+        sse = cost.sse(rows, ends, lengths[: len(rows), : len(ends)])
         for m in range(1, max_k + 1):
             # piece i..b, then m-1 breaks in b+1..n-1
-            rows, stop = range(i0, min(i0 + _BLOCK_ROWS, last[m])), n - m * min_len
+            rows, stop = range(i0, min(block, last[m])), n - m * min_len
             if not rows:
                 break
             r = np.arange(len(rows))
