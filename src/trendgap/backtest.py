@@ -9,7 +9,7 @@ sees strictly nothing after its own origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .forecast import Forecast
@@ -50,8 +50,10 @@ class BacktestReport:
         return doc
 
 
-def score(forecast: Forecast, actual: DifferenceSeries) -> BacktestReport:
-    """Compare a forecast path to realized values month by month."""
+def score(
+    forecast: Forecast, actual: DifferenceSeries, origin: MonthStamp | None = None
+) -> BacktestReport:
+    """Compare a forecast path to realized values month by month; tag the report with ``origin``."""
     at, found = actual._lookup([_ordinal(stamp) for stamp, _ in forecast.path])
     overlap = [
         (pred, act)
@@ -77,7 +79,7 @@ def score(forecast: Forecast, actual: DifferenceSeries) -> BacktestReport:
             hits += 1
     hit_rate = hits / counted if counted else 1.0
 
-    return BacktestReport(n=n, mae=mae, rmse=rmse, bias=bias, direction_hit_rate=hit_rate)
+    return BacktestReport(n, mae, rmse, bias, hit_rate, origin)
 
 
 Forecaster = Callable[[DifferenceSeries, MonthStamp, int], Forecast]
@@ -110,17 +112,18 @@ def rolling_backtest(
     """
     if horizon < 1:
         raise BacktestError(f"horizon must be >= 1, got {horizon}")
-    reports = []
+    months, reports = diff._months, []
     for origin in origins:
-        if not diff.has(origin):
+        at = _ordinal(origin)
+        stop = int(months.searchsorted(at, side="right"))
+        if not stop or months[stop - 1] != at:
             raise BacktestError(f"origin {origin} is not an observed month")
-        if diff.end < origin.add_months(horizon):
+        if months[-1] < at + horizon:
             raise BacktestError(
                 f"origin {origin} leaves fewer than {horizon} months of actuals"
             )
-        history = diff.restrict(diff.start, origin)
-        forecast = forecaster(history, origin, horizon)
-        reports.append(replace(score(forecast, diff), origin=origin))
+        forecast = forecaster(diff._take(slice(stop)), origin, horizon)
+        reports.append(score(forecast, diff, origin))
     return reports
 
 

@@ -25,6 +25,7 @@ from .series import (
     DifferenceSeries,
     MonthlySeries,
     MonthStamp,
+    _month_text,
     _write_csv,
     difference,
     months_between,
@@ -260,13 +261,13 @@ def cmd_fit(config: Section, base: Path, out: Path) -> StageResult:
 
 
 def _residuals_csv(diff: DifferenceSeries, model: TrendModel) -> str:
-    rows = []
-    for stamp, value in diff.observations:
-        zone, segment = model.zone(stamp)
-        predicted = None if segment is None else segment.predicted(stamp)
-        residual = None if predicted is None else value - predicted
-        rows.append((stamp, value, predicted, residual, zone))
-    return _write_csv("date,value,predicted,residual,zone", rows)
+    zones, _, trend = model._zones(diff._months)
+    rows = zip(map(_month_text, diff._months.tolist()), diff._values.tolist(), trend.tolist())
+    cells = (
+        (m, v, None, None, z) if z == "transition" else (m, v, p, v - p, z)
+        for (m, v, p), z in zip(rows, zones)
+    )
+    return _write_csv("date,value,predicted,residual,zone", cells)
 
 
 def _model_segment(model: TrendModel | None, trend: Section, key: str):

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .series import DifferenceSeries, MonthStamp, _stamp, months_between
+from .series import DifferenceSeries, MonthStamp, _ordinal, _stamp, months_between
 
 #: Transitions between trends last three years at most.
 MAX_TRANSITION_MONTHS = 36
@@ -152,16 +153,23 @@ class TrendModel:
         transition window ``("transition", None)``, and anywhere else
         ``("extrapolation", nearest segment)``, ties going to the earlier one.
         """
-        for i, s in enumerate(self.segments):
-            if s.contains(stamp):
-                return f"trend-{i}", s
-        if any(w.contains(stamp) for w in self.transitions):
-            return "transition", None
+        (label,), (index,), _ = self._zones(np.array([_ordinal(stamp)]))
+        return label, None if label == "transition" else self.segments[index]
 
-        def distance(s: LinearSegment) -> int:
-            return min(abs(months_between(stamp, s.start)), abs(months_between(stamp, s.end)))
-
-        return "extrapolation", min(self.segments, key=distance)
+    def _zones(self, months: np.ndarray) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """Per month ordinal: :meth:`zone`'s label and segment index, and ``_at``'s trend value."""
+        bounds = [(_ordinal(s.start), _ordinal(s.end), s.intercept, s.slope) for s in self.segments]
+        starts, ends, intercepts, slopes = map(np.array, zip(*bounds))
+        last = starts.searchsorted(months, side="right") - 1  # the last segment to start by then
+        before, after = np.maximum(last, 0), np.minimum(last + 1, len(starts) - 1)
+        index = np.where(starts[after] - months < months - ends[before], after, before)
+        # a month lies in a transition when an odd number of window edges come at or before it
+        edges = np.array([(_ordinal(w.start), _ordinal(w.end) + 1) for w in self.transitions])
+        in_transition = edges.reshape(-1).searchsorted(months, side="right") % 2
+        inside = (starts[index] <= months) & (months <= ends[index])
+        names = ["extrapolation", "transition"] + [f"trend-{i}" for i in range(len(starts))]
+        labels = np.array(names)[np.where(inside, index + 2, in_transition)].tolist()
+        return labels, index, intercepts[index] + slopes[index] * ((months - starts[index]) / 12.0)
 
     def to_dict(self) -> dict:
         return {
@@ -187,21 +195,14 @@ class TrendModel:
         return cls.from_dict(json.loads(text))
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
-    """Least-squares line through (x, y): (intercept, slope, r_squared, residual_sigma)."""
-    if np.ptp(x) == 0.0:
+# [1, k / 12] depends on n alone: built and checked once per length, read-only as fits share it
+@lru_cache(maxsize=256)
+def _design(n: int) -> np.ndarray:
+    design = np.column_stack([np.ones(n), np.arange(n) / 12.0])
+    if np.ptp(design[:, 1]) == 0.0:
         raise FitError("zero variance in time coordinate")
-    design = np.column_stack([np.ones_like(x), x])
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    intercept, slope = float(coef[0]), float(coef[1])
-    resid = y - design @ coef
-    sse = float(resid @ resid)
-    sst = float(np.sum((y - y.mean()) ** 2))
-    # Zero-variance target: define r_squared as 0 for stable downstream thresholds.
-    r_squared = 0.0 if sst == 0.0 else max(0.0, min(1.0, 1.0 - sse / sst))
-    n = len(y)
-    residual_sigma = float(np.sqrt(sse / (n - 1))) if n > 1 else 0.0
-    return intercept, slope, r_squared, residual_sigma
+    design.flags.writeable = False
+    return design
 
 
 def fit_ols(diff: DifferenceSeries, window: tuple[MonthStamp, MonthStamp]) -> LinearSegment:
@@ -226,14 +227,20 @@ def fit_ols(diff: DifferenceSeries, window: tuple[MonthStamp, MonthStamp]) -> Li
     if months[-1] - months[0] + 1 != n:
         gap = diff._take(keep).missing_months()[0]
         raise FitError(f"window {lo}..{hi} has missing months from {gap}; fits require gap-free data")
-    intercept, slope, r2, sigma = _ols(np.arange(n) / 12.0, diff._values[keep])
+    y, design = diff._values[keep], _design(n)
+    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    sse = float(resid @ resid)
+    sst = float(np.sum((y - y.mean()) ** 2))
+    # Zero-variance target: define r_squared as 0 for stable downstream thresholds.
+    r_squared = 0.0 if sst == 0.0 else max(0.0, min(1.0, 1.0 - sse / sst))
     return LinearSegment(
         start=_stamp(months[0]),
         end=_stamp(months[-1]),
-        intercept=intercept,
-        slope=slope,
-        r_squared=r2,
-        residual_sigma=sigma,
+        intercept=float(coef[0]),
+        slope=float(coef[1]),
+        r_squared=r_squared,
+        residual_sigma=float(np.sqrt(sse / (n - 1))),
     )
 
 

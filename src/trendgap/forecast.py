@@ -42,25 +42,27 @@ class Forecast:
     band_sigma: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "path", tuple((s, float(v)) for s, v in self.path)
-        )
+        stamps, values = zip(*self.path) if self.path else ((), ())
+        values = tuple(map(float, values))
+        object.__setattr__(self, "path", tuple(zip(stamps, values)))
         object.__setattr__(self, "band_sigma", float(self.band_sigma))
         if not 0.0 <= self.band_sigma < math.inf:
             raise ValueError(f"band_sigma must be finite and >= 0, got {self.band_sigma}")
-        if not self.path:
+        if not stamps:
             raise ValueError("empty forecast path")
-        months = [_ordinal(s) for s, _ in self.path]
+        months = list(map(_ordinal, stamps))
         expected = _ordinal(self.origin) + 1
+        # the usual path, every month after the origin and finite, passes in one check
+        if months == list(range(expected, expected + len(months))) and math.isfinite(sum(values)):
+            return
         if months[0] != expected:
             raise ValueError(
-                f"path must start the month after origin ({_stamp(expected)}), "
-                f"got {self.path[0][0]}"
+                f"path must start the month after origin ({_stamp(expected)}), got {stamps[0]}"
             )
-        for a, b, (stamp, _) in zip(months, months[1:], self.path[1:]):
+        for a, b, stamp in zip(months, months[1:], stamps[1:]):
             if b <= a:
                 raise ValueError(f"path stamps not strictly increasing at {stamp}")
-        for stamp, value in self.path:
+        for stamp, value in zip(stamps, values):
             if not math.isfinite(value):
                 raise ValueError(f"non-finite forecast value {value!r} at {stamp}")
 

@@ -69,8 +69,14 @@ def _ordinal(stamp: MonthStamp) -> int:
     return stamp.year * 12 + stamp.month - 1
 
 
+_STAMPS: dict[int, MonthStamp] = {}  # by ordinal; an invalid ordinal raises and is not kept
+
+
 def _stamp(ordinal) -> MonthStamp:
-    return MonthStamp(int(ordinal) // 12, int(ordinal) % 12 + 1)
+    stamp = _STAMPS.get(ordinal)
+    if stamp is None:
+        stamp = _STAMPS[int(ordinal)] = MonthStamp(int(ordinal) // 12, int(ordinal) % 12 + 1)
+    return stamp
 
 
 def _month_text(ordinal: int) -> str:
@@ -99,8 +105,9 @@ class _ObservationMixin:
     ``observations``, ``stamps`` and ``values`` are views built on demand.
     Subclasses name themselves for error messages with a ``_label`` property.
 
-    Per-month paths work on the ordinals and value arrays; ``MonthStamp``
-    objects are built only at the API boundary, where a caller receives them.
+    Per-month paths work on the ordinals and value arrays. ``MonthStamp`` objects are
+    built only at the API boundary, where a caller receives them, and each month's
+    ``MonthStamp`` is built once per process (interned by ordinal).
     """
 
     def _store(self, observations) -> None:

@@ -1,6 +1,7 @@
 """Forecast scoring and the rolling-origin harness."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,6 +261,65 @@ class TestRollingBacktest:
         d = make_diff("2000-01", range(24))
         with pytest.raises(BacktestError, match="not an observed month"):
             rolling_backtest(d, lambda *a: None, [MonthStamp(1999, 1)], 6)
+
+
+def gapped_diff():
+    """2000-01..2003-12 without 2001-03, 2002-07 and 2003-10."""
+    rng = np.random.default_rng(59)
+    months = [m for m in range(48) if m not in (14, 30, 45)]
+    values = rng.normal(0, 3, len(months))
+    obs = tuple((MonthStamp(2000, 1).add_months(m), float(v)) for m, v in zip(months, values))
+    return DifferenceSeries("d-m", "d-s", obs)
+
+
+class TestRollingBacktestContract:
+    """What rolling_backtest promises each origin: its checks in order, its history, its report."""
+
+    @pytest.mark.parametrize(
+        "origins, calls, message",
+        [
+            # 2003-10 is unobserved and also too close to the end: observed is checked first
+            (["2003-10", "2003-11"], 0, "origin 2003-10 is not an observed month"),
+            (["2003-11", "2003-10"], 0, "origin 2003-11 leaves fewer than 6 months of actuals"),
+            (["2001-01", "2001-03", "2003-11"], 1, "origin 2001-03 is not an observed month"),
+            (["1999-12"], 0, "origin 1999-12 is not an observed month"),
+            (["2004-01"], 0, "origin 2004-01 is not an observed month"),
+            (["2003-06", "2003-07"], 1, "origin 2003-07 leaves fewer than 6 months of actuals"),
+        ],
+    )
+    def test_the_first_failing_check_names_its_origin(self, origins, calls, message):
+        called = []
+
+        def forecaster(history, origin, horizon):
+            called.append(origin)
+            return make_forecast(str(origin.add_months(1)), [0.0] * horizon)
+
+        with pytest.raises(BacktestError) as raised:
+            rolling_backtest(gapped_diff(), forecaster, [MonthStamp.parse(o) for o in origins], 6)
+        assert str(raised.value) == message
+        assert len(called) == calls
+
+    def test_history_and_reports_match_restrict_and_score(self):
+        d = gapped_diff()
+        origins = [s for s in d.stamps if s <= MonthStamp(2003, 6)]
+        seen = []
+
+        def forecaster(history, origin, horizon):
+            level = sum(history.values) / len(history)
+            path = [level + history.value_at(origin) * i for i in range(horizon)]
+            seen.append((history, make_forecast(str(origin.add_months(1)), path)))
+            return seen[-1][1]
+
+        reports = rolling_backtest(d, forecaster, origins, 6)
+        assert len(reports) == len(seen) == len(origins)
+        for origin, report, (history, f) in zip(origins, reports, seen):
+            want = d.restrict(d.start, origin)
+            assert type(history) is DifferenceSeries
+            assert (history.minuend_id, history.subtrahend_id) == ("d-m", "d-s")
+            assert np.array_equal(history._months, want._months)
+            assert np.array_equal(history._values, want._values)
+            assert report == replace(score(f, d), origin=origin)
+            assert report.origin is origin
 
 
 class TestReportSerialization:

@@ -24,7 +24,7 @@ from trendgap import (
     select_breakpoint_count,
 )
 from trendgap.cli import _residuals_csv
-from trendgap.fitting import _SegmentCost, _segment
+from trendgap.fitting import _design, _SegmentCost, _segment
 
 
 def make_diff(start, values, name="d"):
@@ -43,7 +43,51 @@ def ols_oracle(x, y):
     return intercept_at_x0, slope
 
 
+def old_ols(x, y):
+    """The per-call OLS that fit_ols ran, design built on every call:
+    (intercept, slope, r_squared, residual_sigma)."""
+    if np.ptp(x) == 0.0:
+        raise FitError("zero variance in time coordinate")
+    design = np.column_stack([np.ones_like(x), x])
+    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    intercept, slope = float(coef[0]), float(coef[1])
+    resid = y - design @ coef
+    sse = float(resid @ resid)
+    sst = float(np.sum((y - y.mean()) ** 2))
+    r_squared = 0.0 if sst == 0.0 else max(0.0, min(1.0, 1.0 - sse / sst))
+    n = len(y)
+    residual_sigma = float(np.sqrt(sse / (n - 1))) if n > 1 else 0.0
+    return intercept, slope, r_squared, residual_sigma
+
+
 class TestFitOls:
+    def test_random_windows_are_bit_identical_to_the_per_call_design(self):
+        rng = np.random.default_rng(70)
+        for trial in range(300):
+            n = int(rng.integers(2, 401))
+            offset = int(rng.integers(0, 200))
+            walk = np.cumsum(rng.normal(0, rng.uniform(0.01, 10), offset + n + 20))
+            d = make_diff("1950-01", walk + rng.uniform(-1e5, 1e5))
+            lo = d.start.add_months(offset)
+            seg = fit_ols(d, (lo, lo.add_months(n - 1)))
+            y = d._values[offset : offset + n]
+            want = old_ols(np.arange(n) / 12.0, y)
+            assert (seg.intercept, seg.slope, seg.r_squared, seg.residual_sigma) == want, trial
+            assert (seg.start, seg.end) == (lo, lo.add_months(n - 1))
+
+    def test_the_shared_design_is_read_only(self):
+        d = make_diff("2000-01", [3.0, 1.0, 4.0, 1.0, 5.0, 9.0])
+        before = fit_ols(d, (d.start, d.end))
+        design = _design(6)
+        with pytest.raises(ValueError, match="read-only"):
+            design[:, 1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            design *= 2.0
+        assert fit_ols(d, (d.start, d.end)) == before
+        assert _design(6) is design
+        with pytest.raises(FitError, match="zero variance"):
+            _design(1)
+
     def test_noiseless_line(self):
         values = [5.0 + 2.0 * (i / 12.0) for i in range(24)]
         d = make_diff("2000-01", values)

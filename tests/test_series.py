@@ -20,7 +20,8 @@ from trendgap import (
     rebase,
     series_to_csv,
 )
-from trendgap.series import _read_csv, _write_csv
+from trendgap import series as series_module
+from trendgap.series import _read_csv, _stamp, _write_csv
 
 
 def make_series(series_id, start, values):
@@ -76,6 +77,33 @@ class TestMonthStamp:
         for first, step in ((MonthStamp(0, 1), -1), (MonthStamp(9999, 12), 1)):
             with pytest.raises(ValueError, match="year must be in 0..9999"):
                 first.add_months(step)
+
+
+class TestInterning:
+    """Each month's stamp is built once per process and handed out again by ordinal."""
+
+    @pytest.mark.parametrize("year, month", [(0, 1), (2009, 4), (7777, 7), (9999, 12)])
+    def test_the_same_ordinal_gives_the_same_object(self, year, month):
+        o = year * 12 + month - 1
+        first = _stamp(np.int64(o))
+        assert type(first.year) is int and type(first.month) is int
+        assert _stamp(o) is _stamp(o) is first
+        built = MonthStamp(year, month)
+        assert built == _stamp(o) and hash(built) == hash(_stamp(o))
+        assert MonthStamp.parse(str(built)) is _stamp(o)
+
+    def test_api_stamps_are_interned(self):
+        series = make_series("x", "2000-11", [1.0, 2.0, 3.0])
+        assert all(a is b for a, b in zip(series.stamps, series.stamps))
+        assert series.start is series.observations[0][0] is MonthStamp(2000, 1).add_months(10)
+        assert series.end is series.stamps[-1]
+
+    def test_an_invalid_ordinal_raises_every_time_and_is_not_kept(self):
+        for ordinal in (12 * 10000, -1, np.int64(12 * 10000)):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="year must be in 0..9999"):
+                    _stamp(ordinal)
+            assert ordinal not in series_module._STAMPS
 
 
 class TestParseCsv:
