@@ -318,7 +318,6 @@ def _forecast_from_config(
         PENDULUM,
         RETURN_TO_TREND,
         Forecast,
-        chain_forecasts,
         forecast_along_trend,
         forecast_pendulum,
         forecast_return_to_trend,
@@ -336,18 +335,14 @@ def _forecast_from_config(
     if mode == RETURN_TO_TREND:
         deadline = fc.get("deadline", _month)
         first = forecast_return_to_trend(current, trend, deadline)
-        steps_to_deadline = len(first.path)
-        if horizon > steps_to_deadline:
-            second = forecast_along_trend(trend, deadline, horizon - steps_to_deadline)
-            return Forecast(
-                f"{RETURN_TO_TREND}+{ALONG_TREND}",
-                origin,
-                chain_forecasts(first, second),
-                first.band_sigma,
-            )
-        if horizon < steps_to_deadline:
+        rest = horizon - len(first.path)
+        if rest < 0:
             raise ConfigError(f"horizon {horizon} ends before {fc.key('deadline')} {deadline}")
-        return first
+        if rest == 0:
+            return first
+        # past the deadline the path follows the trend it has returned to
+        path = first.path + forecast_along_trend(trend, deadline, rest).path
+        return Forecast(f"{RETURN_TO_TREND}+{ALONG_TREND}", origin, path, first.band_sigma)
 
     return forecast_pendulum(
         current,
@@ -477,14 +472,14 @@ def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
     baseline_cfg = bt.section("baseline", None)
     baseline_reports: list[BacktestReport] = []
     if baseline_cfg is not None:
-        fit_start = baseline_cfg.get("fit_start", _month)
-        fit_end = baseline_cfg.get("fit_end", _month)
-
-        def baseline_forecaster(history, origin, h):
-            trend = fit_ols(history, (fit_start, min(fit_end, origin)))
-            return forecast_along_trend(trend, origin, h)
-
-        baseline_reports = rolling_backtest(diff, baseline_forecaster, origins, horizon)
+        # the history ends at the origin, so the fit never sees past it
+        window = (baseline_cfg.get("fit_start", _month), baseline_cfg.get("fit_end", _month))
+        baseline_reports = rolling_backtest(
+            diff,
+            lambda history, origin, h: forecast_along_trend(fit_ols(history, window), origin, h),
+            origins,
+            horizon,
+        )
 
     doc: dict = {"reports": [r.to_dict() for r in reports]}
     if baseline_reports:

@@ -152,17 +152,27 @@ def endpoint_trend(
     )
 
 
+def _trend_forecast(
+    mode: str, trend: LinearSegment, origin: MonthStamp, steps: int, deviation=None
+) -> Forecast:
+    """The ``steps`` months after ``origin`` on ``trend``, each plus ``deviation(m)`` at step m
+    when given (none is added otherwise, so a -0.0 trend value stays -0.0)."""
+    at, k = _ordinal(origin), months_between(origin, trend.start)
+    months = range(1, steps + 1)
+    if deviation is None:
+        path = tuple((_stamp(at + m), trend._at(k + m)) for m in months)
+    else:
+        path = tuple((_stamp(at + m), trend._at(k + m) + deviation(m)) for m in months)
+    return Forecast(mode, origin, path, trend.residual_sigma)
+
+
 def forecast_along_trend(
     trend: LinearSegment, origin: MonthStamp, horizon: int
 ) -> Forecast:
     """Evaluate the trend line monthly for ``horizon`` months after ``origin``."""
     if horizon < 1:
         raise ForecastError(f"horizon must be >= 1, got {horizon}")
-    at, k = _ordinal(origin), months_between(origin, trend.start)
-    path = tuple((_stamp(at + m), trend._at(k + m)) for m in range(1, horizon + 1))
-    return Forecast(
-        mode=ALONG_TREND, origin=origin, path=path, band_sigma=trend.residual_sigma
-    )
+    return _trend_forecast(ALONG_TREND, trend, origin, horizon)
 
 
 def forecast_return_to_trend(
@@ -179,16 +189,7 @@ def forecast_return_to_trend(
     if n < 1:
         raise ForecastError(f"deadline {deadline} must come after origin {origin}")
     deviation = float(value) - trend.predicted(origin)
-    at, k = _ordinal(origin), months_between(origin, trend.start)
-    path = tuple(
-        (_stamp(at + m), trend._at(k + m) + deviation * (1.0 - m / n)) for m in range(1, n + 1)
-    )
-    return Forecast(
-        mode=RETURN_TO_TREND,
-        origin=origin,
-        path=path,
-        band_sigma=trend.residual_sigma,
-    )
+    return _trend_forecast(RETURN_TO_TREND, trend, origin, n, lambda m: deviation * (1.0 - m / n))
 
 
 def forecast_pendulum(
@@ -224,9 +225,7 @@ def forecast_pendulum(
         # past the first crossing: full swings of the target amplitude
         return wave * amplitude * side
 
-    at, k = _ordinal(origin), months_between(origin, trend.start)
-    path = tuple((_stamp(at + m), trend._at(k + m) + deviation(m)) for m in range(1, horizon + 1))
-    return Forecast(mode=PENDULUM, origin=origin, path=path, band_sigma=trend.residual_sigma)
+    return _trend_forecast(PENDULUM, trend, origin, horizon, deviation)
 
 
 def chain_forecasts(first: Forecast, second: Forecast) -> tuple[tuple[MonthStamp, float], ...]:

@@ -49,6 +49,8 @@ class MonthStamp:
         return self.year + (self.month - 1) / 12.0
 
     def add_months(self, n: int) -> "MonthStamp":
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise TypeError(f"month count must be an integer, got {n!r}")
         return _stamp(_ordinal(self) + n)
 
     @classmethod

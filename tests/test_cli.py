@@ -13,6 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trendgap import (
+    Forecast,
+    MonthStamp,
+    extrapolate_headline,
+    fit_ols,
+    forecast_along_trend,
+    parse_series_csv,
+    rolling_backtest,
+    trailing_growth_rate,
+)
 from trendgap.cli import main, series_from_api_payload
 
 from conftest import FIXTURES
@@ -163,6 +173,26 @@ class TestTranslateAndBacktest:
         assert lines[0] == "origin,n,mae,rmse,bias,hit_rate"
         assert lines[1].startswith("2009-01,12,")
 
+    @pytest.mark.parametrize("annual_rate", [None, 2.5], ids=["trailing-rate", "given-rate"])
+    def test_headline_writes_component_index(self, crude_out, annual_rate):
+        config = fixture_config("crude")
+        headline_path = config["series"]["headline"]["path"]
+        config["translate"]["headline"] = {"path": headline_path, "id": "WPU00000000"}
+        if annual_rate is not None:
+            config["translate"]["annual_rate"] = annual_rate
+        cfg = crude_out.parent / "headline.json"
+        cfg.write_text(json.dumps(config))
+        assert run("translate", "--config", str(cfg), "--out", str(crude_out)) == 0
+
+        f = Forecast.from_csv((crude_out / "forecast.csv").read_text())
+        headline = parse_series_csv(Path(headline_path).read_text(), "WPU00000000")
+        rate = trailing_growth_rate(headline, f.origin) if annual_rate is None else annual_rate
+        extrapolated = extrapolate_headline(headline, f.origin, len(f.path), rate)
+        expected = [f"{s},{h - d!r}" for (s, h), d in zip(extrapolated, f.values)]
+        lines = (crude_out / "component_index.csv").read_text().splitlines()
+        assert lines == ["date,component_index", *expected]
+        assert lines[1].startswith("2011-01,") and len(lines) == 1 + 61
+
     def test_origin_after_series_end_exits_two(self, crude_out, capsys):
         config = json.loads((FIXTURES / "crude_config.json").read_text())
         for role in config["series"].values():
@@ -254,6 +284,10 @@ BAD_KEYS = [
     ("motor", "backtest", "backtest.horizon", DELETE, "config key 'backtest.horizon' is missing"),
     ("motor", "backtest", "backtest.horizon", 0, "backtest.horizon must be >= 1"),
     ("motor", "forecast", "forecast.horizon", DELETE, "config key 'forecast.horizon' is missing"),
+    ("motor", "forecast", "forecast.horizon", 8, "horizon 8 ends before forecast.deadline 2009-12"),
+    ("motor", "translate", "calibration", "none", "translate needs a calibration"),
+    ("motor", "backtest", "backtest.origins", [], "backtest.origins must list at least one origin"),
+    ("motor", "forecast", "forecast.trend", {"kind": "segment", "index": 2}, "forecast.trend.index"),
 ]
 
 
@@ -376,6 +410,52 @@ class TestBacktestLookahead:
         err = capsys.readouterr().err
         assert "forecast.trend.kind" in err and "missing" in err and "'trendgap fit'" in err
         assert "backtest" not in err
+        assert snapshot(out) == before
+
+
+class TestBaseline:
+    """``backtest.baseline`` fits OLS on ``fit_start..fit_end`` of the history up to each origin."""
+
+    @staticmethod
+    def config(origins) -> dict:
+        config = fixture_config("motor")
+        config["backtest"].update(
+            origins=origins,
+            forecast={
+                "mode": "along-trend",
+                "trend": {"kind": "endpoint", "start": ["2001-01", 0.0], "end": ["2008-06", 10.0]},
+            },
+        )
+        return config
+
+    def test_reports_match_the_forecaster_clipped_to_the_origin(self, tmp_path, motor_diff):
+        # 2008-06 is fit_end, so the first four origins come at or before it
+        origins = ["2001-02", "2003-07", "2006-01", "2008-06", "2008-07", "2009-03", "2010-03"]
+        out = prepare(tmp_path, "motor", ("diff",))
+        cfg = tmp_path / "origins.json"
+        cfg.write_text(json.dumps(self.config(origins)))
+        assert run("backtest", "--config", str(cfg), "--out", str(out)) == 0
+
+        fit_start, fit_end = MonthStamp(2001, 1), MonthStamp(2008, 6)
+
+        def clipped(history, origin, h):
+            return forecast_along_trend(fit_ols(history, (fit_start, min(fit_end, origin))), origin, h)
+
+        stamps = [MonthStamp.parse(o) for o in origins]
+        expected = [r.to_dict() for r in rolling_backtest(motor_diff, clipped, stamps, 9)]
+        doc = json.loads((out / "backtest.json").read_text())
+        assert doc["baseline_reports"] == expected
+        assert [r["origin"] for r in doc["baseline_reports"]] == origins
+
+    @pytest.mark.parametrize("origin", ["2000-06", "2001-01"])
+    def test_origin_leaving_under_two_fit_months_exits_two(self, tmp_path, capsys, origin):
+        out = prepare(tmp_path, "motor", ("diff",))
+        cfg = tmp_path / "early.json"
+        cfg.write_text(json.dumps(self.config([origin])))
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run("backtest", "--config", str(cfg), "--out", str(out)) == 2
+        assert "window 2001-01..2008-06 has" in capsys.readouterr().err
         assert snapshot(out) == before
 
 

@@ -86,6 +86,12 @@ class TestAlongTrend:
         assert all(v == -50.0 for v in f.values)
         assert f.mode == "along-trend"
 
+    def test_negative_zero_trend_value_keeps_its_sign(self):
+        trend = LinearSegment(MonthStamp(2009, 1), MonthStamp(2016, 1), -0.0, -0.0, 1.0, 0.0)
+        f = forecast_along_trend(trend, MonthStamp(2010, 1), 2)
+        assert [math.copysign(1.0, v) for v in f.values] == [-1.0, -1.0]
+        assert f.to_csv().splitlines()[1] == "2010-02,-0.0,-0.0,0.0"
+
     def test_monthly_increment_is_slope_over_twelve(self):
         trend = endpoint_trend((MonthStamp(2009, 1), -50.0), (MonthStamp(2016, 1), 75.0))
         f = forecast_along_trend(trend, MonthStamp(2009, 1), 84)

@@ -1,6 +1,7 @@
 """Series parsing, alignment, differencing and rebasing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,14 @@ class TestMonthStamp:
         assert s.add_months(10) == MonthStamp(2010, 1)
         assert s.add_months(10).add_months(-10) == s
         assert months_between(s.add_months(37), s) == 37
+
+    def test_add_months_takes_integers_only(self):
+        s = MonthStamp(2000, 1)
+        assert s.add_months(np.int64(1)) is s.add_months(1) == MonthStamp(2000, 2)
+        assert s.add_months(np.int32(-1)) == MonthStamp(1999, 12)
+        for count in (1.5, 1.0, True, False, "1", np.float64(2.0), None):
+            with pytest.raises(TypeError, match=re.escape(f"month count must be an integer, got {count!r}")):
+                s.add_months(count)
 
     def test_str_and_parse(self):
         assert str(MonthStamp(2009, 3)) == "2009-03"
