@@ -418,7 +418,8 @@ def cmd_translate(config: Section, base: Path, out: Path) -> StageResult:
     cal_section = tr if tr.get("calibration", default=None) is not None else config
     cal = _calibration_from_config(cal_section, "calibration", base)
     if cal is None:
-        raise ConfigError("translate needs a calibration")
+        keys = f"{tr.key('calibration')} or {config.key('calibration')}"
+        raise ConfigError(f"translate needs a calibration: set {keys}")
 
     outputs = {out / "translated_prices.csv": _prices_csv(f, cal)}
 
@@ -441,7 +442,7 @@ def cmd_translate(config: Section, base: Path, out: Path) -> StageResult:
 
 def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
     from .backtest import reports_to_csv, rolling_backtest
-    from .fitting import fit_ols
+    from .fitting import FitError, fit_ols
     from .forecast import forecast_along_trend
 
     bt = config.section("backtest")
@@ -461,6 +462,26 @@ def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
     if horizon < 1:
         raise ConfigError(f"{bt.key('horizon')} must be >= 1, got {horizon}")
 
+    baseline_cfg = bt.section("baseline", None)
+    baseline_reports: list[BacktestReport] = []
+    if baseline_cfg is not None:
+        fit_start = baseline_cfg.get("fit_start", _month)
+        window = (fit_start, baseline_cfg.get("fit_end", _month))
+
+        def baseline(history, origin, h):
+            # the history ends at the origin, so the fit never sees past it
+            try:
+                trend = fit_ols(history, window)
+            except FitError as exc:
+                if fit_start < origin:
+                    raise
+                key = baseline_cfg.key("fit_start")
+                raise ConfigError(f"{key} {fit_start} is not before origin {origin}: {exc}") from None
+            return forecast_along_trend(trend, origin, h)
+
+        # first, so that an origin too early for the baseline's window is named as such
+        baseline_reports = rolling_backtest(diff, baseline, origins, horizon)
+
     # no trend model: it is fitted on the whole series, past every origin
     reports = rolling_backtest(
         diff,
@@ -468,18 +489,6 @@ def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
         origins,
         horizon,
     )
-
-    baseline_cfg = bt.section("baseline", None)
-    baseline_reports: list[BacktestReport] = []
-    if baseline_cfg is not None:
-        # the history ends at the origin, so the fit never sees past it
-        window = (baseline_cfg.get("fit_start", _month), baseline_cfg.get("fit_end", _month))
-        baseline_reports = rolling_backtest(
-            diff,
-            lambda history, origin, h: forecast_along_trend(fit_ols(history, window), origin, h),
-            origins,
-            horizon,
-        )
 
     doc: dict = {"reports": [r.to_dict() for r in reports]}
     if baseline_reports:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,15 @@ def _stamp(ordinal) -> MonthStamp:
     return stamp
 
 
-def _month_text(ordinal: int) -> str:
-    return f"{ordinal // 12:04d}-{ordinal % 12 + 1:02d}"
+_TEXTS: dict[int, str] = {}  # by ordinal, as _STAMPS
+
+
+def _month_text(ordinal) -> str:
+    text = _TEXTS.get(ordinal)
+    if text is None:
+        year, month = divmod(int(ordinal), 12)
+        text = _TEXTS[int(ordinal)] = f"{year:04d}-{month + 1:02d}"
+    return text
 
 
 def _parse_ordinal(token: str) -> int:
@@ -256,8 +264,16 @@ def _write_csv(header: str, rows) -> str:
     """``header`` and one comma-joined line per row, each ending in a newline. ``None`` is
     an empty field; other values are written with ``str``, a float's exact ``repr``."""
     lines = [header]
-    lines.extend(",".join("" if v is None else str(v) for v in row) for row in rows)
+    lines += [",".join(["" if v is None else str(v) for v in row]) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+# the plain text that parse_series_csv reads in bulk
+_PLAIN_ROW = r"[0-9]{4}-(?:0[1-9]|1[0-2]),[-+0-9.eE]+"
+_PLAIN_SERIES_CSV = re.compile(rf"date,value(?:\n{_PLAIN_ROW})+\n?")
+# the 7 bytes of YYYY-MM to its ordinal: year * 12 + month - 1, less the ASCII '0's
+_DATE_WEIGHTS = np.array([12000, 1200, 120, 12, 0, 10, 1], dtype=np.int64)
+_DATE_OFFSET = ord("0") * int(_DATE_WEIGHTS.sum()) + 1
 
 
 def parse_series_csv(text: str, series_id: str, base_note: str = "") -> MonthlySeries:
@@ -266,7 +282,25 @@ def parse_series_csv(text: str, series_id: str, base_note: str = "") -> MonthlyS
     The first non-blank line must be exactly ``date,value``; data rows are
     ``YYYY-MM,<decimal>`` in any order. LF and CRLF line endings are accepted.
     Errors report the offending 1-based line number.
+
+    A plain text (the header, then ``YYYY-MM,<value>`` rows of ASCII digits, one LF
+    each, the last LF optional) is read in bulk. Every other text, and a plain one that
+    fails a check, is read line by line, and only that reader reports errors.
     """
+    if _PLAIN_SERIES_CSV.fullmatch(text):
+        fields = text[len("date,value\n") :].rstrip("\n").replace("\n", ",").split(",")
+        dates = np.frombuffer("".join(fields[0::2]).encode(), dtype=np.uint8).reshape(-1, 7)
+        months = dates @ _DATE_WEIGHTS - _DATE_OFFSET
+        order = np.argsort(months)
+        try:
+            return MonthlySeries._from_arrays(
+                months[order],
+                np.array([float(v) for v in fields[1::2]])[order],
+                series_id=series_id,
+                base_note=base_note,
+            )
+        except ValueError:  # float() refused a value, or _check a non-finite or repeated one
+            pass  # the line walker below names the line
     seen: dict[int, int] = {}
     values: list[float] = []
     for line_no, parts in _read_csv(text, "date,value", ParseError):

@@ -288,6 +288,9 @@ BAD_KEYS = [
     ("motor", "translate", "calibration", "none", "translate needs a calibration"),
     ("motor", "backtest", "backtest.origins", [], "backtest.origins must list at least one origin"),
     ("motor", "forecast", "forecast.trend", {"kind": "segment", "index": 2}, "forecast.trend.index"),
+    ("motor", "backtest", "backtest.origins", ["2000-06"],
+     "backtest.baseline.fit_start 2001-01 is not before origin 2000-06"),
+    ("motor", "translate", "calibration", None, "set translate.calibration or calibration"),
 ]
 
 

@@ -22,7 +22,7 @@ from trendgap import (
     series_to_csv,
 )
 from trendgap import series as series_module
-from trendgap.series import _read_csv, _stamp, _write_csv
+from trendgap.series import _month_text, _read_csv, _stamp, _write_csv
 
 
 def make_series(series_id, start, values):
@@ -597,19 +597,103 @@ class TestParseOracle:
         assert outcome(lambda: MonthStamp.parse(token)) == outcome(lambda: old_parse_stamp(token))
 
 
+# Plain texts: the header, then LF-ended YYYY-MM,<value> rows of ASCII digits.
+# Each is (body rows, final LF); the clean ones parse, the faulty ones fail a check.
+CLEAN_PLAIN = {
+    "in order": (["2000-01,1.5", "2000-02,2", "2000-03,-3.25"], True),
+    "out of order": (["2000-03,3", "2000-01,1", "1999-12,0", "2000-02,2"], True),
+    "no final LF": (["2000-01,1.5", "2000-02,2"], False),
+    "one row, no final LF": (["1997-12,161.8"], False),
+    "signs and exponents": (["2000-01,-0.0", "2000-02,1e-05", "2000-03,+7", "2000-04,.5",
+                             "2000-05,5.", "2000-06,1E5", "2000-07,-2.5e+3", "2000-08,007"], True),
+    "tiny and huge": (["2000-01,5e-324", "2000-02,1e308", "2000-03,0.30000000000000004"], True),
+    "years 0000 and 9999": (["9999-12,2", "0000-01,1", "9999-11,4", "0000-02,3"], True),
+}
+FAULTY_PLAIN = {
+    "duplicate month": (["2000-01,1", "2000-02,2", "2000-01,3"], True),
+    "out-of-order duplicate": (["2000-03,1", "2000-01,2", "2000-03,3"], False),
+    "overflow": (["2000-01,1", "2000-02,1e999"], True),
+    "negative overflow": (["2000-01,-1e999"], False),
+    "a lone point": (["2000-01,1", "2000-02,."], True),
+    "double sign": (["2000-01,--1"], True),
+    "no mantissa": (["2000-01,e5"], True),
+    "two points": (["2000-01,1.2.3"], True),
+    "month 00": (["2000-00,1"], True),
+    "month 13": (["2000-01,1", "2000-13,1"], True),
+    "empty body": ([], True),
+    "no value": (["2000-01,"], True),
+}
+
+
+def plain_text(rows, final_lf):
+    return "\n".join(["date,value", *rows]) + ("\n" if final_lf else "")
+
+
+def parsed_exactly(parse, text):
+    """``parsed``, with each value's repr, so that -0.0 and 0.0 differ."""
+    got = parsed(parse, text)
+    return got if got[0] is ParseError else (got, [repr(v) for _, v in got[2]])
+
+
+class TestBulkParse:
+    """Plain text is read in bulk; it gives what the line walker gives, and only the
+    walker reports errors."""
+
+    @pytest.mark.parametrize("case", [*CLEAN_PLAIN, *FAULTY_PLAIN])
+    def test_plain_texts_match_the_per_stamp_parser(self, case):
+        text = plain_text(*{**CLEAN_PLAIN, **FAULTY_PLAIN}[case])
+        want = parsed_exactly(old_parse_series_csv, text)
+        assert parsed_exactly(parse_series_csv, text) == want
+        assert (want[0] is ParseError) == (case in FAULTY_PLAIN)
+
+    def test_only_faulty_plain_texts_reach_the_line_walker(self, monkeypatch):
+        class Walked(Exception):
+            pass
+
+        def walker(*args):
+            raise Walked
+
+        expected = {case: parsed_exactly(parse_series_csv, plain_text(*rows))
+                    for case, rows in CLEAN_PLAIN.items()}
+        monkeypatch.setattr(series_module, "_read_csv", walker)
+        for case, rows in CLEAN_PLAIN.items():
+            assert parsed_exactly(parse_series_csv, plain_text(*rows)) == expected[case], case
+        for case, rows in FAULTY_PLAIN.items():
+            with pytest.raises(Walked):
+                parse_series_csv(plain_text(*rows), "x")
+        # any other form goes to the walker too, even when it would parse
+        for text in ("date,value\r\n2000-01,1\r\n", "date,value\n\n2000-01,1\n",
+                     "date,value\n2000-01, 1\n", "date,value\n２０００-01,1\n",
+                     "date,value\n2000-01,1\n\n"):
+            with pytest.raises(Walked):
+                parse_series_csv(text, "x")
+
+
 class TestMonthText:
     @pytest.mark.parametrize("start", ["0000-06", "0001-01", "0999-11", "1999-12", "9999-01"])
     def test_series_to_csv_equals_the_observation_rows(self, start):
         rng = np.random.default_rng(62)
         first = MonthStamp.parse(start)
+        # values whose repr is easy to get wrong, then random ones
+        values = [-0.0, 5e-324, 1e16, 0.1 + 0.2, *rng.normal(0, 1e3, 2)]
         # every other month of a year: a series from 9999-01 ends by 9999-12, the last stamp
-        obs = tuple(
-            (first.add_months(m), float(v)) for m, v in zip(range(0, 12, 2), rng.normal(0, 1e3, 6))
-        )
+        obs = tuple((first.add_months(m), float(v)) for m, v in zip(range(0, 12, 2), values))
         series = MonthlySeries("x", "", obs)
         assert series_to_csv(series) == _write_csv("date,value", series.observations)
         assert series_to_csv(series) == _write_csv(
             "date,value", ((old_str(stamp), value) for stamp, value in obs)
         )
-        assert series_to_csv(series).splitlines()[1].startswith(f"{start},")
+        assert series_to_csv(series) == "date,value\n" + "".join(
+            f"{old_str(stamp)},{value!r}\n" for stamp, value in obs
+        )
+        assert series_to_csv(series).splitlines()[1] == f"{start},-0.0"
         assert [str(stamp) for stamp, _ in obs] == [old_str(stamp) for stamp, _ in obs]
+
+    @pytest.mark.parametrize("year, month", [(0, 1), (2009, 4), (9999, 12)])
+    def test_month_text_is_interned_for_int_and_numpy_ordinals(self, year, month):
+        o = year * 12 + month - 1
+        text = _month_text(np.int64(o))
+        assert text == old_str(MonthStamp(year, month))
+        assert _month_text(o) is text
+        assert str(MonthStamp(year, month)) is text
+        assert all(type(key) is int for key in series_module._TEXTS)
