@@ -6,9 +6,10 @@ in memory. ``main`` writes every output or none and prints the report only
 after the write, so a failing run leaves no partial artifacts and prints no
 report. Exit codes: 0 success, 1 internal error, 2 invalid input or config.
 
-Only ``series`` is imported here: each subcommand, and each helper that only
-some subcommands call, imports the stage modules it runs, so a process loads
-no fitting, forecasting, price or backtest code that its subcommand never uses.
+Only ``series`` is imported here. Every stage name is reached through the
+package as ``tg.<module>.<name>``, and the package loads a stage module on the
+first such use, so a process loads no fitting, forecasting, price or backtest
+code that its subcommand never uses.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+
+import trendgap as tg
 
 from .series import (
     DifferenceSeries,
     MonthlySeries,
     MonthStamp,
+    SeriesError,
     _month_text,
     _write_csv,
     difference,
@@ -32,11 +35,6 @@ from .series import (
     parse_series_csv,
     series_to_csv,
 )
-
-if TYPE_CHECKING:  # names used only in annotations
-    from .backtest import BacktestReport
-    from .fitting import LinearSegment, TrendModel
-    from .forecast import Forecast
 
 DEFAULT_API_BASE = "https://api.bls.gov/publicAPI/v2"
 
@@ -225,26 +223,34 @@ def cmd_diff(config: Section, base: Path, out: Path) -> StageResult:
 
 
 def cmd_fit(config: Section, base: Path, out: Path) -> StageResult:
-    from .fitting import MAX_TRANSITION_MONTHS, build_trend_model, detect_breakpoints
-
     seg = config.section("segmentation")
     diff = _difference_from_config(config, out)
     k = seg.get("k", _integer, 1)
     min_len = seg.get("min_len", _integer, 60)
     halfwidth = seg.get("transition_halfwidth", _integer, 12)
+
+    def cut(series, start, end, *keys):
+        """``series`` cut to ``start..end``; a cut with no month names the ``keys`` that set it."""
+        try:
+            return series.restrict(start, end)
+        except SeriesError:
+            named = " and ".join(seg.key(key) for key in keys if seg.values.get(key) is not None)
+            empty = f"the difference {series.start}..{series.end} has no data in {start}..{end}"
+            raise ConfigError(f"{named}: {empty}") from None
+
     fit_start, fit_end = seg.get("fit_start", _month, None), seg.get("fit_end", _month, None)
-    diff = diff.restrict(fit_start or diff.start, fit_end or diff.end)
+    diff = cut(diff, fit_start or diff.start, fit_end or diff.end, "fit_start", "fit_end")
     detect_end = seg.get("detect_end", _month, None)
-    detect_diff = diff if detect_end is None else diff.restrict(diff.start, detect_end)
+    detect_diff = diff if detect_end is None else cut(diff, diff.start, detect_end, "detect_end")
     tail_start = seg.get("tail_start", _month, None)
     tail = 0 if tail_start is None else months_between(diff.end, tail_start) + 1
-    if tail > MAX_TRANSITION_MONTHS:
+    if tail > tg.fitting.MAX_TRANSITION_MONTHS:
         raise ConfigError(
             f"config key '{seg.key('tail_start')}': {tail_start}..{diff.end} exceeds the "
-            f"{MAX_TRANSITION_MONTHS}-month limit: {tail} months"
+            f"{tg.fitting.MAX_TRANSITION_MONTHS}-month limit: {tail} months"
         )
-    breakpoints = detect_breakpoints(detect_diff, k, min_len)
-    model = build_trend_model(diff, breakpoints, halfwidth, tail_start=tail_start)
+    breakpoints = tg.fitting.detect_breakpoints(detect_diff, k, min_len)
+    model = tg.fitting.build_trend_model(diff, breakpoints, halfwidth, tail_start=tail_start)
 
     outputs = {
         out / "trend_model.json": model.to_json(),
@@ -260,7 +266,7 @@ def cmd_fit(config: Section, base: Path, out: Path) -> StageResult:
     return outputs, report
 
 
-def _residuals_csv(diff: DifferenceSeries, model: TrendModel) -> str:
+def _residuals_csv(diff: DifferenceSeries, model: tg.fitting.TrendModel) -> str:
     zones, _, trend = model._zones(diff._months)
     rows = zip(map(_month_text, diff._months.tolist()), diff._values.tolist(), trend.tolist())
     cells = (
@@ -270,7 +276,7 @@ def _residuals_csv(diff: DifferenceSeries, model: TrendModel) -> str:
     return _write_csv("date,value,predicted,residual,zone", cells)
 
 
-def _model_segment(model: TrendModel | None, trend: Section, key: str):
+def _model_segment(model: tg.fitting.TrendModel | None, trend: Section, key: str):
     if model is None:
         raise ConfigError(
             f"{trend.key('kind')} {trend.get('kind')!r} needs trend_model.json, which is "
@@ -284,21 +290,19 @@ def _model_segment(model: TrendModel | None, trend: Section, key: str):
 
 
 def _trend_from_config(
-    trend: Section, model: TrendModel | None, diff: DifferenceSeries
-) -> LinearSegment:
-    from .fitting import fit_ols
-    from .forecast import endpoint_trend, mirror_trend
-
+    trend: Section, model: tg.fitting.TrendModel | None, diff: DifferenceSeries
+) -> tg.fitting.LinearSegment:
     kind = trend.get("kind", default=None)
     if kind == "endpoint":
-        return endpoint_trend(trend.get("start", _anchor), trend.get("end", _anchor))
+        return tg.forecast.endpoint_trend(trend.get("start", _anchor), trend.get("end", _anchor))
     if kind == "fit":
-        return fit_ols(diff, (trend.get("start", _month), trend.get("end", _month)))
+        return tg.fitting.fit_ols(diff, (trend.get("start", _month), trend.get("end", _month)))
     if kind == "segment":
         return _model_segment(model, trend, "index")
     if kind == "mirror":
         prev = _model_segment(model, trend, "segment_index")
-        return mirror_trend(prev, trend.get("pivot", _anchor), trend.get("duration", _integer, 84))
+        pivot, duration = trend.get("pivot", _anchor), trend.get("duration", _integer, 84)
+        return tg.forecast.mirror_trend(prev, pivot, duration)
     raise ConfigError(
         f"config key '{trend.key('kind')}': unknown trend kind {kind!r} "
         "(endpoint | fit | segment | mirror)"
@@ -308,43 +312,34 @@ def _trend_from_config(
 def _forecast_from_config(
     fc: Section,
     diff: DifferenceSeries,
-    model: TrendModel | None,
+    model: tg.fitting.TrendModel | None,
     origin: MonthStamp,
     horizon: int,
-) -> Forecast:
+) -> tg.forecast.Forecast:
     """Build the forecast that the config section ``fc`` describes."""
-    from .forecast import (
-        ALONG_TREND,
-        PENDULUM,
-        RETURN_TO_TREND,
-        Forecast,
-        forecast_along_trend,
-        forecast_pendulum,
-        forecast_return_to_trend,
-    )
-
     mode = fc.get("mode")
-    if mode not in (ALONG_TREND, RETURN_TO_TREND, PENDULUM):
+    if mode not in (tg.forecast.ALONG_TREND, tg.forecast.RETURN_TO_TREND, tg.forecast.PENDULUM):
         raise ConfigError(f"config key '{fc.key('mode')}': unknown forecast mode {mode!r}")
     trend = _trend_from_config(fc.section("trend", {"kind": "segment"}), model, diff)
 
-    if mode == ALONG_TREND:
-        return forecast_along_trend(trend, origin, horizon)
+    if mode == tg.forecast.ALONG_TREND:
+        return tg.forecast.forecast_along_trend(trend, origin, horizon)
 
     current = (origin, diff.value_at(origin))
-    if mode == RETURN_TO_TREND:
+    if mode == tg.forecast.RETURN_TO_TREND:
         deadline = fc.get("deadline", _month)
-        first = forecast_return_to_trend(current, trend, deadline)
+        first = tg.forecast.forecast_return_to_trend(current, trend, deadline)
         rest = horizon - len(first.path)
         if rest < 0:
             raise ConfigError(f"horizon {horizon} ends before {fc.key('deadline')} {deadline}")
         if rest == 0:
             return first
         # past the deadline the path follows the trend it has returned to
-        path = first.path + forecast_along_trend(trend, deadline, rest).path
-        return Forecast(f"{RETURN_TO_TREND}+{ALONG_TREND}", origin, path, first.band_sigma)
+        path = first.path + tg.forecast.forecast_along_trend(trend, deadline, rest).path
+        chained = f"{mode}+{tg.forecast.ALONG_TREND}"
+        return tg.forecast.Forecast(chained, origin, path, first.band_sigma)
 
-    return forecast_pendulum(
+    return tg.forecast.forecast_pendulum(
         current,
         trend,
         amplitude=fc.get("amplitude", float),
@@ -358,38 +353,31 @@ def _calibration_from_config(config: Section, key: str, base: Path):
     kind = cal_cfg.get("kind") if isinstance(cal_cfg, dict) else cal_cfg
     if cal_cfg in (None, "none"):
         return None
-    from .prices import CRUDE_OIL_HEURISTIC, calibrate_price, parse_calibration_pairs_csv
-
     if kind == "heuristic":
-        return CRUDE_OIL_HEURISTIC
+        return tg.prices.CRUDE_OIL_HEURISTIC
     if kind == "fitted" and isinstance(cal_cfg, dict):
         path = base / config.section(key).get("pairs_csv", _path)
-        pairs = _load(path, parse_calibration_pairs_csv)
-        return calibrate_price(pairs)
+        return tg.prices.calibrate_price(_load(path, tg.prices.parse_calibration_pairs_csv))
     raise ConfigError(f"{config.key(key)}: unknown calibration {cal_cfg!r}")
 
 
-def _prices_csv(forecast: Forecast, cal) -> str:
-    from .prices import index_to_price
-
+def _prices_csv(forecast: tg.forecast.Forecast, cal) -> str:
     band = forecast.band_sigma
     rows = []
     for stamp, value in forecast.path:
-        edges = sorted((index_to_price(cal, value - band), index_to_price(cal, value + band)))
-        rows.append((stamp, index_to_price(cal, value), *edges))
+        edges = sorted(tg.prices.index_to_price(cal, value + d) for d in (-band, band))
+        rows.append((stamp, tg.prices.index_to_price(cal, value), *edges))
     return _write_csv("date,price_usd,low,high", rows)
 
 
 def cmd_forecast(config: Section, base: Path, out: Path) -> StageResult:
-    from .fitting import TrendModel
-
     fc = config.section("forecast")
     horizon = fc.get("horizon", _integer)
     if horizon < 1:
         raise ConfigError(f"{fc.key('horizon')} must be >= 1, got {horizon}")
 
     model_path = out / "trend_model.json"
-    model = _load(model_path, TrendModel.from_json) if model_path.exists() else None
+    model = _load(model_path, tg.fitting.TrendModel.from_json) if model_path.exists() else None
     diff = _difference_from_config(config, out)
     origin = fc.get("origin", _month)
     f = _forecast_from_config(fc, diff, model, origin, horizon)
@@ -405,16 +393,9 @@ def cmd_forecast(config: Section, base: Path, out: Path) -> StageResult:
 
 
 def cmd_translate(config: Section, base: Path, out: Path) -> StageResult:
-    from .forecast import Forecast
-    from .prices import (
-        component_index_from_difference,
-        extrapolate_headline,
-        index_to_price,
-        trailing_growth_rate,
-    )
-
     tr = config.section("translate", {})
-    f = _load(tr.get("forecast_csv", _path, None) or out / "forecast.csv", Forecast.from_csv)
+    forecast_csv = tr.get("forecast_csv", _path, None) or out / "forecast.csv"
+    f = _load(forecast_csv, tg.forecast.Forecast.from_csv)
     cal_section = tr if tr.get("calibration", default=None) is not None else config
     cal = _calibration_from_config(cal_section, "calibration", base)
     if cal is None:
@@ -428,23 +409,19 @@ def cmd_translate(config: Section, base: Path, out: Path) -> StageResult:
         headline = _load_series(headline_cfg, base)
         rate = tr.get("annual_rate", float, None)
         if rate is None:
-            rate = trailing_growth_rate(headline, f.origin)
-        extrapolated = extrapolate_headline(headline, f.origin, len(f.path), rate)
-        component = component_index_from_difference(extrapolated, f)
+            rate = tg.prices.trailing_growth_rate(headline, f.origin)
+        extrapolated = tg.prices.extrapolate_headline(headline, f.origin, len(f.path), rate)
+        component = tg.prices.component_index_from_difference(extrapolated, f)
         outputs[out / "component_index.csv"] = _write_csv("date,component_index", component)
 
     first, last = f.path[0], f.path[-1]
     return outputs, [
-        f"prices: {first[0]} -> {index_to_price(cal, first[1]):.2f} USD, "
-        f"{last[0]} -> {index_to_price(cal, last[1]):.2f} USD"
+        f"prices: {first[0]} -> {tg.prices.index_to_price(cal, first[1]):.2f} USD, "
+        f"{last[0]} -> {tg.prices.index_to_price(cal, last[1]):.2f} USD"
     ]
 
 
 def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
-    from .backtest import reports_to_csv, rolling_backtest
-    from .fitting import FitError, fit_ols
-    from .forecast import forecast_along_trend
-
     bt = config.section("backtest")
     fc = bt.section("forecast", None) or config.section("forecast")
     trend = fc.section("trend", {"kind": "segment"})
@@ -463,7 +440,7 @@ def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
         raise ConfigError(f"{bt.key('horizon')} must be >= 1, got {horizon}")
 
     baseline_cfg = bt.section("baseline", None)
-    baseline_reports: list[BacktestReport] = []
+    baseline_reports: list[tg.backtest.BacktestReport] = []
     if baseline_cfg is not None:
         fit_start = baseline_cfg.get("fit_start", _month)
         window = (fit_start, baseline_cfg.get("fit_end", _month))
@@ -471,19 +448,20 @@ def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
         def baseline(history, origin, h):
             # the history ends at the origin, so the fit never sees past it
             try:
-                trend = fit_ols(history, window)
-            except FitError as exc:
-                if fit_start < origin:
-                    raise
-                key = baseline_cfg.key("fit_start")
-                raise ConfigError(f"{key} {fit_start} is not before origin {origin}: {exc}") from None
-            return forecast_along_trend(trend, origin, h)
+                trend = tg.fitting.fit_ols(history, window)
+            except tg.fitting.FitError as exc:
+                where = f"{baseline_cfg.path} at origin {origin}"
+                if fit_start >= origin:
+                    key = baseline_cfg.key("fit_start")
+                    where = f"{key} {fit_start} is not before origin {origin}"
+                raise ConfigError(f"{where}: {exc}") from None
+            return tg.forecast.forecast_along_trend(trend, origin, h)
 
         # first, so that an origin too early for the baseline's window is named as such
-        baseline_reports = rolling_backtest(diff, baseline, origins, horizon)
+        baseline_reports = tg.backtest.rolling_backtest(diff, baseline, origins, horizon)
 
     # no trend model: it is fitted on the whole series, past every origin
-    reports = rolling_backtest(
+    reports = tg.backtest.rolling_backtest(
         diff,
         lambda history, origin, h: _forecast_from_config(fc, history, None, origin, h),
         origins,
@@ -494,7 +472,7 @@ def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
     if baseline_reports:
         doc["baseline_reports"] = [r.to_dict() for r in baseline_reports]
     outputs = {
-        out / "backtest.csv": reports_to_csv(reports),
+        out / "backtest.csv": tg.backtest.reports_to_csv(reports),
         out / "backtest.json": json.dumps(doc, indent=2) + "\n",
     }
     report = ["origin    n   mae      rmse     bias     hit_rate"]

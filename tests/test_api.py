@@ -164,3 +164,30 @@ def test_fit_loads_only_fitting(tmp_path):
     assert main(["diff", "--config", MOTOR_CONFIG, "--out", str(tmp_path)]) == 0
     loaded = loaded_by(cli_run("fit", "--config", MOTOR_CONFIG, "--out", str(tmp_path)))
     assert loaded & STAGES == {"trendgap.fitting"}
+
+
+#: The README's fixture pipelines, in order, and the stage modules each subcommand loads.
+STARTUP = [
+    ("motor", "diff", set()),
+    ("motor", "fit", {"fitting"}),
+    ("motor", "forecast", {"fitting", "forecast"}),
+    ("motor", "backtest", {"fitting", "forecast", "backtest"}),
+    ("crude", "diff", set()),
+    ("crude", "fit", {"fitting"}),
+    ("crude", "forecast", {"fitting", "forecast", "prices"}),
+    ("crude", "translate", {"fitting", "forecast", "prices"}),
+    ("crude", "backtest", {"fitting", "forecast", "backtest"}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, command, stages", STARTUP, ids=[f"{name}-{command}" for name, command, _ in STARTUP]
+)
+def test_each_fixture_subcommand_loads_exactly_its_stage_modules(tmp_path, name, command, stages):
+    config = str(FIXTURES / f"{name}_config.json")
+    steps = [step for pipeline, step, _ in STARTUP if pipeline == name]
+    for step in steps[: steps.index(command)]:
+        assert main([step, "--config", config, "--out", str(tmp_path)]) == 0
+    loaded = loaded_by(cli_run(command, "--config", config, "--out", str(tmp_path)))
+    expected = {"trendgap", "trendgap.series", "trendgap.cli"}
+    assert loaded == expected | {f"trendgap.{stage}" for stage in stages}

@@ -291,6 +291,16 @@ BAD_KEYS = [
     ("motor", "backtest", "backtest.origins", ["2000-06"],
      "backtest.baseline.fit_start 2001-01 is not before origin 2000-06"),
     ("motor", "translate", "calibration", None, "set translate.calibration or calibration"),
+    ("motor", "backtest", "backtest.origins", "2009-03",
+     "config key 'backtest.origins': expected a list of 'YYYY-MM' strings, got '2009-03'"),
+    ("motor", "backtest", "backtest.baseline.fit_end", "2000-01",
+     "backtest.baseline at origin 2009-03: window end 2000-01 before start 2001-01"),
+    ("motor", "fit", "segmentation.fit_start", "2020-01",
+     "segmentation.fit_start: the difference 1980-01..2010-12 has no data in 2020-01..2010-12"),
+    ("motor", "fit", "segmentation.detect_end", "1970-01",
+     "segmentation.detect_end: the difference 1980-01..2010-12 has no data in 1980-01..1970-01"),
+    ("crude", "fit", "segmentation.fit_end", "1987-12",
+     "segmentation.fit_start and segmentation.fit_end: the difference"),
 ]
 
 
@@ -334,7 +344,9 @@ class TestConfigErrors:
         assert named in capsys.readouterr().err
         assert snapshot(out) == before
 
-    def test_gap_in_the_fit_window_names_the_first_missing_month(self, tmp_path, capsys):
+    @staticmethod
+    def gapped_motor_config(tmp_path) -> Path:
+        """The motor fixture config with 2003-05 and 2003-06 cut from its headline."""
         config = fixture_config("motor")
         headline = Path(config["series"]["headline"]["path"])
         kept = [
@@ -346,6 +358,10 @@ class TestConfigErrors:
         config["series"]["headline"]["path"] = str(gapped)
         cfg = tmp_path / "gapped.json"
         cfg.write_text(json.dumps(config))
+        return cfg
+
+    def test_gap_in_the_fit_window_names_the_first_missing_month(self, tmp_path, capsys):
+        cfg = self.gapped_motor_config(tmp_path)
         out = tmp_path / "out"
         assert run("diff", "--config", str(cfg), "--out", str(out)) == 0
         assert "first: 2003-05" in capsys.readouterr().err
@@ -354,6 +370,30 @@ class TestConfigErrors:
         assert run("fit", "--config", str(cfg), "--out", str(out)) == 2
         assert "first missing month 2003-05" in capsys.readouterr().err
         assert snapshot(out) == before
+
+    def test_gap_in_the_baseline_window_names_the_baseline_and_origin(self, tmp_path, capsys):
+        cfg = self.gapped_motor_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("diff", "--config", str(cfg), "--out", str(out)) == 0
+        before = snapshot(out)
+        capsys.readouterr()
+
+        assert run("backtest", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "backtest.baseline at origin 2009-03: window 2001-01..2008-06 has missing" in err
+        assert snapshot(out) == before
+
+    def test_config_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[]")
+        assert run("diff", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+        assert "error: config must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_no_output_directory_exits_two(self, capsys):
+        assert run("diff", "--config", str(FIXTURES / "motor_config.json")) == 2
+        err = capsys.readouterr().err
+        assert "error: no output directory: pass --out or set 'out' in the config" in err
 
     def test_long_trailing_transition_names_tail_start(self, tmp_path, capsys):
         out = tmp_path / "out"
