@@ -55,28 +55,26 @@ def score(
 ) -> BacktestReport:
     """Compare a forecast path to realized values month by month; tag the report with ``origin``."""
     at, found = actual._lookup([_ordinal(stamp) for stamp, _ in forecast.path])
-    overlap = [
-        (pred, act)
-        for (_, pred), act, keep in zip(forecast.path, actual._values[at].tolist(), found.tolist())
-        if keep
-    ]
-    if not overlap:
+    # one walk over the overlapping months: the errors, and the sign agreement of each
+    # month-over-month change with the previous overlapping month's
+    errors, hits, counted, last = [], 0, 0, None
+    for (_, pred), act, keep in zip(forecast.path, actual._values[at].tolist(), found.tolist()):
+        if not keep:
+            continue
+        if last is not None:
+            dp, da = pred - last[0], act - last[1]
+            if dp != 0.0 and da != 0.0:
+                counted += 1
+                hits += (dp > 0) == (da > 0)
+        last = pred, act
+        errors.append(pred - act)
+    if not errors:
         raise BacktestError("forecast and actuals share no months")
 
-    errors = [pred - act for pred, act in overlap]
     n = len(errors)
-    mae = sum(abs(e) for e in errors) / n
-    rmse = math.sqrt(sum(e * e for e in errors) / n)
+    mae = sum(map(abs, errors)) / n
+    rmse = math.sqrt(sum([e * e for e in errors]) / n)
     bias = sum(errors) / n
-
-    hits = counted = 0
-    for (p0, a0), (p1, a1) in zip(overlap, overlap[1:]):
-        dp, da = p1 - p0, a1 - a0
-        if dp == 0.0 or da == 0.0:
-            continue
-        counted += 1
-        if (dp > 0) == (da > 0):
-            hits += 1
     hit_rate = hits / counted if counted else 1.0
 
     return BacktestReport(n, mae, rmse, bias, hit_rate, origin)

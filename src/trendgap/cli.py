@@ -290,13 +290,18 @@ def _model_segment(model: tg.fitting.TrendModel | None, trend: Section, key: str
 
 
 def _trend_from_config(
-    trend: Section, model: tg.fitting.TrendModel | None, diff: DifferenceSeries
+    trend: Section, model: tg.fitting.TrendModel | None, diff: DifferenceSeries, where: str = ""
 ) -> tg.fitting.LinearSegment:
+    """The trend ``trend`` describes; a fit error names the window's keys, then ``where``."""
     kind = trend.get("kind", default=None)
     if kind == "endpoint":
         return tg.forecast.endpoint_trend(trend.get("start", _anchor), trend.get("end", _anchor))
     if kind == "fit":
-        return tg.fitting.fit_ols(diff, (trend.get("start", _month), trend.get("end", _month)))
+        try:
+            return tg.fitting.fit_ols(diff, (trend.get("start", _month), trend.get("end", _month)))
+        except tg.fitting.FitError as exc:
+            keys = f"{trend.key('start')} and {trend.key('end')}{where}"
+            raise ConfigError(f"{keys}: {exc}") from None
     if kind == "segment":
         return _model_segment(model, trend, "index")
     if kind == "mirror":
@@ -315,12 +320,13 @@ def _forecast_from_config(
     model: tg.fitting.TrendModel | None,
     origin: MonthStamp,
     horizon: int,
+    where: str = "",
 ) -> tg.forecast.Forecast:
-    """Build the forecast that the config section ``fc`` describes."""
+    """Build the forecast that the config section ``fc`` describes; ``where`` as for the trend."""
     mode = fc.get("mode")
     if mode not in (tg.forecast.ALONG_TREND, tg.forecast.RETURN_TO_TREND, tg.forecast.PENDULUM):
         raise ConfigError(f"config key '{fc.key('mode')}': unknown forecast mode {mode!r}")
-    trend = _trend_from_config(fc.section("trend", {"kind": "segment"}), model, diff)
+    trend = _trend_from_config(fc.section("trend", {"kind": "segment"}), model, diff, where)
 
     if mode == tg.forecast.ALONG_TREND:
         return tg.forecast.forecast_along_trend(trend, origin, horizon)
@@ -463,7 +469,9 @@ def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
     # no trend model: it is fitted on the whole series, past every origin
     reports = tg.backtest.rolling_backtest(
         diff,
-        lambda history, origin, h: _forecast_from_config(fc, history, None, origin, h),
+        lambda history, origin, h: _forecast_from_config(
+            fc, history, None, origin, h, f" at origin {origin}"
+        ),
         origins,
         horizon,
     )

@@ -9,6 +9,7 @@ positions, and assembles the fitted structure into a :class:`TrendModel`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,7 +46,7 @@ class LinearSegment:
     def __post_init__(self):
         for name in ("intercept", "slope", "r_squared", "residual_sigma"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.end < self.start:
+        if _ordinal(self.end) < _ordinal(self.start):
             raise ValueError(f"segment end {self.end} before start {self.start}")
         if not 0.0 <= self.r_squared <= 1.0:
             raise ValueError(f"r_squared {self.r_squared} outside [0, 1]")
@@ -217,7 +218,7 @@ def fit_ols(diff: DifferenceSeries, window: tuple[MonthStamp, MonthStamp]) -> Li
         so ``intercept`` is the trend value there.
     """
     lo, hi = window
-    if hi < lo:
+    if _ordinal(hi) < _ordinal(lo):
         raise FitError(f"window end {hi} before start {lo}")
     keep = diff._window(lo, hi)
     months = diff._months[keep]
@@ -231,7 +232,8 @@ def fit_ols(diff: DifferenceSeries, window: tuple[MonthStamp, MonthStamp]) -> Li
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     sse = float(resid @ resid)
-    sst = float(np.sum((y - y.mean()) ** 2))
+    d = y - np.add.reduce(y) / n  # y.mean() and np.sum of the squares, without their wrappers
+    sst = float(np.add.reduce(d * d))
     # Zero-variance target: define r_squared as 0 for stable downstream thresholds.
     r_squared = 0.0 if sst == 0.0 else max(0.0, min(1.0, 1.0 - sse / sst))
     return LinearSegment(
@@ -240,7 +242,7 @@ def fit_ols(diff: DifferenceSeries, window: tuple[MonthStamp, MonthStamp]) -> Li
         intercept=float(coef[0]),
         slope=float(coef[1]),
         r_squared=r_squared,
-        residual_sigma=float(np.sqrt(sse / (n - 1))),
+        residual_sigma=math.sqrt(sse / (n - 1)),
     )
 
 

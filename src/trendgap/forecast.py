@@ -160,9 +160,10 @@ def _trend_forecast(
     at, k = _ordinal(origin), months_between(origin, trend.start)
     months = range(1, steps + 1)
     if deviation is None:
-        path = tuple((_stamp(at + m), trend._at(k + m)) for m in months)
+        values = [trend._at(k + m) for m in months]
     else:
-        path = tuple((_stamp(at + m), trend._at(k + m) + deviation(m)) for m in months)
+        values = [trend._at(k + m) + deviation(m) for m in months]
+    path = tuple(zip(map(_stamp, range(at + 1, at + steps + 1)), values))
     return Forecast(mode, origin, path, trend.residual_sigma)
 
 

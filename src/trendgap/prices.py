@@ -182,11 +182,14 @@ def lead_lag(
         if detrend:
             xs = _detrended(a._months[ia], xs)
             ys = _detrended(a._months[ia], ys)
-        sx, sy = xs.std(), ys.std()
+        # np.std's and np.mean's own steps, each deviation computed once for both
+        n = len(ia)
+        dx, dy = xs - np.add.reduce(xs) / n, ys - np.add.reduce(ys) / n
+        sx, sy = math.sqrt(np.add.reduce(dx * dx) / n), math.sqrt(np.add.reduce(dy * dy) / n)
         if sx == 0.0 or sy == 0.0:
             corr = 0.0
         else:
-            corr = float(np.mean((xs - xs.mean()) * (ys - ys.mean())) / (sx * sy))
+            corr = float(np.add.reduce(dx * dy) / n / (sx * sy))
         candidates.append((lag, corr))
     # max keeps the first of equal correlations: the smallest absolute lag
     return max(candidates, key=lambda c: c[1])

@@ -8,8 +8,8 @@ components is measured in the same units.
 
 from __future__ import annotations
 
-import copy
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -43,6 +43,8 @@ class MonthStamp:
             raise ValueError(
                 f"no month {self.year}-{self.month}: year must be in 0..9999 and month in 1..12"
             )
+        # what _ordinal reads; not a field, so equality, order, hash and repr ignore it
+        object.__setattr__(self, "_ord", self.year * 12 + self.month - 1)
 
     @property
     def t(self) -> float:
@@ -68,8 +70,7 @@ def months_between(later: MonthStamp, earlier: MonthStamp) -> int:
     return _ordinal(later) - _ordinal(earlier)
 
 
-def _ordinal(stamp: MonthStamp) -> int:
-    return stamp.year * 12 + stamp.month - 1
+_ordinal = operator.attrgetter("_ord")  # a stamp's year * 12 + month - 1, kept at construction
 
 
 _STAMPS: dict[int, MonthStamp] = {}  # by ordinal; an invalid ordinal raises and is not kept
@@ -149,13 +150,14 @@ class _ObservationMixin:
 
     def _take(self, keep):
         """This series cut to the positions ``keep`` (a slice or an index array)."""
-        part = copy.copy(self)
-        part._months, part._values = self._months[keep], self._values[keep]
+        part = object.__new__(type(self))
+        vars(part).update(vars(self), _months=self._months[keep], _values=self._values[keep])
         return part
 
     def _window(self, start: MonthStamp, end: MonthStamp) -> slice:
         """The positions of the months in ``start..end``."""
-        return slice(*np.searchsorted(self._months, [_ordinal(start), _ordinal(end) + 1]).tolist())
+        find = self._months.searchsorted
+        return slice(int(find(_ordinal(start))), int(find(_ordinal(end) + 1)))
 
     def restrict(self, start: MonthStamp, end: MonthStamp):
         """The same series cut to the months in ``start..end``."""
@@ -190,7 +192,7 @@ class _ObservationMixin:
     def _lookup(self, months) -> tuple[np.ndarray, np.ndarray]:
         """Each of the ordinals ``months``: its position here, and whether it is observed
         (the position of an unobserved month means nothing)."""
-        at = np.minimum(np.searchsorted(self._months, months), len(self._months) - 1)
+        at = np.minimum(self._months.searchsorted(months), len(self._months) - 1)
         return at, self._months[at] == months
 
     def value_at(self, stamp: MonthStamp) -> float:
@@ -335,8 +337,10 @@ def parse_series_csv(text: str, series_id: str, base_note: str = "") -> MonthlyS
 
 def series_to_csv(series: _ObservationMixin) -> str:
     """Render any stamped series back to the ``date,value`` CSV format."""
+    # the rows _write_csv would write: "%r" of a float is its str
     months = map(_month_text, series._months.tolist())
-    return _write_csv("date,value", zip(months, series._values.tolist()))
+    rows = map("%s,%r".__mod__, zip(months, series._values.tolist()))
+    return "\n".join(["date,value", *rows, ""])
 
 
 def align(a: MonthlySeries, b: MonthlySeries) -> tuple[MonthlySeries, MonthlySeries]:

@@ -90,6 +90,40 @@ def old_score(forecast, actual):
     return BacktestReport(n=n, mae=mae, rmse=rmse, bias=bias, direction_hit_rate=hit_rate)
 
 
+def lookup_score(forecast, actual, origin=None):
+    """Verbatim copy of the scorer that looked every month up at once and then made
+    separate passes for the errors and the hit rate, kept as an oracle. ``_lookup`` and
+    ``_ordinal`` are inlined as they were."""
+    months = [stamp.year * 12 + stamp.month - 1 for stamp, _ in forecast.path]
+    at = np.minimum(np.searchsorted(actual._months, months), len(actual._months) - 1)
+    found = actual._months[at] == months
+    overlap = [
+        (pred, act)
+        for (_, pred), act, keep in zip(forecast.path, actual._values[at].tolist(), found.tolist())
+        if keep
+    ]
+    if not overlap:
+        raise BacktestError("forecast and actuals share no months")
+
+    errors = [pred - act for pred, act in overlap]
+    n = len(errors)
+    mae = sum(abs(e) for e in errors) / n
+    rmse = math.sqrt(sum(e * e for e in errors) / n)
+    bias = sum(errors) / n
+
+    hits = counted = 0
+    for (p0, a0), (p1, a1) in zip(overlap, overlap[1:]):
+        dp, da = p1 - p0, a1 - a0
+        if dp == 0.0 or da == 0.0:
+            continue
+        counted += 1
+        if (dp > 0) == (da > 0):
+            hits += 1
+    hit_rate = hits / counted if counted else 1.0
+
+    return BacktestReport(n, mae, rmse, bias, hit_rate, origin)
+
+
 def scored(scorer, forecast, actual):
     try:
         return scorer(forecast, actual)
@@ -118,6 +152,42 @@ class TestScore:
             assert scored(score, f, actual) == want, trial
             outcomes.add(type(want))
         assert outcomes == {BacktestReport, str}
+
+    def test_random_paths_match_the_lookup_scorer(self):
+        rng = np.random.default_rng(20)
+        seen = set()
+        for trial in range(600):
+            n = int(rng.integers(1, 40))
+            keep = rng.random(n) < rng.choice([1.0, 0.7, 0.3])
+            # few distinct small values: equal errors, zero changes, -0.0 and exact zeros
+            act = rng.normal(0, 5, n)
+            if rng.random() < 0.5:
+                act = rng.choice([-2.0, -0.0, 0.0, 1.0, 1.5], n)
+            first = MonthStamp(1999, 1).add_months(int(rng.integers(0, 12)))
+            obs = tuple((first.add_months(i), float(v)) for i, v in enumerate(act) if keep[i])
+            if not obs:
+                continue
+            actual = DifferenceSeries("m", "s", obs)
+            # paths before, across, inside and after the actuals
+            start = first.add_months(int(rng.integers(-20, n + 3)))
+            m = int(rng.integers(1, 25))
+            pred = rng.normal(0, 5, m)
+            if rng.random() < 0.5:
+                pred = rng.choice([-2.0, -0.0, 0.0, 1.0], m)
+            f = make_forecast(str(start), pred)
+            origin = start.add_months(-1) if rng.random() < 0.5 else None
+            try:
+                want = lookup_score(f, actual, origin)
+            except BacktestError as exc:
+                with pytest.raises(BacktestError) as raised:
+                    score(f, actual, origin)
+                assert str(raised.value) == str(exc), trial
+                seen.add("no overlap")
+                continue
+            got = score(f, actual, origin)
+            assert got == want and repr(got) == repr(want), trial
+            seen.add("scored" if want.direction_hit_rate in (0.0, 1.0) else "hit rate")
+        assert seen == {"scored", "no overlap", "hit rate"}
 
     def test_perfect_forecast(self):
         values = [1.0, 3.0, 2.0, 5.0]

@@ -301,6 +301,18 @@ BAD_KEYS = [
      "segmentation.detect_end: the difference 1980-01..2010-12 has no data in 1980-01..1970-01"),
     ("crude", "fit", "segmentation.fit_end", "1987-12",
      "segmentation.fit_start and segmentation.fit_end: the difference"),
+    ("crude", "forecast", "forecast.trend.end", "2009-01",
+     "forecast.trend.start and forecast.trend.end: window end 2009-01 before start 2009-07"),
+    ("crude", "forecast", "forecast.trend", {"kind": "fit", "start": "2030-01", "end": "2031-01"},
+     "forecast.trend.start and forecast.trend.end: window 2030-01..2031-01 has 0 observations"),
+    ("crude", "backtest", "backtest.forecast.trend",
+     {"kind": "fit", "start": "2008-12", "end": "2007-01"},
+     "backtest.forecast.trend.start and backtest.forecast.trend.end at origin 2009-01: "
+     "window end 2007-01 before start 2008-12"),
+    ("crude", "backtest", "backtest.forecast.trend",
+     {"kind": "fit", "start": "2030-01", "end": "2031-01"},
+     "backtest.forecast.trend.start and backtest.forecast.trend.end at origin 2009-01: "
+     "window 2030-01..2031-01 has 0 observations"),
 ]
 
 

@@ -18,6 +18,7 @@ from trendgap import (
     mirror_trend,
     months_between,
 )
+from trendgap.series import _stamp
 
 
 def flat_trend(level=0.0, sigma=0.0):
@@ -299,6 +300,95 @@ class TestForecastType:
         with pytest.raises(ValueError) as raised:
             Forecast(mode="along-trend", origin=MonthStamp(2010, 1), path=path, band_sigma=0.0)
         assert str(raised.value) == message
+
+    def test_random_paths_match_the_old_checks(self):
+        rng = np.random.default_rng(20)
+        outcomes = set()
+        for trial in range(3000):
+            origin, path, band = random_forecast_paths(rng)
+
+            def built():
+                f = Forecast("along-trend", origin, path, band)
+                return f.path, f.band_sigma
+
+            want = forecast_outcome(lambda: old_forecast_checks(origin, path, band))
+            assert forecast_outcome(built) == want, trial
+            outcomes.add("ok" if want[0] == "ok" else " ".join(want[1].split()[:2]))
+        # every verdict occurs: accepted, and each of the five refusals
+        refusals = {"band_sigma must", "empty forecast", "path must", "path stamps"}
+        assert outcomes == {"ok", "non-finite forecast", *refusals}
+
+
+def old_ordinal(stamp):
+    """Verbatim body of ``series._ordinal`` before stamps kept their ordinal."""
+    return stamp.year * 12 + stamp.month - 1
+
+
+def old_forecast_checks(origin, path, band_sigma):
+    """Verbatim body of ``Forecast.__post_init__`` from when ``_ordinal`` computed each
+    stamp's ordinal (``old_ordinal`` standing in for it), kept as an oracle: the normalised
+    ``(path, band_sigma)``, or the error it raised."""
+    stamps, values = zip(*path) if path else ((), ())
+    values = tuple(map(float, values))
+    path = tuple(zip(stamps, values))
+    band_sigma = float(band_sigma)
+    if not 0.0 <= band_sigma < math.inf:
+        raise ValueError(f"band_sigma must be finite and >= 0, got {band_sigma}")
+    if not stamps:
+        raise ValueError("empty forecast path")
+    months = list(map(old_ordinal, stamps))
+    expected = old_ordinal(origin) + 1
+    # the usual path, every month after the origin and finite, passes in one check
+    if months == list(range(expected, expected + len(months))) and math.isfinite(sum(values)):
+        return path, band_sigma
+    if months[0] != expected:
+        raise ValueError(
+            f"path must start the month after origin ({_stamp(expected)}), got {stamps[0]}"
+        )
+    for a, b, stamp in zip(months, months[1:], stamps[1:]):
+        if b <= a:
+            raise ValueError(f"path stamps not strictly increasing at {stamp}")
+    for stamp, value in zip(stamps, values):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite forecast value {value!r} at {stamp}")
+    return path, band_sigma
+
+
+def forecast_outcome(check):
+    """``repr`` of what ``check()`` returns (so -0.0 and np.int64 fields show), or the
+    type and text of the ValueError it raised."""
+    try:
+        return "ok", repr(check())
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def random_forecast_paths(rng):
+    """A seeded ``(origin, path, band_sigma)``: a regular path, or one with some of the
+    faults the checks look for, alone or together."""
+    origin = MonthStamp(2009, 3).add_months(int(rng.integers(-600, 600)))
+    n = int(rng.integers(0, 30))
+    steps = np.ones(n, dtype=int)
+    if n and rng.random() < 0.3:  # a wrong first month
+        steps[0] = int(rng.choice([-1, 0, 2, 13]))
+    for _ in range(int(rng.integers(0, 3)) if n else 0):  # a repeated, decreasing or skipped month
+        steps[int(rng.integers(0, n))] = int(rng.choice([0, -1, -5, 2, 7]))
+    values = rng.normal(0, 100, n).round(int(rng.choice([0, 3, 12]))).tolist()
+    for _ in range(int(rng.integers(1, 3)) if n and rng.random() < 0.3 else 0):
+        values[int(rng.integers(0, n))] = float(rng.choice([math.inf, -math.inf, math.nan, -0.0]))
+    if n and rng.random() < 0.05:  # finite values whose sum overflows
+        values = [1e308] * n
+    if rng.random() < 0.2:  # values of other numeric types
+        values = [
+            np.float64(v) if i % 2 or not math.isfinite(v) else int(v) for i, v in enumerate(values)
+        ]
+    stamps = [origin.add_months(m) for m in np.cumsum(steps).tolist()]
+    if rng.random() < 0.2:  # stamps whose fields are numpy integers, not interned
+        stamps = [MonthStamp(np.int64(s.year), np.int64(s.month)) for s in stamps]
+    band = 2.0
+    if rng.random() < 0.3:
+        band = float(rng.choice([0.0, -0.0, 1.5, 1e300, -1.0, math.inf, math.nan]))
+    return origin, tuple(zip(stamps, values)), band
 
 
 def old_forecast_pendulum(current, trend, amplitude, half_period, horizon):
