@@ -1,10 +1,10 @@
 """Command-line pipeline: diff, fit, forecast, translate, backtest, fetch.
 
 Each subcommand is a stage function: it reads a JSON config (each flag sets one
-config key), validates everything up front and computes its outputs and report
-in memory. ``main`` writes every output or none and prints the report only
-after the write, so a failing run leaves no partial artifacts and prints no
-report. Exit codes: 0 success, 1 internal error, 2 invalid input or config.
+config key), validates everything up front and computes its outputs, report and
+warnings in memory. ``main`` writes every output or none and prints the rest only
+after the write, so a failing run leaves no partial artifacts and prints no report
+or warning. Exit codes: 0 success, 1 internal error, 2 invalid input or config.
 
 Only ``series`` is imported here. Every stage name is reached through the
 package as ``tg.<module>.<name>``, and the package loads a stage module on the
@@ -38,8 +38,8 @@ from .series import (
 
 DEFAULT_API_BASE = "https://api.bls.gov/publicAPI/v2"
 
-#: What a stage returns: the text of each file to write, and the lines to print once written.
-StageResult = tuple[dict[Path, str], list[str]]
+#: What a stage returns: the text of each file to write, and the report and warning lines to print.
+StageResult = tuple[dict[Path, str], list[str], list[str]]
 
 
 class ConfigError(ValueError):
@@ -204,22 +204,22 @@ def cmd_diff(config: Section, base: Path, out: Path) -> StageResult:
     series_cfg = config.section("series", {})
     headline = _load_series(series_cfg.section("headline"), base)
     component = _load_series(series_cfg.section("component"), base)
+    warnings = []
     for series in (headline, component):
         gaps = series.missing_months()
         if gaps:
-            print(
+            warnings.append(
                 f"warning: {series.series_id} is missing {len(gaps)} months "
-                f"inside its span (first: {gaps[0]})",
-                file=sys.stderr,
+                f"inside its span (first: {gaps[0]})"
             )
     diff = difference(headline, component)
     if all(v == 0.0 for v in diff.values):
-        print("warning: difference is identically zero", file=sys.stderr)
+        warnings.append("warning: difference is identically zero")
     report = [
         f"difference {diff.minuend_id} - {diff.subtrahend_id}: "
         f"{len(diff)} months, {diff.start}..{diff.end}"
     ]
-    return {out / "difference.csv": series_to_csv(diff)}, report
+    return {out / "difference.csv": series_to_csv(diff)}, report, warnings
 
 
 def cmd_fit(config: Section, base: Path, out: Path) -> StageResult:
@@ -263,7 +263,7 @@ def cmd_fit(config: Section, base: Path, out: Path) -> StageResult:
     ]
     for w in model.transitions:
         report.append(f"transition: {w.start}..{w.end} ({w.duration_months} months)")
-    return outputs, report
+    return outputs, report, []
 
 
 def _residuals_csv(diff: DifferenceSeries, model: tg.fitting.TrendModel) -> str:
@@ -395,7 +395,7 @@ def cmd_forecast(config: Section, base: Path, out: Path) -> StageResult:
     return outputs, [
         f"forecast ({f.mode}): {f.path[0][0]}..{f.path[-1][0]}, {len(f.path)} months",
         f"terminal value {f.path[-1][1]:+.2f}",
-    ]
+    ], []
 
 
 def cmd_translate(config: Section, base: Path, out: Path) -> StageResult:
@@ -424,7 +424,7 @@ def cmd_translate(config: Section, base: Path, out: Path) -> StageResult:
     return outputs, [
         f"prices: {first[0]} -> {tg.prices.index_to_price(cal, first[1]):.2f} USD, "
         f"{last[0]} -> {tg.prices.index_to_price(cal, last[1]):.2f} USD"
-    ]
+    ], []
 
 
 def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
@@ -491,7 +491,7 @@ def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
         )
     for r in baseline_reports:
         report.append(f"{r.origin}  baseline mae {r.mae:.3f} (rmse {r.rmse:.3f})")
-    return outputs, report
+    return outputs, report, []
 
 
 def cmd_fetch(args) -> StageResult:
@@ -513,7 +513,7 @@ def cmd_fetch(args) -> StageResult:
     with urlopen(request, timeout=args.timeout) as response:
         series = series_from_api_payload(json.load(response), args.series_id)
     report = f"fetched {args.series_id}: {len(series)} months, {series.start}..{series.end}"
-    return {Path(args.out) / f"{args.series_id}.csv": series_to_csv(series)}, [report]
+    return {Path(args.out) / f"{args.series_id}.csv": series_to_csv(series)}, [report], []
 
 
 def series_from_api_payload(payload, series_id: str):
@@ -598,12 +598,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one stage, write every output it returns or none, then print its report."""
+    """Run one stage, write every output it returns or none, then print its warnings and report."""
     args = build_parser().parse_args(argv)
     try:
         stage = args.func
-        outputs, report = stage(args) if stage is cmd_fetch else stage(*_context(args))
+        outputs, report, warnings = stage(args) if stage is cmd_fetch else stage(*_context(args))
         _write_all(outputs)
+        for line in warnings:
+            print(line, file=sys.stderr)
         for line in report:
             print(line)
     except (ValueError, OSError) as exc:

@@ -156,19 +156,19 @@ def lead_lag(
     b: DifferenceSeries,
     max_lag: int,
     min_overlap: int = 24,
-    detrend: bool = False,
 ) -> tuple[int, float]:
     """Lag (in months) of ``b`` behind ``a`` that maximizes Pearson correlation.
 
-    Correlates ``a(t)`` against ``b(t + lag)`` for every lag in
+    Correlates the raw values ``a(t)`` against ``b(t + lag)`` for every lag in
     ``[-max_lag, +max_lag]``; a positive result means ``a`` leads ``b``. Every
-    tested lag must leave at least ``min_overlap`` common months. Ties are
-    broken toward the smaller absolute lag. With ``detrend=True`` each
-    aligned window has its own least-squares line removed first (not used for
-    the raw-path comparison the trend story rests on).
+    tested lag must leave at least ``min_overlap`` common months, and
+    ``min_overlap`` must be at least 2. Ties are broken toward the smaller
+    absolute lag.
     """
     if max_lag < 0:
         raise PriceError(f"max_lag must be >= 0, got {max_lag}")
+    if min_overlap < 2:
+        raise PriceError(f"min_overlap must be >= 2, got {min_overlap}")
     candidates: list[tuple[int, float]] = []
     for lag in sorted(range(-max_lag, max_lag + 1), key=lambda l: (abs(l), l)):
         at, found = b._lookup(a._months + lag)
@@ -179,9 +179,6 @@ def lead_lag(
                 f"(need >= {min_overlap})"
             )
         xs, ys = a._values[ia], b._values[ib]
-        if detrend:
-            xs = _detrended(a._months[ia], xs)
-            ys = _detrended(a._months[ia], ys)
         # np.std's and np.mean's own steps, each deviation computed once for both
         n = len(ia)
         dx, dy = xs - np.add.reduce(xs) / n, ys - np.add.reduce(ys) / n
@@ -193,13 +190,6 @@ def lead_lag(
         candidates.append((lag, corr))
     # max keeps the first of equal correlations: the smallest absolute lag
     return max(candidates, key=lambda c: c[1])
-
-
-def _detrended(months: np.ndarray, values: np.ndarray) -> np.ndarray:
-    x = (months - months[0]) / 12.0
-    design = np.column_stack([np.ones_like(x), x])
-    coef, _, _, _ = np.linalg.lstsq(design, values, rcond=None)
-    return values - design @ coef
 
 
 __all__ = [

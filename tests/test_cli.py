@@ -77,6 +77,35 @@ class TestDiff:
         assert code == 0
         assert "identically zero" in capsys.readouterr().err
 
+    def test_gap_inside_the_span_warns_with_count_and_first_month(self, tmp_path, capsys):
+        headline = tmp_path / "headline.csv"
+        lines = (FIXTURES / "cpi_all_items_sa.csv").read_text().splitlines()
+        headline.write_text("\n".join(l for l in lines if not l.startswith("2003-05,")) + "\n")
+        code = run(
+            "diff",
+            "--headline", str(headline), "--headline-id", "hl",
+            "--component", str(FIXTURES / "cpi_motor_fuel_sa.csv"),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: hl is missing 1 months inside its span (first: 2003-05)\n"
+        assert captured.out.startswith("difference hl - ")
+
+    def test_refused_write_prints_no_warning(self, tmp_path, capsys):
+        src = FIXTURES / "cpi_all_items_sa.csv"
+        (tmp_path / "out" / "difference.csv").mkdir(parents=True)
+        code = run(
+            "diff",
+            "--headline", str(src), "--headline-id", "x",
+            "--component", str(src), "--component-id", "x",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "it exists and is not a regular file" in err
+        assert "warning:" not in err
+
 
 class TestFit:
     def test_prints_slopes_and_writes_model(self, motor_out, capsys):

@@ -283,8 +283,63 @@ class TestLeadLag:
         assert lag == -6
         assert corr == pytest.approx(1.0)
 
-    def test_detrended_variant_runs(self):
-        a, b = shifted_pair(4)
-        lag, corr = lead_lag(a, b, 8, detrend=True)
-        assert lag == 4
-        assert corr == pytest.approx(1.0, abs=1e-6)
+    @pytest.mark.parametrize("min_overlap", [0, 1, -5])
+    def test_min_overlap_below_two_refused(self, min_overlap):
+        a, b = shifted_pair(30, n=30)  # no common month at any lag up to 3
+        with pytest.raises(PriceError, match=f"min_overlap must be >= 2, got {min_overlap}"):
+            lead_lag(a, b, 3, min_overlap=min_overlap)
+
+
+def walk_pairs(drop, seed, count=30):
+    """``count`` pairs of 150-300-month random walks, ``b`` a noisy copy of ``a`` shifted by a
+    planted lag; each month of either series is dropped with probability ``drop``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, lag = int(rng.integers(150, 301)), int(rng.integers(-8, 9))
+        walk = np.cumsum(rng.normal(0.0, 3.0, n + 17))
+        noise = rng.normal(0.0, 1.0, n)
+        start = MonthStamp(int(rng.integers(1950, 2010)), int(rng.integers(1, 13)))
+
+        def series(name, values):
+            kept = rng.random(n) >= drop
+            kept[0] = True
+            obs = tuple((start.add_months(i), float(v)) for i, v in enumerate(values) if kept[i])
+            return DifferenceSeries(f"{name}-m", f"{name}-s", obs)
+
+        yield series("a", walk[8 : 8 + n]), series("b", walk[8 - lag : 8 - lag + n] + noise)
+
+
+def remade(series, shift=0, value=lambda v: v):
+    """``series`` with every month moved ``shift`` months and every value mapped by ``value``."""
+    return DifferenceSeries(
+        series.minuend_id,
+        series.subtrahend_id,
+        tuple((s.add_months(shift), value(v)) for s, v in series.observations),
+    )
+
+
+@pytest.mark.parametrize("drop", [0.0, 0.1], ids=["contiguous", "gapped"])
+class TestLeadLagRelations:
+    """Relations the correlation scan must keep, on random walks with and without gaps."""
+
+    def test_shifting_both_starts_changes_nothing(self, drop):
+        rng = np.random.default_rng(5)
+        for a, b in walk_pairs(drop, seed=11):
+            k = int(rng.integers(-300, 301))
+            assert lead_lag(remade(a, shift=k), remade(b, shift=k), 12) == lead_lag(a, b, 12)
+
+    def test_negating_both_changes_nothing(self, drop):
+        for a, b in walk_pairs(drop, seed=12):
+            negated = lead_lag(remade(a, value=lambda v: -v), remade(b, value=lambda v: -v), 12)
+            assert negated == lead_lag(a, b, 12)
+
+    def test_affine_map_of_either_keeps_the_lag(self, drop):
+        def affine(series):
+            return remade(series, value=lambda v: 2.5 * v - 40.0)
+
+        for a, b in walk_pairs(drop, seed=13):
+            lag, corr = lead_lag(a, b, 12)
+            for pair in ((affine(a), b), (a, affine(b))):
+                mapped_lag, mapped_corr = lead_lag(*pair, 12)
+                assert mapped_lag == lag
+                assert mapped_corr == pytest.approx(corr, rel=0.0, abs=1e-12)

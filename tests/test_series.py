@@ -350,14 +350,7 @@ def ref_rebase(series, anchor, anchor_value):
     return f"{series.base_note}; rebased to {anchor_value!r} at {anchor}", obs
 
 
-def ref_detrended(stamps, values):
-    x = np.array([ref_months_between(s, stamps[0]) / 12.0 for s in stamps])
-    design = np.column_stack([np.ones_like(x), x])
-    coef, _, _, _ = np.linalg.lstsq(design, values, rcond=None)
-    return values - design @ coef
-
-
-def ref_lead_lag(a, b, max_lag, min_overlap, detrend):
+def ref_lead_lag(a, b, max_lag, min_overlap):
     a_map, b_map = dict(a.observations), dict(b.observations)
     candidates = []
     for lag in sorted(range(-max_lag, max_lag + 1), key=lambda l: (abs(l), l)):
@@ -369,8 +362,6 @@ def ref_lead_lag(a, b, max_lag, min_overlap, detrend):
             )
         xs = np.array([a_map[s] for s in stamps])
         ys = np.array([b_map[ref_add_months(s, lag)] for s in stamps])
-        if detrend:
-            xs, ys = ref_detrended(stamps, xs), ref_detrended(stamps, ys)
         sx, sy = xs.std(), ys.std()
         corr = 0.0 if sx == 0.0 or sy == 0.0 else float(
             np.mean((xs - xs.mean()) * (ys - ys.mean())) / (sx * sy)
@@ -448,10 +439,9 @@ class TestGappyOracle:
             db = DifferenceSeries("b-m", "b-s", b.observations)
             max_lag = int(rng.integers(0, 7))
             min_overlap = int(rng.choice([2, 12, 24, 60]))
-            for detrend in (False, True):
-                assert outcome(lambda: lead_lag(da, db, max_lag, min_overlap, detrend)) == outcome(
-                    lambda: ref_lead_lag(da, db, max_lag, min_overlap, detrend)
-                )
+            assert outcome(lambda: lead_lag(da, db, max_lag, min_overlap)) == outcome(
+                lambda: ref_lead_lag(da, db, max_lag, min_overlap)
+            )
 
     @pytest.mark.parametrize(
         "offsets",
