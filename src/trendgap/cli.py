@@ -15,6 +15,7 @@ code that its subcommand never uses.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -617,5 +618,19 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def entry() -> int:
+    """The ``trendgap`` process: ``main()`` on ``sys.argv``, then ``gc.freeze()``.
+
+    Frozen objects are left out of every collection, so the interpreter's exit does
+    not collect what the run left behind; stdio is flushed and atexit handlers run as
+    usual. ``finally`` covers argparse's ``SystemExit`` (``--help``, usage errors).
+    Only this process entry freezes: ``main`` leaves a Python caller's heap alone.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -162,9 +162,13 @@ def lead_lag(
     Correlates the raw values ``a(t)`` against ``b(t + lag)`` for every lag in
     ``[-max_lag, +max_lag]``; a positive result means ``a`` leads ``b``. Every
     tested lag must leave at least ``min_overlap`` common months, and
-    ``min_overlap`` must be at least 2. Ties are broken toward the smaller
-    absolute lag.
+    ``min_overlap`` must be at least 2. Both must be integers (NumPy integers
+    included, ``bool`` not). Ties are broken toward the smaller absolute lag.
     """
+    for name, value in (("max_lag", max_lag), ("min_overlap", min_overlap)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise PriceError(f"{name} must be an integer, got {value!r}")
+    max_lag, min_overlap = int(max_lag), int(min_overlap)  # -np.uint8(3) would wrap to 253
     if max_lag < 0:
         raise PriceError(f"max_lag must be >= 0, got {max_lag}")
     if min_overlap < 2:

@@ -1,0 +1,91 @@
+"""The ``trendgap`` process entry, started as a real child interpreter.
+
+``python -m trendgap.cli`` runs ``entry``, the function the console script
+calls too: ``main`` on ``sys.argv``, then a heap freeze before the exit. Each
+child runs with ``PYTHONUNBUFFERED`` removed, so its stdout is block-buffered
+into the pipe and reaches it only through the exit's flush.
+"""
+
+import gc
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import trendgap
+from trendgap.cli import main
+
+from conftest import FIXTURES
+from test_golden import GOLDEN_SHA256, GOLDEN_STDOUT, PIPELINES
+
+
+def child(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args`` with this checkout's ``src`` first on its path."""
+    src = str(Path(trendgap.__file__).parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_fixture_pipelines_match_golden_in_child_processes(tmp_path):
+    reports = {}
+    for name, commands in PIPELINES.items():
+        config = str(FIXTURES / f"{name}_config.json")
+        for command in commands:
+            done = child("-m", "trendgap.cli", command, "--config", config, "--out", str(tmp_path / name))
+            assert done.returncode == 0, f"{name} {command} exited {done.returncode}: {done.stderr}"
+            assert done.stderr == "", f"{name} {command} wrote to stderr"
+            reports[f"{name} {command}"] = done.stdout
+    assert reports == GOLDEN_STDOUT
+    produced = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.rglob("*"))
+        if path.is_file()
+    }
+    assert produced == GOLDEN_SHA256
+
+
+def test_missing_config_exits_two_and_writes_nothing(tmp_path):
+    missing = tmp_path / "missing.json"
+    done = child("-m", "trendgap.cli", "fit", "--config", str(missing), "--out", str(tmp_path / "out"))
+    assert done.returncode == 2
+    assert done.stderr == f"error: file not found: {missing}\n"
+    assert done.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_zero():
+    done = child("-m", "trendgap.cli", "--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: trendgap")
+    assert done.stderr == ""
+
+
+def test_entry_freezes_the_heap_on_return_and_on_system_exit(tmp_path):
+    probe = (
+        "import gc, sys\n"
+        "from trendgap.cli import entry\n"
+        f"sys.argv = ['trendgap', 'fit', '--config', {str(tmp_path / 'missing.json')!r}]\n"
+        "code = entry()\n"
+        "frozen = gc.get_freeze_count()\n"
+        "gc.unfreeze()\n"
+        "sys.argv = ['trendgap', '--help']\n"
+        "try:\n"
+        "    entry()\n"
+        "except SystemExit as exit:\n"
+        "    print(code, frozen > 0, exit.code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+    )
+    done = child("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "2 True 0 True"
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(tmp_path):
+    assert gc.get_freeze_count() == 0
+    config = str(FIXTURES / "motor_config.json")
+    assert main(["diff", "--config", config, "--out", str(tmp_path)]) == 0
+    assert main(["fit", "--config", str(tmp_path / "missing.json")]) == 2
+    assert gc.get_freeze_count() == 0

@@ -1,5 +1,7 @@
 """Index-to-price translation and lead-lag estimation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,30 @@ class TestLeadLag:
         a, b = shifted_pair(30, n=30)  # no common month at any lag up to 3
         with pytest.raises(PriceError, match=f"min_overlap must be >= 2, got {min_overlap}"):
             lead_lag(a, b, 3, min_overlap=min_overlap)
+
+    @pytest.mark.parametrize(
+        "max_lag, min_overlap, refused",
+        [
+            (2.5, 24, "max_lag must be an integer, got 2.5"),
+            (True, 24, "max_lag must be an integer, got True"),
+            ("3", 24, "max_lag must be an integer, got '3'"),
+            (np.float64(3.0), 24, "max_lag must be an integer, got "),
+            (3, 2.5, "min_overlap must be an integer, got 2.5"),
+            (3, True, "min_overlap must be an integer, got True"),
+            (3, np.bool_(True), "min_overlap must be an integer, got "),
+            (3, None, "min_overlap must be an integer, got None"),
+        ],
+    )
+    def test_non_integer_arguments_refused(self, max_lag, min_overlap, refused):
+        a, b = shifted_pair(30, n=30)  # no common month: scoring any lag would raise otherwise
+        with pytest.raises(PriceError, match=re.escape(refused)):
+            lead_lag(a, b, max_lag, min_overlap=min_overlap)
+
+    def test_numpy_integers_accepted(self):
+        a, b = shifted_pair(7)
+        expected = lead_lag(a, b, 12, min_overlap=24)
+        assert lead_lag(a, b, np.int64(12), min_overlap=np.int32(24)) == expected
+        assert lead_lag(a, b, np.uint8(12), min_overlap=np.int16(24)) == expected
 
 
 def walk_pairs(drop, seed, count=30):
