@@ -51,7 +51,7 @@ def main():
     recovery = forecast_return_to_trend(
         (origin, motor_gap.value_at(origin)), drawn, MonthStamp(2009, 12)
     )
-    growth = trailing_growth_rate(cpi, origin, years=5)
+    growth = trailing_growth_rate(cpi, origin)
     headline_path = extrapolate_headline(cpi, origin, len(recovery.path), growth)
     component = component_index_from_difference(headline_path, recovery)
     start_index = cpi.value_at(origin) - motor_gap.value_at(origin)

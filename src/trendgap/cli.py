@@ -120,10 +120,16 @@ def _integer(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _anchor(pair) -> tuple[MonthStamp, float]:
     if not isinstance(pair, list) or len(pair) != 2:
         raise TypeError(f"expected a ['YYYY-MM', value] pair, got {pair!r}")
-    return _month(pair[0]), float(pair[1])
+    return _month(pair[0]), _number(pair[1])
 
 
 def _load(path: Path, parse):
@@ -250,8 +256,11 @@ def cmd_fit(config: Section, base: Path, out: Path) -> StageResult:
             f"config key '{seg.key('tail_start')}': {tail_start}..{diff.end} exceeds the "
             f"{tg.fitting.MAX_TRANSITION_MONTHS}-month limit: {tail} months"
         )
-    breakpoints = tg.fitting.detect_breakpoints(detect_diff, k, min_len)
-    model = tg.fitting.build_trend_model(diff, breakpoints, halfwidth, tail_start=tail_start)
+    try:
+        breakpoints = tg.fitting.detect_breakpoints(detect_diff, k, min_len)
+        model = tg.fitting.build_trend_model(diff, breakpoints, halfwidth, tail_start=tail_start)
+    except tg.fitting.FitError as exc:
+        raise ConfigError(f"{seg.path}: {exc}") from None
 
     outputs = {
         out / "trend_model.json": model.to_json(),
@@ -323,46 +332,48 @@ def _forecast_from_config(
     horizon: int,
     where: str = "",
 ) -> tg.forecast.Forecast:
-    """Build the forecast that the config section ``fc`` describes; ``where`` as for the trend."""
+    """The forecast the config section ``fc`` describes; a refusal names ``fc``, then ``where``."""
     mode = fc.get("mode")
     if mode not in (tg.forecast.ALONG_TREND, tg.forecast.RETURN_TO_TREND, tg.forecast.PENDULUM):
         raise ConfigError(f"config key '{fc.key('mode')}': unknown forecast mode {mode!r}")
-    trend = _trend_from_config(fc.section("trend", {"kind": "segment"}), model, diff, where)
+    try:
+        trend = _trend_from_config(fc.section("trend", {"kind": "segment"}), model, diff, where)
 
-    if mode == tg.forecast.ALONG_TREND:
-        return tg.forecast.forecast_along_trend(trend, origin, horizon)
+        if mode == tg.forecast.ALONG_TREND:
+            return tg.forecast.forecast_along_trend(trend, origin, horizon)
 
-    current = (origin, diff.value_at(origin))
-    if mode == tg.forecast.RETURN_TO_TREND:
-        deadline = fc.get("deadline", _month)
-        first = tg.forecast.forecast_return_to_trend(current, trend, deadline)
-        rest = horizon - len(first.path)
-        if rest < 0:
-            raise ConfigError(f"horizon {horizon} ends before {fc.key('deadline')} {deadline}")
-        if rest == 0:
-            return first
-        # past the deadline the path follows the trend it has returned to
-        path = first.path + tg.forecast.forecast_along_trend(trend, deadline, rest).path
-        chained = f"{mode}+{tg.forecast.ALONG_TREND}"
-        return tg.forecast.Forecast(chained, origin, path, first.band_sigma)
+        current = (origin, diff.value_at(origin))
+        if mode == tg.forecast.RETURN_TO_TREND:
+            deadline = fc.get("deadline", _month)
+            first = tg.forecast.forecast_return_to_trend(current, trend, deadline)
+            rest = horizon - len(first.path)
+            if rest < 0:
+                raise ConfigError(f"horizon {horizon} ends before {fc.key('deadline')} {deadline}")
+            if rest == 0:
+                return first
+            # past the deadline the path follows the trend it has returned to
+            path = first.path + tg.forecast.forecast_along_trend(trend, deadline, rest).path
+            chained = f"{mode}+{tg.forecast.ALONG_TREND}"
+            return tg.forecast.Forecast(chained, origin, path, first.band_sigma)
 
-    return tg.forecast.forecast_pendulum(
-        current,
-        trend,
-        amplitude=fc.get("amplitude", float),
-        half_period=fc.get("half_period", _integer),
-        horizon=horizon,
-    )
+        return tg.forecast.forecast_pendulum(
+            current,
+            trend,
+            amplitude=fc.get("amplitude", _number),
+            half_period=fc.get("half_period", _integer),
+            horizon=horizon,
+        )
+    except tg.forecast.ForecastError as exc:
+        raise ConfigError(f"{fc.path}{where}: {exc}") from None
 
 
 def _calibration_from_config(config: Section, key: str, base: Path):
     cal_cfg = config.get(key, default=None)
-    kind = cal_cfg.get("kind") if isinstance(cal_cfg, dict) else cal_cfg
     if cal_cfg in (None, "none"):
         return None
-    if kind == "heuristic":
+    if cal_cfg == "heuristic":
         return tg.prices.CRUDE_OIL_HEURISTIC
-    if kind == "fitted" and isinstance(cal_cfg, dict):
+    if isinstance(cal_cfg, dict) and cal_cfg.get("kind") == "fitted":
         path = base / config.section(key).get("pairs_csv", _path)
         return tg.prices.calibrate_price(_load(path, tg.prices.parse_calibration_pairs_csv))
     raise ConfigError(f"{config.key(key)}: unknown calibration {cal_cfg!r}")
@@ -414,7 +425,7 @@ def cmd_translate(config: Section, base: Path, out: Path) -> StageResult:
     headline_cfg = tr.section("headline", None)
     if headline_cfg is not None:
         headline = _load_series(headline_cfg, base)
-        rate = tr.get("annual_rate", float, None)
+        rate = tr.get("annual_rate", _number, None)
         if rate is None:
             rate = tg.prices.trailing_growth_rate(headline, f.origin)
         extrapolated = tg.prices.extrapolate_headline(headline, f.origin, len(f.path), rate)

@@ -26,8 +26,7 @@ class PriceCalibration:
 
     alpha: float
     beta: float
-    fit_r_squared: float | None
-    source: str  # "heuristic" | "fitted"
+    fit_r_squared: float | None  # None for a rule of thumb, not a least-squares fit
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -38,19 +37,11 @@ class PriceCalibration:
                 raise ValueError(f"fit_r_squared {r2} outside [0, 1]")
             object.__setattr__(self, "fit_r_squared", r2)
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "fit_r_squared": self.fit_r_squared,
-            "source": self.source,
-        }
-
 
 #: The crude-oil rule of thumb: a difference of -120 index points reads as
 #: $120 per barrel, i.e. price is minus the difference. Lives on the
 #: difference scale, not on the component index itself.
-CRUDE_OIL_HEURISTIC = PriceCalibration(alpha=-1.0, beta=0.0, fit_r_squared=None, source="heuristic")
+CRUDE_OIL_HEURISTIC = PriceCalibration(alpha=-1.0, beta=0.0, fit_r_squared=None)
 
 
 def percent_change(index_start: float, index_end: float) -> float:
@@ -98,11 +89,11 @@ def extrapolate_headline(
     raise PriceError(f"annual_rate {annual_rate} overflows the extrapolated headline")
 
 
-def trailing_growth_rate(series: MonthlySeries, origin: MonthStamp, years: int = 5) -> float:
-    """Mean annual percent growth over the trailing window ending at ``origin``."""
+def trailing_growth_rate(series: MonthlySeries, origin: MonthStamp) -> float:
+    """Mean annual percent growth over the five years (or less history) ending at ``origin``."""
     if not series.has(origin):
         raise PriceError(f"origin {origin} absent from {series.series_id!r}")
-    back = series.restrict(origin.add_months(-12 * years), origin).start
+    back = series.restrict(origin.add_months(-60), origin).start
     span_years = months_between(origin, back) / 12.0
     if span_years <= 0:
         raise PriceError("no trailing history to estimate growth from")
@@ -126,9 +117,7 @@ def calibrate_price(pairs: list[tuple[float, float]]) -> PriceCalibration:
     resid = ys - design @ coef
     sst = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 if sst == 0.0 else max(0.0, min(1.0, 1.0 - float(resid @ resid) / sst))
-    return PriceCalibration(
-        alpha=float(coef[0]), beta=float(coef[1]), fit_r_squared=r2, source="fitted"
-    )
+    return PriceCalibration(alpha=float(coef[0]), beta=float(coef[1]), fit_r_squared=r2)
 
 
 def index_to_price(cal: PriceCalibration, index: float) -> float:

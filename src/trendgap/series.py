@@ -46,11 +46,6 @@ class MonthStamp:
         # what _ordinal reads; not a field, so equality, order, hash and repr ignore it
         object.__setattr__(self, "_ord", self.year * 12 + self.month - 1)
 
-    @property
-    def t(self) -> float:
-        """Fractional-year time coordinate: January maps to the whole year."""
-        return self.year + (self.month - 1) / 12.0
-
     def add_months(self, n: int) -> "MonthStamp":
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise TypeError(f"month count must be an integer, got {n!r}")

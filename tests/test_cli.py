@@ -291,6 +291,11 @@ class Delete:
 
 DELETE = Delete()
 
+#: A motor forecast section that reads ``forecast.amplitude``, and a translate section that
+#: reads ``translate.annual_rate``; each BAD_KEYS row adds the value under test.
+PENDULUM = {"mode": "pendulum", "origin": "2009-03", "horizon": 12, "half_period": 6}
+HEADLINE = {"calibration": "heuristic", "headline": {"path": str(FIXTURES / "cpi_all_items_sa.csv")}}
+
 
 BAD_KEYS = [
     ("motor", "forecast", "forecast.trend.end", DELETE, "forecast.trend.end"),
@@ -342,14 +347,40 @@ BAD_KEYS = [
      {"kind": "fit", "start": "2030-01", "end": "2031-01"},
      "backtest.forecast.trend.start and backtest.forecast.trend.end at origin 2009-01: "
      "window 2030-01..2031-01 has 0 observations"),
+    ("crude", "translate", "translate.calibration", {"kind": "heuristic"},
+     "translate.calibration: unknown calibration {'kind': 'heuristic'}"),
+    ("motor", "forecast", "forecast.trend.start", ["2009-01", "nan"],
+     "config key 'forecast.trend.start': expected a number, got 'nan'"),
+    ("motor", "forecast", "forecast.trend.start", ["2009-01", "-50"],
+     "config key 'forecast.trend.start': expected a number, got '-50'"),
+    ("motor", "forecast", "forecast.trend.start", ["2009-01", True],
+     "config key 'forecast.trend.start': expected a number, got True"),
+    ("motor", "forecast", "forecast", PENDULUM | {"amplitude": "2"},
+     "config key 'forecast.amplitude': expected a number, got '2'"),
+    ("motor", "forecast", "forecast", PENDULUM | {"amplitude": True},
+     "config key 'forecast.amplitude': expected a number, got True"),
+    ("motor", "translate", "translate", HEADLINE | {"annual_rate": "2"},
+     "config key 'translate.annual_rate': expected a number, got '2'"),
+    ("motor", "translate", "translate", HEADLINE | {"annual_rate": True},
+     "config key 'translate.annual_rate': expected a number, got True"),
+    ("motor", "fit", "segmentation.min_len", 3, "segmentation: min_len must be >= 6, got 3"),
+    ("motor", "fit", "segmentation.transition_halfwidth", 20,
+     "segmentation: transition_halfwidth 20 implies a window wider than 36 months"),
+    ("motor", "forecast", "forecast.deadline", "2009-01",
+     "forecast: deadline 2009-01 must come after origin 2009-03"),
+    ("crude", "backtest", "backtest.forecast.deadline", "2008-12",
+     "backtest.forecast at origin 2009-01: deadline 2008-12 must come after origin 2009-01"),
 ]
 
 
 def case_ids(cases) -> list[str]:
-    """Each case's key path; a path that an earlier case used also shows its value."""
+    """Each case's key path; a path that an earlier case used also shows its value.
+
+    The fixture directory shows as ``FIXTURES``, so that ids do not depend on the checkout.
+    """
     ids: list[str] = []
     for _, _, key, value, _ in cases:
-        ids.append(f"{key}={value!r}" if key in ids else key)
+        ids.append(f"{key}={value!r}".replace(str(FIXTURES), "FIXTURES") if key in ids else key)
     return ids
 
 
@@ -559,7 +590,7 @@ class TestNonFiniteResults:
     @pytest.mark.parametrize(
         "forecast",
         [
-            {"trend": {"kind": "endpoint", "start": ["2009-06", "nan"], "end": ["2016-01", 75.0]}},
+            {"trend": {"kind": "endpoint", "start": ["2009-06", float("nan")], "end": ["2016-01", 75.0]}},
             {"mode": "pendulum", "amplitude": 1e400, "half_period": 6},
         ],
         ids=["nan-anchor", "infinite-amplitude"],

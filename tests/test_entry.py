@@ -3,15 +3,21 @@
 ``python -m trendgap.cli`` runs ``entry``, the function the console script
 calls too: ``main`` on ``sys.argv``, then a heap freeze before the exit. Each
 child runs with ``PYTHONUNBUFFERED`` removed, so its stdout is block-buffered
-into the pipe and reaches it only through the exit's flush.
+into the pipe and reaches it only through the exit's flush. The fixture
+pipelines also run through an installed ``trendgap`` console script, when one
+is on ``PATH`` (``pip install .`` puts it there). That script runs without
+this checkout on its path, so it runs the installed package's own modules.
 """
 
 import gc
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import trendgap
 from trendgap.cli import main
@@ -20,22 +26,31 @@ from conftest import FIXTURES
 from test_golden import GOLDEN_SHA256, GOLDEN_STDOUT, PIPELINES
 
 
-def child(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter on ``args`` with this checkout's ``src`` first on its path."""
-    src = str(Path(trendgap.__file__).parent.parent)
+def child(*args: str, script: str | None = None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args`` with this checkout's ``src`` first on its path.
+
+    With ``script``, run that console script on ``args`` instead, with no
+    ``PYTHONPATH``, so that it imports the package it was installed with.
+    """
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
-    )
+    if script is None:
+        src = str(Path(trendgap.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        command = [sys.executable, *args]
+    else:
+        env.pop("PYTHONPATH", None)
+        command = [script, *args]
+    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
 
 
-def test_fixture_pipelines_match_golden_in_child_processes(tmp_path):
+def assert_pipelines_match_golden(tmp_path, script: str | None = None) -> None:
+    """Both fixture pipelines, one ``child`` process per command, against the golden pins."""
     reports = {}
     for name, commands in PIPELINES.items():
         config = str(FIXTURES / f"{name}_config.json")
         for command in commands:
-            done = child("-m", "trendgap.cli", command, "--config", config, "--out", str(tmp_path / name))
+            args = (command, "--config", config, "--out", str(tmp_path / name))
+            done = child(*args, script=script) if script else child("-m", "trendgap.cli", *args)
             assert done.returncode == 0, f"{name} {command} exited {done.returncode}: {done.stderr}"
             assert done.stderr == "", f"{name} {command} wrote to stderr"
             reports[f"{name} {command}"] = done.stdout
@@ -46,6 +61,17 @@ def test_fixture_pipelines_match_golden_in_child_processes(tmp_path):
         if path.is_file()
     }
     assert produced == GOLDEN_SHA256
+
+
+def test_fixture_pipelines_match_golden_in_child_processes(tmp_path):
+    assert_pipelines_match_golden(tmp_path)
+
+
+def test_fixture_pipelines_match_golden_through_the_console_script(tmp_path):
+    script = shutil.which("trendgap")
+    if script is None:
+        pytest.skip("no trendgap console script on PATH; 'pip install .' installs one")
+    assert_pipelines_match_golden(tmp_path, script)
 
 
 def test_missing_config_exits_two_and_writes_nothing(tmp_path):

@@ -146,7 +146,7 @@ class TestExtrapolateHeadline:
     def test_trailing_growth_rate(self):
         values = [100.0 * 1.03 ** (i / 12.0) for i in range(72)]
         s = make_monthly("h", "2004-01", values)
-        rate = trailing_growth_rate(s, MonthStamp(2009, 12), years=5)
+        rate = trailing_growth_rate(s, MonthStamp(2009, 12))
         assert rate == pytest.approx(3.0, abs=0.01)
 
     @pytest.mark.parametrize("rate", [-100.0, -150.0])
@@ -169,7 +169,7 @@ class TestExtrapolateHeadline:
         values[at] = bad
         s = make_monthly("h", "2004-12", values)
         with pytest.raises(PriceError, match="positive"):
-            trailing_growth_rate(s, MonthStamp(2010, 11), years=5)
+            trailing_growth_rate(s, MonthStamp(2010, 11))
 
 
 class TestCalibration:
@@ -179,10 +179,8 @@ class TestCalibration:
         assert cal.alpha == pytest.approx(1.0, abs=1e-12)
         assert cal.beta == pytest.approx(0.0, abs=1e-12)
         assert cal.fit_r_squared == pytest.approx(1.0)
-        assert cal.source == "fitted"
 
     def test_heuristic_constant(self):
-        assert CRUDE_OIL_HEURISTIC.source == "heuristic"
         assert CRUDE_OIL_HEURISTIC.fit_r_squared is None
         assert index_to_price(CRUDE_OIL_HEURISTIC, -120.0) == 120.0
         assert index_to_price(CRUDE_OIL_HEURISTIC, -75.0) == 75.0
@@ -235,11 +233,6 @@ class TestCalibration:
         assert pairs == [(-120.0, 119.4), (-75.0, 74.8)]
         with pytest.raises(PriceError, match="header"):
             parse_calibration_pairs_csv("a,b\n1,2\n")
-
-    def test_json_fields(self):
-        cal = calibrate_price([(0.0, 1.0), (2.0, 3.0)])
-        doc = cal.to_dict()
-        assert set(doc) == {"alpha", "beta", "fit_r_squared", "source"}
 
 
 def shifted_pair(lag_months, n=60, seed=41):

@@ -42,12 +42,6 @@ class TestMonthStamp:
         assert MonthStamp(2000, 1) < MonthStamp(2000, 2)
         assert not MonthStamp(2000, 1) < MonthStamp(2000, 1)
 
-    def test_fractional_time_is_monotone(self):
-        stamps = [MonthStamp(1999, 11).add_months(i) for i in range(30)]
-        ts = [s.t for s in stamps]
-        assert all(a < b for a, b in zip(ts, ts[1:]))
-        assert MonthStamp(2000, 1).t == 2000.0
-
     def test_month_bounds(self):
         with pytest.raises(ValueError):
             MonthStamp(2000, 0)
