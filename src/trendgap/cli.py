@@ -342,7 +342,10 @@ def _forecast_from_config(
         if mode == tg.forecast.ALONG_TREND:
             return tg.forecast.forecast_along_trend(trend, origin, horizon)
 
-        current = (origin, diff.value_at(origin))
+        try:
+            current = (origin, diff.value_at(origin))
+        except SeriesError as exc:
+            raise ConfigError(f"{fc.key('origin')}: {exc}") from None
         if mode == tg.forecast.RETURN_TO_TREND:
             deadline = fc.get("deadline", _month)
             first = tg.forecast.forecast_return_to_trend(current, trend, deadline)
@@ -457,6 +460,12 @@ def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
     if horizon < 1:
         raise ConfigError(f"{bt.key('horizon')} must be >= 1, got {horizon}")
 
+    def replay(forecaster) -> list[tg.backtest.BacktestReport]:
+        try:
+            return tg.backtest.rolling_backtest(diff, forecaster, origins, horizon)
+        except tg.backtest.BacktestError as exc:
+            raise ConfigError(f"{bt.key('origins')}: {exc}") from None
+
     baseline_cfg = bt.section("baseline", None)
     baseline_reports: list[tg.backtest.BacktestReport] = []
     if baseline_cfg is not None:
@@ -476,16 +485,13 @@ def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
             return tg.forecast.forecast_along_trend(trend, origin, h)
 
         # first, so that an origin too early for the baseline's window is named as such
-        baseline_reports = tg.backtest.rolling_backtest(diff, baseline, origins, horizon)
+        baseline_reports = replay(baseline)
 
     # no trend model: it is fitted on the whole series, past every origin
-    reports = tg.backtest.rolling_backtest(
-        diff,
+    reports = replay(
         lambda history, origin, h: _forecast_from_config(
             fc, history, None, origin, h, f" at origin {origin}"
-        ),
-        origins,
-        horizon,
+        )
     )
 
     doc: dict = {"reports": [r.to_dict() for r in reports]}

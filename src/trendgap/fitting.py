@@ -64,27 +64,6 @@ class LinearSegment:
     def contains(self, stamp: MonthStamp) -> bool:
         return self.start <= stamp <= self.end
 
-    def to_dict(self) -> dict:
-        return {
-            "start": str(self.start),
-            "end": str(self.end),
-            "intercept_A": self.intercept,
-            "slope_B": self.slope,
-            "r_squared": self.r_squared,
-            "residual_sigma": self.residual_sigma,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LinearSegment":
-        return cls(
-            start=MonthStamp.parse(doc["start"]),
-            end=MonthStamp.parse(doc["end"]),
-            intercept=float(doc["intercept_A"]),
-            slope=float(doc["slope_B"]),
-            r_squared=float(doc["r_squared"]),
-            residual_sigma=float(doc["residual_sigma"]),
-        )
-
 
 @dataclass(frozen=True)
 class TransitionWindow:
@@ -103,13 +82,6 @@ class TransitionWindow:
 
     def contains(self, stamp: MonthStamp) -> bool:
         return self.start <= stamp <= self.end
-
-    def to_dict(self) -> dict:
-        return {"start": str(self.start), "end": str(self.end)}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TransitionWindow":
-        return cls(MonthStamp.parse(doc["start"]), MonthStamp.parse(doc["end"]))
 
 
 @dataclass(frozen=True)
@@ -174,26 +146,46 @@ class TrendModel:
 
     def to_dict(self) -> dict:
         return {
-            "segments": [s.to_dict() for s in self.segments],
-            "transitions": [w.to_dict() for w in self.transitions],
+            "segments": [
+                {
+                    "start": str(s.start),
+                    "end": str(s.end),
+                    "intercept_A": s.intercept,
+                    "slope_B": s.slope,
+                    "r_squared": s.r_squared,
+                    "residual_sigma": s.residual_sigma,
+                }
+                for s in self.segments
+            ],
+            "transitions": [{"start": str(w.start), "end": str(w.end)} for w in self.transitions],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "TrendModel":
-        """The model :meth:`to_dict` wrote; a malformed document raises ValueError."""
+    def from_json(cls, text: str) -> "TrendModel":
+        """The model :meth:`to_json` wrote; a malformed document raises ValueError."""
+        doc = json.loads(text)
         try:
-            segments = tuple(LinearSegment.from_dict(d) for d in doc["segments"])
-            transitions = tuple(TransitionWindow.from_dict(d) for d in doc["transitions"])
+            segments = tuple(
+                LinearSegment(
+                    start=MonthStamp.parse(d["start"]),
+                    end=MonthStamp.parse(d["end"]),
+                    intercept=float(d["intercept_A"]),
+                    slope=float(d["slope_B"]),
+                    r_squared=float(d["r_squared"]),
+                    residual_sigma=float(d["residual_sigma"]),
+                )
+                for d in doc["segments"]
+            )
+            transitions = tuple(
+                TransitionWindow(MonthStamp.parse(d["start"]), MonthStamp.parse(d["end"]))
+                for d in doc["transitions"]
+            )
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed trend model: {type(exc).__name__} {exc}") from None
         return cls(segments=segments, transitions=transitions)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrendModel":
-        return cls.from_dict(json.loads(text))
 
 
 # [1, k / 12] depends on n alone: built and checked once per length, read-only as fits share it

@@ -26,23 +26,13 @@ from trendgap import (
     residual,
     score,
 )
-from trendgap.cli import main as cli_main
 
-from conftest import FIXTURES
+from conftest import CONFIGS, PIPELINES, make_diff, run_stages, stamp
+from oracles import exhaustive_best
 
 
 def report(n, text):
     print(f"PASS criterion {n}: {text}")
-
-
-def make_diff(start, values, name="d"):
-    origin = MonthStamp.parse(start)
-    obs = tuple((origin.add_months(i), float(v)) for i, v in enumerate(values))
-    return DifferenceSeries(name + "-m", name + "-s", obs)
-
-
-def stamp(token):
-    return MonthStamp.parse(token)
 
 
 # ----------------------------------------------------------- criterion 1
@@ -76,31 +66,6 @@ def test_criterion_1_ols_matches_normal_equations():
 
 
 # ----------------------------------------------------------- criterion 2
-
-
-def polyfit_sse(values, lo, hi):
-    x = np.arange(lo, hi + 1) / 12.0
-    y = np.asarray(values[lo : hi + 1], dtype=float)
-    coef = np.polyfit(x, y, 1)
-    return float(np.sum((y - np.polyval(coef, x)) ** 2))
-
-
-def exhaustive_best(values, k, min_len):
-    n = len(values)
-    best_sse, best_cuts = np.inf, []
-    if k == 1:
-        for c in range(min_len, n - min_len + 1):
-            sse = polyfit_sse(values, 0, c - 1) + polyfit_sse(values, c, n - 1)
-            if sse < best_sse - 1e-9:
-                best_sse, best_cuts = sse, [c]
-    else:
-        for c1 in range(min_len, n - 2 * min_len + 1):
-            left = polyfit_sse(values, 0, c1 - 1)
-            for c2 in range(c1 + min_len, n - min_len + 1):
-                sse = left + polyfit_sse(values, c1, c2 - 1) + polyfit_sse(values, c2, n - 1)
-                if sse < best_sse - 1e-9:
-                    best_sse, best_cuts = sse, [c1, c2]
-    return best_cuts
 
 
 def random_piecewise(rng, n, pieces):
@@ -315,26 +280,12 @@ def test_criterion_9_backtest_metrics_oracle():
 # ----------------------------------------------------------- criterion 10
 
 
-def run_pipeline(config_path, out_dir, commands):
-    for command in commands:
-        code = cli_main([command, "--config", str(config_path), "--out", str(out_dir)])
-        assert code == 0, f"{command} failed"
-
-
 def test_criterion_10_pipeline_determinism(tmp_path):
     runs = []
     for name in ("first", "second"):
         out = tmp_path / name
-        run_pipeline(
-            FIXTURES / "motor_config.json",
-            out / "motor",
-            ("diff", "fit", "forecast", "backtest"),
-        )
-        run_pipeline(
-            FIXTURES / "crude_config.json",
-            out / "crude",
-            ("diff", "fit", "forecast", "translate", "backtest"),
-        )
+        for pipeline, stages in PIPELINES.items():
+            run_stages(CONFIGS[pipeline], out / pipeline, stages)
         runs.append(out)
 
     first_files = sorted(p.relative_to(runs[0]) for p in runs[0].rglob("*") if p.is_file())

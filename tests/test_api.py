@@ -10,9 +10,8 @@ import pytest
 
 import trendgap
 from trendgap import backtest, fitting, forecast, prices, series
-from trendgap.cli import main
 
-from conftest import FIXTURES
+from conftest import CONFIGS, FIXTURES, PIPELINES, run_stages
 
 #: ``trendgap.__all__`` as it stood before the modules' lists became its source.
 EARLIER_ALL = [
@@ -161,7 +160,7 @@ def test_diff_loads_no_stage_module(tmp_path):
 
 
 def test_fit_loads_only_fitting(tmp_path):
-    assert main(["diff", "--config", MOTOR_CONFIG, "--out", str(tmp_path)]) == 0
+    run_stages(MOTOR_CONFIG, tmp_path, ("diff",))
     loaded = loaded_by(cli_run("fit", "--config", MOTOR_CONFIG, "--out", str(tmp_path)))
     assert loaded & STAGES == {"trendgap.fitting"}
 
@@ -184,10 +183,8 @@ STARTUP = [
     "name, command, stages", STARTUP, ids=[f"{name}-{command}" for name, command, _ in STARTUP]
 )
 def test_each_fixture_subcommand_loads_exactly_its_stage_modules(tmp_path, name, command, stages):
-    config = str(FIXTURES / f"{name}_config.json")
-    steps = [step for pipeline, step, _ in STARTUP if pipeline == name]
-    for step in steps[: steps.index(command)]:
-        assert main([step, "--config", config, "--out", str(tmp_path)]) == 0
-    loaded = loaded_by(cli_run(command, "--config", config, "--out", str(tmp_path)))
+    steps = PIPELINES[name]
+    run_stages(CONFIGS[name], tmp_path, steps[: steps.index(command)])
+    loaded = loaded_by(cli_run(command, "--config", str(CONFIGS[name]), "--out", str(tmp_path)))
     expected = {"trendgap", "trendgap.series", "trendgap.cli"}
     assert loaded == expected | {f"trendgap.{stage}" for stage in stages}

@@ -1,6 +1,5 @@
 """Forecast scoring and the rolling-origin harness."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +9,6 @@ from trendgap import (
     BacktestError,
     BacktestReport,
     DifferenceSeries,
-    Forecast,
     MonthStamp,
     fit_ols,
     forecast_along_trend,
@@ -19,109 +17,8 @@ from trendgap import (
     score,
 )
 
-
-def make_diff(start, values, name="d"):
-    origin = MonthStamp.parse(start)
-    obs = tuple((origin.add_months(i), float(v)) for i, v in enumerate(values))
-    return DifferenceSeries(name + "-m", name + "-s", obs)
-
-
-def make_forecast(first_month, values):
-    origin = MonthStamp.parse(first_month).add_months(-1)
-    path = tuple(
-        (MonthStamp.parse(first_month).add_months(i), float(v))
-        for i, v in enumerate(values)
-    )
-    return Forecast(mode="along-trend", origin=origin, path=path, band_sigma=0.0)
-
-
-def loop_oracle(pred, act):
-    """Single-pass reference implementation of every metric."""
-    n = len(pred)
-    abs_sum = sq_sum = signed_sum = 0.0
-    for p, a in zip(pred, act):
-        e = p - a
-        abs_sum += abs(e)
-        sq_sum += e * e
-        signed_sum += e
-    hits = counted = 0
-    for i in range(n - 1):
-        dp = pred[i + 1] - pred[i]
-        da = act[i + 1] - act[i]
-        if dp == 0 or da == 0:
-            continue
-        counted += 1
-        if (dp > 0) == (da > 0):
-            hits += 1
-    return (
-        abs_sum / n,
-        math.sqrt(sq_sum / n),
-        signed_sum / n,
-        hits / counted if counted else 1.0,
-    )
-
-
-def old_score(forecast, actual):
-    """Verbatim copy of the month-by-month scorer before ordinal lookups, kept as an oracle."""
-    overlap = [
-        (stamp, pred, actual.value_at(stamp))
-        for stamp, pred in forecast.path
-        if actual.has(stamp)
-    ]
-    if not overlap:
-        raise BacktestError("forecast and actuals share no months")
-
-    errors = [pred - act for _, pred, act in overlap]
-    n = len(errors)
-    mae = sum(abs(e) for e in errors) / n
-    rmse = math.sqrt(sum(e * e for e in errors) / n)
-    bias = sum(errors) / n
-
-    hits = counted = 0
-    for (_, p0, a0), (_, p1, a1) in zip(overlap, overlap[1:]):
-        dp, da = p1 - p0, a1 - a0
-        if dp == 0.0 or da == 0.0:
-            continue
-        counted += 1
-        if (dp > 0) == (da > 0):
-            hits += 1
-    hit_rate = hits / counted if counted else 1.0
-
-    return BacktestReport(n=n, mae=mae, rmse=rmse, bias=bias, direction_hit_rate=hit_rate)
-
-
-def lookup_score(forecast, actual, origin=None):
-    """Verbatim copy of the scorer that looked every month up at once and then made
-    separate passes for the errors and the hit rate, kept as an oracle. ``_lookup`` and
-    ``_ordinal`` are inlined as they were."""
-    months = [stamp.year * 12 + stamp.month - 1 for stamp, _ in forecast.path]
-    at = np.minimum(np.searchsorted(actual._months, months), len(actual._months) - 1)
-    found = actual._months[at] == months
-    overlap = [
-        (pred, act)
-        for (_, pred), act, keep in zip(forecast.path, actual._values[at].tolist(), found.tolist())
-        if keep
-    ]
-    if not overlap:
-        raise BacktestError("forecast and actuals share no months")
-
-    errors = [pred - act for pred, act in overlap]
-    n = len(errors)
-    mae = sum(abs(e) for e in errors) / n
-    rmse = math.sqrt(sum(e * e for e in errors) / n)
-    bias = sum(errors) / n
-
-    hits = counted = 0
-    for (p0, a0), (p1, a1) in zip(overlap, overlap[1:]):
-        dp, da = p1 - p0, a1 - a0
-        if dp == 0.0 or da == 0.0:
-            continue
-        counted += 1
-        if (dp > 0) == (da > 0):
-            hits += 1
-    hit_rate = hits / counted if counted else 1.0
-
-    return BacktestReport(n, mae, rmse, bias, hit_rate, origin)
+from conftest import make_diff, make_forecast
+from oracles import lookup_score, loop_oracle, old_score
 
 
 def scored(scorer, forecast, actual):
@@ -331,6 +228,11 @@ class TestRollingBacktest:
         d = make_diff("2000-01", range(24))
         with pytest.raises(BacktestError, match="not an observed month"):
             rolling_backtest(d, lambda *a: None, [MonthStamp(1999, 1)], 6)
+
+    def test_horizon_below_one(self):
+        d = make_diff("2000-01", range(24))
+        with pytest.raises(BacktestError, match=r"^horizon must be >= 1, got 0$"):
+            rolling_backtest(d, lambda *a: None, [MonthStamp(2000, 6)], 0)
 
 
 def gapped_diff():

@@ -1,6 +1,5 @@
 """Command-line pipeline behavior, exit codes and file formats."""
 
-import contextlib
 import errno
 import io
 import json
@@ -16,16 +15,18 @@ from hypothesis import strategies as st
 from trendgap import (
     Forecast,
     MonthStamp,
+    TrendModel,
     extrapolate_headline,
     fit_ols,
     forecast_along_trend,
+    mirror_trend,
     parse_series_csv,
     rolling_backtest,
     trailing_growth_rate,
 )
 from trendgap.cli import main, series_from_api_payload
 
-from conftest import FIXTURES
+from conftest import CONFIGS, FIXTURES, PIPELINES, in_process, run_stages
 
 
 def run(*argv) -> int:
@@ -34,10 +35,7 @@ def run(*argv) -> int:
 
 @pytest.fixture()
 def motor_out(tmp_path):
-    out = tmp_path / "out"
-    code = run("diff", "--config", str(FIXTURES / "motor_config.json"), "--out", str(out))
-    assert code == 0
-    return out
+    return run_stages(CONFIGS["motor"], tmp_path / "out", ("diff",))
 
 
 class TestDiff:
@@ -109,8 +107,7 @@ class TestDiff:
 
 class TestFit:
     def test_prints_slopes_and_writes_model(self, motor_out, capsys):
-        code = run("fit", "--config", str(FIXTURES / "motor_config.json"), "--out", str(motor_out))
-        assert code == 0
+        run_stages(CONFIGS["motor"], motor_out, ("fit",))
         printed = capsys.readouterr().out
         assert "slope +4" in printed
         assert "slope -21" in printed
@@ -146,8 +143,7 @@ class TestFit:
 
 class TestForecast:
     def test_recovery_closes_at_ten_points_per_month(self, motor_out):
-        assert run("fit", "--config", str(FIXTURES / "motor_config.json"), "--out", str(motor_out)) == 0
-        assert run("forecast", "--config", str(FIXTURES / "motor_config.json"), "--out", str(motor_out)) == 0
+        run_stages(CONFIGS["motor"], motor_out, ("fit", "forecast"))
         lines = (motor_out / "forecast.csv").read_text().splitlines()
         assert lines[0] == "date,predicted,low,high"
         values = [float(line.split(",")[1]) for line in lines[1:]]
@@ -161,11 +157,28 @@ class TestForecast:
         assert 9.0 <= steps[0] <= 11.0
         assert abs(deviations[-1]) < 1e-9
 
+    @pytest.mark.parametrize("index", [None, 0], ids=["last-segment", "first-segment"])
+    def test_mirror_trend_is_the_library_mirror_of_the_model_segment(self, motor_out, index):
+        run_stages(CONFIGS["motor"], motor_out, ("fit",))
+        trend = {"kind": "mirror", "pivot": ["2009-01", -50.0], "duration": 84}
+        if index is not None:
+            trend["segment_index"] = index
+        config = fixture_config("motor")
+        config["forecast"] = {"mode": "along-trend", "origin": "2009-03", "horizon": 21}
+        config["forecast"]["trend"] = trend
+        cfg = motor_out / "mirror.json"
+        cfg.write_text(json.dumps(config))
+        run_stages(cfg, motor_out, ("forecast",))
+
+        model = TrendModel.from_json((motor_out / "trend_model.json").read_text())
+        segment = model.segments[-1 if index is None else index]
+        mirrored = mirror_trend(segment, (MonthStamp(2009, 1), -50.0), 84)
+        expected = forecast_along_trend(mirrored, MonthStamp(2009, 3), 21)
+        assert json.loads((motor_out / "forecast.json").read_text()) == expected.to_dict()
+
     def test_horizon_zero_exits_two(self, motor_out, capsys):
-        config = json.loads((FIXTURES / "motor_config.json").read_text())
+        config = fixture_config("motor")
         config["forecast"]["horizon"] = 0
-        for role in config["series"].values():
-            role["path"] = str(FIXTURES / role["path"])
         cfg_path = motor_out / "h0.json"
         cfg_path.write_text(json.dumps(config))
         assert run("forecast", "--config", str(cfg_path), "--out", str(motor_out)) == 2
@@ -175,11 +188,7 @@ class TestForecast:
 class TestTranslateAndBacktest:
     @pytest.fixture()
     def crude_out(self, tmp_path):
-        out = tmp_path / "crude"
-        cfg = str(FIXTURES / "crude_config.json")
-        for cmd in ("diff", "fit", "forecast"):
-            assert run(cmd, "--config", cfg, "--out", str(out)) == 0
-        return out
+        return run_stages(CONFIGS["crude"], tmp_path / "crude", ("diff", "fit", "forecast"))
 
     def test_heuristic_prices_written(self, crude_out):
         lines = (crude_out / "forecast_prices.csv").read_text().splitlines()
@@ -189,15 +198,13 @@ class TestTranslateAndBacktest:
         assert abs(float(last[1]) - 30.0) <= 5.0
 
     def test_translate_with_fitted_calibration(self, crude_out):
-        cfg = str(FIXTURES / "crude_config.json")
-        assert run("translate", "--config", cfg, "--out", str(crude_out)) == 0
+        run_stages(CONFIGS["crude"], crude_out, ("translate",))
         lines = (crude_out / "translated_prices.csv").read_text().splitlines()
         assert lines[0] == "date,price_usd,low,high"
         assert abs(float(lines[-1].split(",")[1]) - 30.0) <= 5.0
 
     def test_backtest_reports(self, crude_out, capsys):
-        cfg = str(FIXTURES / "crude_config.json")
-        assert run("backtest", "--config", cfg, "--out", str(crude_out)) == 0
+        run_stages(CONFIGS["crude"], crude_out, ("backtest",))
         lines = (crude_out / "backtest.csv").read_text().splitlines()
         assert lines[0] == "origin,n,mae,rmse,bias,hit_rate"
         assert lines[1].startswith("2009-01,12,")
@@ -223,9 +230,7 @@ class TestTranslateAndBacktest:
         assert lines[1].startswith("2011-01,") and len(lines) == 1 + 61
 
     def test_origin_after_series_end_exits_two(self, crude_out, capsys):
-        config = json.loads((FIXTURES / "crude_config.json").read_text())
-        for role in config["series"].values():
-            role["path"] = str(FIXTURES / role["path"])
+        config = fixture_config("crude")
         config["backtest"]["origins"] = ["2010-10"]
         cfg_path = crude_out / "late.json"
         cfg_path.write_text(json.dumps(config))
@@ -269,7 +274,7 @@ class TestFetchPayload:
 
 def fixture_config(name: str) -> dict:
     """A fixture config with its input paths made absolute."""
-    config = json.loads((FIXTURES / f"{name}_config.json").read_text())
+    config = json.loads(CONFIGS[name].read_text())
     for role in config["series"].values():
         role["path"] = str(FIXTURES / role["path"])
     calibration = config.get("translate", {}).get("calibration")
@@ -370,6 +375,16 @@ BAD_KEYS = [
      "forecast: deadline 2009-01 must come after origin 2009-03"),
     ("crude", "backtest", "backtest.forecast.deadline", "2008-12",
      "backtest.forecast at origin 2009-01: deadline 2008-12 must come after origin 2009-01"),
+    ("motor", "forecast", "forecast.origin", "2030-01", "forecast.origin: no observation for 2030-01"),
+    ("motor", "forecast", "forecast.origin", "1970-01", "forecast.origin: no observation for 1970-01"),
+    ("motor", "forecast", "forecast", PENDULUM | {"origin": "2030-01", "amplitude": 2.0},
+     "forecast.origin: no observation for 2030-01"),
+    ("motor", "backtest", "backtest.origins", ["2030-01"],
+     "backtest.origins: origin 2030-01 is not an observed month"),
+    ("motor", "backtest", "backtest.origins", ["2010-11"],
+     "backtest.origins: origin 2010-11 leaves fewer than 9 months of actuals"),
+    ("crude", "backtest", "backtest.origins", ["1984-12"],
+     "backtest.origins: origin 1984-12 is not an observed month"),
 ]
 
 
@@ -391,22 +406,11 @@ class TestConfigErrors:
         "name, command, key, value, named", BAD_KEYS, ids=case_ids(BAD_KEYS)
     )
     def test_bad_key_exits_two(self, tmp_path, capsys, name, command, key, value, named):
-        out = tmp_path / "out"
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps(fixture_config(name)))
         prepared = ("diff", "fit", "forecast") if command == "translate" else ("diff", "fit")
-        for step in prepared:
-            assert run(step, "--config", str(good), "--out", str(out)) == 0
+        out = run_stages(CONFIGS[name], tmp_path / "out", prepared)
 
         config = fixture_config(name)
-        *parents, last = key.split(".")
-        section = config
-        for part in parents:
-            section = section[part]
-        if value is DELETE:
-            del section[last]
-        else:
-            section[last] = value
+        set_key(config, key, value)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config))
         before = snapshot(out)
@@ -490,7 +494,7 @@ class TestBacktestLookahead:
     )
     def test_model_trend_kinds_exit_two(self, motor_out, capsys, trend):
         config = fixture_config("motor")
-        assert run("fit", "--config", str(FIXTURES / "motor_config.json"), "--out", str(motor_out)) == 0
+        run_stages(CONFIGS["motor"], motor_out, ("fit",))
         config["backtest"] = {
             "origins": ["1995-01"],
             "horizon": 12,
@@ -514,7 +518,7 @@ class TestBacktestLookahead:
         assert not (tmp_path / "empty").exists()
 
     def test_forecast_without_model_says_fit_writes_it(self, tmp_path, capsys):
-        out = prepare(tmp_path, "motor", ("diff",))
+        out = run_stages(CONFIGS["motor"], tmp_path / "out", ("diff",))
         config = fixture_config("motor")
         config["forecast"]["trend"] = {"kind": "segment"}
         cfg = tmp_path / "segment.json"
@@ -546,7 +550,7 @@ class TestBaseline:
     def test_reports_match_the_forecaster_clipped_to_the_origin(self, tmp_path, motor_diff):
         # 2008-06 is fit_end, so the first four origins come at or before it
         origins = ["2001-02", "2003-07", "2006-01", "2008-06", "2008-07", "2009-03", "2010-03"]
-        out = prepare(tmp_path, "motor", ("diff",))
+        out = run_stages(CONFIGS["motor"], tmp_path / "out", ("diff",))
         cfg = tmp_path / "origins.json"
         cfg.write_text(json.dumps(self.config(origins)))
         assert run("backtest", "--config", str(cfg), "--out", str(out)) == 0
@@ -564,7 +568,7 @@ class TestBaseline:
 
     @pytest.mark.parametrize("origin", ["2000-06", "2001-01"])
     def test_origin_leaving_under_two_fit_months_exits_two(self, tmp_path, capsys, origin):
-        out = prepare(tmp_path, "motor", ("diff",))
+        out = run_stages(CONFIGS["motor"], tmp_path / "out", ("diff",))
         cfg = tmp_path / "early.json"
         cfg.write_text(json.dumps(self.config([origin])))
         before = snapshot(out)
@@ -572,16 +576,6 @@ class TestBaseline:
         assert run("backtest", "--config", str(cfg), "--out", str(out)) == 2
         assert "window 2001-01..2008-06 has" in capsys.readouterr().err
         assert snapshot(out) == before
-
-
-def prepare(tmp_path, name, steps):
-    """Run ``steps`` of the fixture pipeline ``name`` into ``tmp_path / 'out'``."""
-    out = tmp_path / "out"
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps(fixture_config(name)))
-    for step in steps:
-        assert run(step, "--config", str(good), "--out", str(out)) == 0
-    return out
 
 
 class TestNonFiniteResults:
@@ -596,7 +590,7 @@ class TestNonFiniteResults:
         ids=["nan-anchor", "infinite-amplitude"],
     )
     def test_forecast_exits_two(self, tmp_path, capsys, forecast):
-        out = prepare(tmp_path, "motor", ("diff", "fit"))
+        out = run_stages(CONFIGS["motor"], tmp_path / "out", ("diff", "fit"))
         config = fixture_config("motor")
         config["forecast"].update(forecast)
         bad = tmp_path / "bad.json"
@@ -627,7 +621,7 @@ class TestNonFiniteResults:
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_trailing_growth_from_non_positive_headline_exits_two(self, tmp_path, capsys, value):
-        out = prepare(tmp_path, "crude", ("diff", "fit", "forecast"))
+        out = run_stages(CONFIGS["crude"], tmp_path / "out", ("diff", "fit", "forecast"))
         headline = tmp_path / "headline.csv"
         text = (FIXTURES / "ppi_all_commodities.csv").read_text()
         headline.write_text(text.replace("\n2005-12,152.7\n", f"\n2005-12,{value}\n"))
@@ -644,7 +638,7 @@ class TestNonFiniteResults:
 
     @pytest.mark.parametrize("rate", [-150, 1e308, 2.5e62])
     def test_extrapolated_headline_out_of_range_exits_two(self, tmp_path, capsys, rate):
-        out = prepare(tmp_path, "crude", ("diff", "fit", "forecast"))
+        out = run_stages(CONFIGS["crude"], tmp_path / "out", ("diff", "fit", "forecast"))
         config = fixture_config("crude")
         config["translate"]["headline"] = {"path": str(FIXTURES / "ppi_all_commodities.csv")}
         config["translate"]["annual_rate"] = rate
@@ -660,7 +654,7 @@ class TestNonFiniteResults:
         "row, bad", [("-120.0,inf", "inf"), ("nan,119.19", "nan")], ids=["inf-price", "nan-index"]
     )
     def test_non_finite_calibration_pair_exits_two(self, tmp_path, capfd, row, bad):
-        out = prepare(tmp_path, "crude", ("diff", "fit", "forecast"))
+        out = run_stages(CONFIGS["crude"], tmp_path / "out", ("diff", "fit", "forecast"))
         pairs = tmp_path / "pairs.csv"
         text = (FIXTURES / "crude_price_pairs.csv").read_text()
         pairs.write_text(text.replace("\n-120.0,119.19\n", f"\n{row}\n"))
@@ -695,18 +689,15 @@ class TestMalformedForecastCsv:
         assert snapshot(out) == before
 
 
-PIPELINES = {
-    "motor": ("diff", "fit", "forecast", "backtest"),
-    "crude": ("diff", "fit", "forecast", "translate", "backtest"),
-}
-
-
 def set_key(config: dict, key: str, value) -> None:
-    """Set the dotted ``key`` of ``config``, making any section it lacks."""
+    """Set the dotted ``key`` of ``config``, making any section it lacks; DELETE removes it."""
     *parents, last = key.split(".")
     for part in parents:
         config = config.setdefault(part, {})
-    config[last] = value
+    if value is DELETE:
+        del config[last]
+    else:
+        config[last] = value
 
 
 def key_paths(section: dict, prefix: tuple = ()):
@@ -721,7 +712,7 @@ def pipeline_outs(tmp_path_factory):
     """Every artefact of both fixture pipelines, one directory per config."""
     outs = {}
     for name, steps in PIPELINES.items():
-        outs[name] = prepare(tmp_path_factory.mktemp(name), name, steps)
+        outs[name] = run_stages(CONFIGS[name], tmp_path_factory.mktemp(name) / "out", steps)
     return outs
 
 
@@ -740,24 +731,16 @@ class TestConfigFuzz:
         """Any edit of one key exits 0 or 2, never 1, and exit 2 leaves --out as it was."""
         name, path, value, command = edit
         config = fixture_config(name)
-        section = config
-        for part in path[:-1]:
-            section = section[part]
-        if value is DELETE:
-            del section[path[-1]]
-        else:
-            section[path[-1]] = value
+        set_key(config, ".".join(path), value)
         work = tmp_path_factory.mktemp("fuzz")
         out = work / "out"
         shutil.copytree(pipeline_outs[name], out)
         bad = work / "bad.json"
         bad.write_text(json.dumps(config))
         before = snapshot(out)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run(command, "--config", str(bad), "--out", str(out))
-        assert code in (0, 2), err.getvalue()
-        if code == 2:
+        done = in_process(command, "--config", str(bad), "--out", str(out))
+        assert done.returncode in (0, 2), done.stderr
+        if done.returncode == 2:
             assert snapshot(out) == before
 
 
@@ -898,7 +881,7 @@ class TestNoPartialArtefacts:
 
     @pytest.mark.parametrize("failure", ["target-is-directory", "write-fails"])
     def test_forecast_writes_all_or_nothing(self, tmp_path, monkeypatch, capsys, failure):
-        out = prepare(tmp_path, "motor", ("diff", "fit", "forecast"))
+        out = run_stages(CONFIGS["motor"], tmp_path / "out", ("diff", "fit", "forecast"))
         if failure == "target-is-directory":
             (out / "forecast.json").unlink()
             (out / "forecast.json").mkdir()
@@ -939,12 +922,12 @@ class TestNoPartialArtefacts:
     )
     def test_no_report_when_the_write_fails(self, tmp_path, capsys, command, target):
         steps = PIPELINES["crude"]
-        out = prepare(tmp_path, "crude", steps[: steps.index(command)])
+        out = run_stages(CONFIGS["crude"], tmp_path / "out", steps[: steps.index(command)])
         (out / target).mkdir(parents=True)
         before, names = snapshot(out), sorted(out.rglob("*"))
         capsys.readouterr()
 
-        assert run(command, "--config", str(tmp_path / "good.json"), "--out", str(out)) == 2
+        assert run(command, "--config", str(FIXTURES / "crude_config.json"), "--out", str(out)) == 2
         captured = capsys.readouterr()
         assert target in captured.err
         assert captured.out == ""

@@ -9,8 +9,8 @@ is on ``PATH`` (``pip install .`` puts it there). That script runs without
 this checkout on its path, so it runs the installed package's own modules.
 """
 
+import functools
 import gc
-import hashlib
 import os
 import shutil
 import subprocess
@@ -22,8 +22,8 @@ import pytest
 import trendgap
 from trendgap.cli import main
 
-from conftest import FIXTURES
-from test_golden import GOLDEN_SHA256, GOLDEN_STDOUT, PIPELINES
+from conftest import FIXTURES, run_fixture_pipelines
+from test_golden import GOLDEN_SHA256, GOLDEN_STDOUT
 
 
 def child(*args: str, script: str | None = None) -> subprocess.CompletedProcess:
@@ -43,35 +43,21 @@ def child(*args: str, script: str | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
 
 
-def assert_pipelines_match_golden(tmp_path, script: str | None = None) -> None:
-    """Both fixture pipelines, one ``child`` process per command, against the golden pins."""
-    reports = {}
-    for name, commands in PIPELINES.items():
-        config = str(FIXTURES / f"{name}_config.json")
-        for command in commands:
-            args = (command, "--config", config, "--out", str(tmp_path / name))
-            done = child(*args, script=script) if script else child("-m", "trendgap.cli", *args)
-            assert done.returncode == 0, f"{name} {command} exited {done.returncode}: {done.stderr}"
-            assert done.stderr == "", f"{name} {command} wrote to stderr"
-            reports[f"{name} {command}"] = done.stdout
-    assert reports == GOLDEN_STDOUT
-    produced = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.rglob("*"))
-        if path.is_file()
-    }
-    assert produced == GOLDEN_SHA256
-
-
 def test_fixture_pipelines_match_golden_in_child_processes(tmp_path):
-    assert_pipelines_match_golden(tmp_path)
+    launch = functools.partial(child, "-m", "trendgap.cli")
+    reports, produced = run_fixture_pipelines(tmp_path, launch)
+    assert reports == GOLDEN_STDOUT
+    assert produced == GOLDEN_SHA256
 
 
 def test_fixture_pipelines_match_golden_through_the_console_script(tmp_path):
     script = shutil.which("trendgap")
     if script is None:
         pytest.skip("no trendgap console script on PATH; 'pip install .' installs one")
-    assert_pipelines_match_golden(tmp_path, script)
+    launch = functools.partial(child, script=script)
+    reports, produced = run_fixture_pipelines(tmp_path, launch)
+    assert reports == GOLDEN_STDOUT
+    assert produced == GOLDEN_SHA256
 
 
 def test_missing_config_exits_two_and_writes_nothing(tmp_path):

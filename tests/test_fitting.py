@@ -1,7 +1,6 @@
 """OLS fitting, breakpoint detection and trend-model assembly."""
 
 import functools
-import itertools
 import warnings
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 
 from trendgap import (
     DifferenceSeries,
-    MAX_TRANSITION_MONTHS,
     FitError,
     LinearSegment,
     MonthStamp,
@@ -26,38 +24,18 @@ from trendgap import (
 from trendgap.cli import _residuals_csv
 from trendgap.fitting import _design, _SegmentCost, _segment
 
-
-def make_diff(start, values, name="d"):
-    origin = MonthStamp.parse(start)
-    obs = tuple((origin.add_months(i), float(v)) for i, v in enumerate(values))
-    return DifferenceSeries(name + "-a", name + "-b", obs)
-
-
-def ols_oracle(x, y):
-    """Closed-form normal equations: B = cov/var, A from the means."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xbar, ybar = x.mean(), y.mean()
-    slope = np.sum((x - xbar) * (y - ybar)) / np.sum((x - xbar) ** 2)
-    intercept_at_x0 = ybar - slope * xbar  # x is measured from the window start
-    return intercept_at_x0, slope
-
-
-def old_ols(x, y):
-    """The per-call OLS that fit_ols ran, design built on every call:
-    (intercept, slope, r_squared, residual_sigma)."""
-    if np.ptp(x) == 0.0:
-        raise FitError("zero variance in time coordinate")
-    design = np.column_stack([np.ones_like(x), x])
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    intercept, slope = float(coef[0]), float(coef[1])
-    resid = y - design @ coef
-    sse = float(resid @ resid)
-    sst = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 0.0 if sst == 0.0 else max(0.0, min(1.0, 1.0 - sse / sst))
-    n = len(y)
-    residual_sigma = float(np.sqrt(sse / (n - 1))) if n > 1 else 0.0
-    return intercept, slope, r_squared, residual_sigma
+from conftest import make_diff, stamp
+from oracles import (
+    exhaustive_breakpoints,
+    exhaustive_breakpoints_k3,
+    old_build_trend_model,
+    old_classify_deviation,
+    old_ols,
+    old_residuals_csv,
+    ols_oracle,
+    per_row_segment,
+    sse_of_pieces,
+)
 
 
 class TestFitOls:
@@ -202,61 +180,6 @@ class TestResidual:
     def test_sign_positive_above(self):
         seg = LinearSegment(MonthStamp(2000, 1), MonthStamp(2001, 12), 0.0, 12.0, 1.0, 1.0)
         assert residual(seg, MonthStamp(2000, 2), 2.0) == pytest.approx(1.0)
-
-
-def sse_of_pieces(values, cuts):
-    """Exhaustive-search oracle SSE: independent polyfit on each piece."""
-    bounds = [0] + list(cuts) + [len(values)]
-    total = 0.0
-    for lo, hi in zip(bounds, bounds[1:]):
-        x = np.arange(lo, hi) / 12.0
-        y = np.asarray(values[lo:hi], dtype=float)
-        coef = np.polyfit(x, y, 1)
-        total += float(np.sum((y - np.polyval(coef, x)) ** 2))
-    return total
-
-
-def exhaustive_breakpoints(values, k, min_len):
-    """Brute-force optimal cut positions (first index of each right piece)."""
-    n = len(values)
-    best = (np.inf, [])
-    if k == 1:
-        candidates = ([c] for c in range(min_len, n - min_len + 1))
-    elif k == 2:
-        candidates = (
-            [c1, c2]
-            for c1 in range(min_len, n - 2 * min_len + 1)
-            for c2 in range(c1 + min_len, n - min_len + 1)
-        )
-    else:
-        raise AssertionError("oracle supports k in {1, 2}")
-    for cuts in candidates:
-        sse = sse_of_pieces(values, cuts)
-        if sse < best[0] - 1e-12:
-            best = (sse, cuts)
-    return best
-
-
-def exhaustive_breakpoints_k3(values, min_len):
-    """Brute-force optimal three cut positions; each piece is fitted once."""
-    n = len(values)
-
-    @functools.lru_cache(maxsize=None)
-    def piece(lo, hi):
-        x = np.arange(lo, hi) / 12.0
-        y = np.asarray(values[lo:hi], dtype=float)
-        coef = np.polyfit(x, y, 1)
-        return float(np.sum((y - np.polyval(coef, x)) ** 2))
-
-    best = (np.inf, [])
-    for cuts in itertools.combinations(range(min_len, n - min_len + 1), 3):
-        bounds = (0, *cuts, n)
-        if any(hi - lo < min_len for lo, hi in zip(bounds, bounds[1:])):
-            continue
-        sse = sum(piece(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
-        if sse < best[0] - 1e-12:
-            best = (sse, list(cuts))
-    return best
 
 
 class TestDetectBreakpoints:
@@ -414,49 +337,6 @@ class TestDetectBreakpoints:
             max_k, min_len = trial % 4, int(rng.choice([6, 8, 12]))
             got = select_breakpoint_count(make_diff("1990-01", y), max_k, min_len)
             assert got == oracle(y, max_k, min_len), (trial, n, planted, max_k, min_len)
-
-
-class PerRowSegmentCost:
-    """The per-row DP's segment cost, kept verbatim as the tables' oracle."""
-
-    def __init__(self, y: np.ndarray):
-        x = np.arange(len(y)) / 12.0
-        x = x - x.mean()
-        y = y - y.mean()
-        # prefix[p] holds the sums of x, y, xx, xy and yy over positions 0..p-1
-        terms = np.column_stack([x, y, x * x, x * y, y * y])
-        self.prefix = np.vstack([np.zeros(5), np.cumsum(terms, axis=0)])
-
-    def sse(self, i, j) -> np.ndarray:
-        """SSE of the OLS line on positions i..j inclusive; broadcasts over arrays."""
-        m = j - i + 1
-        sx, sy, sxx, sxy, syy = (self.prefix[j + 1] - self.prefix[i]).T
-        var_x = sxx - sx * sx / m
-        cov_xy = sxy - sx * sy / m
-        var_y = syy - sy * sy / m
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sse = var_y - np.where(var_x > 0.0, cov_xy * cov_xy / np.maximum(var_x, 1e-300), 0.0)
-        return np.maximum(sse, 0.0)
-
-
-def per_row_segment(diff, max_k, min_len):
-    """The DP that evaluated one start position per numpy call (tables' oracle)."""
-    n = len(diff)
-    cost = PerRowSegmentCost(diff._values)
-    suffix = np.full((max_k + 1, n + 1), np.inf)
-    after = np.zeros((max_k + 1, n + 1), dtype=int)
-    starts = np.arange(n - min_len + 1)
-    suffix[0][starts] = cost.sse(starts, n - 1)
-    for m in range(1, max_k + 1):
-        # piece i..b, then m-1 breaks in b+1..n-1
-        for i in range(n - (m + 1) * min_len, -1, -1):
-            bs = np.arange(i + min_len - 1, n - m * min_len)
-            totals = cost.sse(i, bs) + suffix[m - 1][bs + 1]
-            # argmin returns the first minimum, i.e. the earliest feasible break
-            best = int(np.argmin(totals))
-            suffix[m][i] = totals[best]
-            after[m][i] = bs[best] + 1
-    return suffix, after
 
 
 @pytest.mark.parametrize("n", [12, 1_200, 12_000, 120_000])
@@ -749,121 +629,6 @@ class TestTrendModelSerialization:
             TrendModel((a, b), ())
 
 
-# Test-local copies of the trend-model assembly and the month-by-month
-# classification from before TrendModel.zone, kept as oracles.
-
-
-def old_build_trend_model(diff, breakpoints, transition_halfwidth, tail_start=None):
-    if transition_halfwidth < 0:
-        raise FitError("transition_halfwidth must be >= 0")
-    if 2 * transition_halfwidth > MAX_TRANSITION_MONTHS:
-        raise FitError(
-            f"transition_halfwidth {transition_halfwidth} implies a window wider "
-            f"than {MAX_TRANSITION_MONTHS} months"
-        )
-    points = list(breakpoints)
-    if points != sorted(points):
-        raise FitError("breakpoints must be sorted")
-    span_start, span_end = diff.start, diff.end
-    for p in points:
-        if not (span_start < p <= span_end):
-            raise FitError(f"breakpoint {p} outside series span {span_start}..{span_end}")
-    fit_end = span_end
-    transitions = []
-    if tail_start is not None:
-        if not (span_start < tail_start <= span_end):
-            raise FitError(f"tail_start {tail_start} outside series span")
-        if points and tail_start <= points[-1]:
-            raise FitError("tail_start must come after the last breakpoint")
-        if months_between(span_end, tail_start) >= MAX_TRANSITION_MONTHS:
-            raise FitError(
-                f"tail_start {tail_start} leaves a trailing transition {tail_start}..{span_end} "
-                f"longer than {MAX_TRANSITION_MONTHS} months"
-            )
-        fit_end = tail_start.add_months(-1)
-    windows = []
-    for p in points:
-        if transition_halfwidth == 0:
-            continue
-        w = (p.add_months(-transition_halfwidth), p.add_months(transition_halfwidth - 1))
-        if windows and w[0] <= windows[-1][1]:
-            raise FitError(
-                f"transition windows around {p} overlap; halfwidth too large "
-                "for the breakpoint spacing"
-            )
-        windows.append(w)
-    pieces = []
-    cursor = span_start
-    if transition_halfwidth == 0:
-        for p in points:
-            pieces.append((cursor, p.add_months(-1)))
-            cursor = p
-        pieces.append((cursor, fit_end))
-    else:
-        for w in windows:
-            pieces.append((cursor, w[0].add_months(-1)))
-            cursor = w[1].add_months(1)
-            transitions.append(TransitionWindow(*w))
-        pieces.append((cursor, fit_end))
-    segments = []
-    for lo, hi in pieces:
-        if hi < lo or months_between(hi, lo) + 1 < 2:
-            raise FitError(
-                f"piece {lo}..{hi} is too short to fit; reduce transition_halfwidth"
-            )
-        segments.append(fit_ols(diff, (lo, hi)))
-    if tail_start is not None:
-        transitions.append(TransitionWindow(tail_start, span_end))
-    return TrendModel(segments=tuple(segments), transitions=tuple(transitions))
-
-
-def old_residuals_csv(diff, model):
-    """The segment-first lookup that residuals.csv used."""
-    lines = ["date,value,predicted,residual,zone"]
-    for stamp, value in diff.observations:
-        segment = next((s for s in model.segments if s.contains(stamp)), None)
-        if segment is not None:
-            zone = f"trend-{model.segments.index(segment)}"
-        elif any(w.contains(stamp) for w in model.transitions):
-            lines.append(f"{stamp},{value!r},,,transition")
-            continue
-        else:
-            segment = old_nearest_segment(model, stamp)
-            zone = "extrapolation"
-        predicted = segment.predicted(stamp)
-        lines.append(f"{stamp},{value!r},{predicted!r},{value - predicted!r},{zone}")
-    return "\n".join(lines) + "\n"
-
-
-def old_nearest_segment(model, stamp):
-    def distance(s):
-        if s.contains(stamp):
-            return 0
-        return min(abs(months_between(stamp, s.start)), abs(months_between(stamp, s.end)))
-
-    return min(model.segments, key=distance)
-
-
-def old_classify_deviation(model, stamp, value):
-    """The transition-first classification, as (label, z, segment, extrapolated)."""
-    if any(w.contains(stamp) for w in model.transitions):
-        return "in-transition", None, None, False
-    segment = next((s for s in model.segments if s.contains(stamp)), None)
-    extrapolated = segment is None
-    if segment is None:
-        segment = old_nearest_segment(model, stamp)
-    dev = residual(segment, stamp, value)
-    if segment.residual_sigma > 0.0:
-        z = dev / segment.residual_sigma
-    else:
-        z = 0.0 if dev == 0.0 else float("inf") * np.sign(dev)
-    if abs(z) <= 1.0:
-        label = "on-trend"
-    else:
-        label = "above" if dev > 0 else "below"
-    return label, float(z), segment, extrapolated
-
-
 def random_build_case(rng):
     """A seeded series, 0-3 breakpoints (some unsorted), halfwidth 0-19, tail on or off."""
     n = int(rng.integers(24, 160))
@@ -969,3 +734,92 @@ class TestTrendModelOracle:
             probe = DifferenceSeries("a", "b", tuple(obs))
             assert _residuals_csv(probe, model) == old_residuals_csv(probe, model), trial
         assert seen == {"in-segment", "in-transition", "extrapolated", "tie"}
+
+
+def segment(start, end, r_squared=0.9, sigma=1.0):
+    return LinearSegment(stamp(start), stamp(end), 0.0, 1.0, r_squared, sigma)
+
+
+TWO_SEGMENTS = (segment("2000-01", "2000-12"), segment("2003-01", "2003-12"))
+TWO_YEARS = make_diff("2000-01", range(24))
+
+#: id: (call, error type, message) for each refusal of arguments that no other test makes
+REFUSALS = {
+    "segment-end-before-start": (
+        lambda: segment("2000-02", "2000-01"),
+        ValueError,
+        "segment end 2000-01 before start 2000-02",
+    ),
+    "segment-r-squared": (
+        lambda: segment("2000-01", "2000-12", r_squared=1.5),
+        ValueError,
+        "r_squared 1.5 outside [0, 1]",
+    ),
+    "segment-negative-sigma": (
+        lambda: segment("2000-01", "2000-12", sigma=-1.0),
+        ValueError,
+        "negative residual_sigma -1.0",
+    ),
+    "transition-end-before-start": (
+        lambda: TransitionWindow(stamp("2000-02"), stamp("2000-01")),
+        ValueError,
+        "transition end 2000-01 before start 2000-02",
+    ),
+    "model-without-segments": (
+        lambda: TrendModel((), ()),
+        ValueError,
+        "trend model needs at least one segment",
+    ),
+    "model-transitions-overlap": (
+        lambda: TrendModel(
+            TWO_SEGMENTS,
+            (TransitionWindow(stamp("2001-01"), stamp("2001-06")),
+             TransitionWindow(stamp("2001-06"), stamp("2001-12"))),
+        ),
+        ValueError,
+        "transitions overlap or are out of order at 2001-06",
+    ),
+    "model-transition-inside-a-segment": (
+        lambda: TrendModel(TWO_SEGMENTS, (TransitionWindow(stamp("2000-06"), stamp("2001-06")),)),
+        ValueError,
+        "transition 2000-06..2001-06 is not strictly between segments",
+    ),
+    "detect-negative-k": (
+        lambda: detect_breakpoints(TWO_YEARS, -1, 6),
+        FitError,
+        "k must be >= 0, got -1",
+    ),
+    "select-negative-max-k": (
+        lambda: select_breakpoint_count(TWO_YEARS, -1, 6),
+        FitError,
+        "max_k must be >= 0, got -1",
+    ),
+    "select-series-shorter-than-min-len": (
+        lambda: select_breakpoint_count(make_diff("2000-01", range(10)), 1, 12),
+        FitError,
+        "series of 10 months is shorter than min_len 12",
+    ),
+    "select-min-len-below-six": (
+        lambda: select_breakpoint_count(TWO_YEARS, 1, 5),
+        FitError,
+        "min_len must be >= 6, got 5",
+    ),
+    "build-negative-halfwidth": (
+        lambda: build_trend_model(TWO_YEARS, [], -1),
+        FitError,
+        "transition_halfwidth must be >= 0",
+    ),
+    "build-tail-start-outside-span": (
+        lambda: build_trend_model(TWO_YEARS, [], 0, stamp("2002-01")),
+        FitError,
+        "tail_start 2002-01 outside series span",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refuses_with_its_exact_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert raised.type is error
+    assert str(raised.value) == message

@@ -16,9 +16,9 @@ from trendgap import (
     forecast_pendulum,
     forecast_return_to_trend,
     mirror_trend,
-    months_between,
 )
-from trendgap.series import _stamp
+
+from oracles import old_forecast_checks, old_forecast_pendulum, old_predicted
 
 
 def flat_trend(level=0.0, sigma=0.0):
@@ -319,41 +319,6 @@ class TestForecastType:
         assert outcomes == {"ok", "non-finite forecast", *refusals}
 
 
-def old_ordinal(stamp):
-    """Verbatim body of ``series._ordinal`` before stamps kept their ordinal."""
-    return stamp.year * 12 + stamp.month - 1
-
-
-def old_forecast_checks(origin, path, band_sigma):
-    """Verbatim body of ``Forecast.__post_init__`` from when ``_ordinal`` computed each
-    stamp's ordinal (``old_ordinal`` standing in for it), kept as an oracle: the normalised
-    ``(path, band_sigma)``, or the error it raised."""
-    stamps, values = zip(*path) if path else ((), ())
-    values = tuple(map(float, values))
-    path = tuple(zip(stamps, values))
-    band_sigma = float(band_sigma)
-    if not 0.0 <= band_sigma < math.inf:
-        raise ValueError(f"band_sigma must be finite and >= 0, got {band_sigma}")
-    if not stamps:
-        raise ValueError("empty forecast path")
-    months = list(map(old_ordinal, stamps))
-    expected = old_ordinal(origin) + 1
-    # the usual path, every month after the origin and finite, passes in one check
-    if months == list(range(expected, expected + len(months))) and math.isfinite(sum(values)):
-        return path, band_sigma
-    if months[0] != expected:
-        raise ValueError(
-            f"path must start the month after origin ({_stamp(expected)}), got {stamps[0]}"
-        )
-    for a, b, stamp in zip(months, months[1:], stamps[1:]):
-        if b <= a:
-            raise ValueError(f"path stamps not strictly increasing at {stamp}")
-    for stamp, value in zip(stamps, values):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite forecast value {value!r} at {stamp}")
-    return path, band_sigma
-
-
 def forecast_outcome(check):
     """``repr`` of what ``check()`` returns (so -0.0 and np.int64 fields show), or the
     type and text of the ValueError it raised."""
@@ -389,31 +354,6 @@ def random_forecast_paths(rng):
     if rng.random() < 0.3:
         band = float(rng.choice([0.0, -0.0, 1.5, 1e300, -1.0, math.inf, math.nan]))
     return origin, tuple(zip(stamps, values)), band
-
-
-def old_forecast_pendulum(current, trend, amplitude, half_period, horizon):
-    """The stamp-by-stamp pendulum path, kept as an oracle (``old_predicted`` standing in
-    for ``trend.predicted``)."""
-    origin, value = current
-    start_dev = float(value) - old_predicted(trend, origin)
-    side = math.copysign(1.0, start_dev) if start_dev != 0.0 else 1.0
-
-    def deviation(m: int) -> float:
-        phase = math.pi * m / half_period
-        wave = math.cos(phase)
-        if m <= half_period / 2:
-            return wave * abs(start_dev) * side
-        return wave * amplitude * side
-
-    return tuple(
-        (origin.add_months(m), old_predicted(trend, origin.add_months(m)) + deviation(m))
-        for m in range(1, horizon + 1)
-    )
-
-
-def old_predicted(trend, stamp):
-    """Verbatim body of ``LinearSegment.predicted`` before it called ``_at``."""
-    return trend.intercept + trend.slope * (months_between(stamp, trend.start) / 12.0)
 
 
 def random_trends(rng):
@@ -463,3 +403,31 @@ class TestPathsEqualTrendValues:
                 int(rng.integers(1, 40)),
             )
             assert forecast_pendulum(*args).path == old_forecast_pendulum(*args)
+
+
+#: id: (call, error type, message) for each refusal of arguments that no other test makes
+REFUSALS = {
+    "csv-without-rows": (
+        lambda: Forecast.from_csv("date,predicted,low,high\n"),
+        ValueError,
+        "no forecast rows",
+    ),
+    "pendulum-half-period-below-two": (
+        lambda: forecast_pendulum((MonthStamp(2010, 1), 1.0), flat_trend(), 2.0, 1, 6),
+        ForecastError,
+        "half_period must be >= 2 months, got 1",
+    ),
+    "pendulum-horizon-below-one": (
+        lambda: forecast_pendulum((MonthStamp(2010, 1), 1.0), flat_trend(), 2.0, 6, 0),
+        ForecastError,
+        "horizon must be >= 1, got 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refuses_with_its_exact_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert raised.type is error
+    assert str(raised.value) == message

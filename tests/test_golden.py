@@ -7,18 +7,7 @@ subcommand's stdout report is pinned as literal text, and its stderr must be
 empty.
 """
 
-import contextlib
-import hashlib
-import io
-
-from trendgap.cli import main
-
-from conftest import FIXTURES
-
-PIPELINES = {
-    "motor": ("diff", "fit", "forecast", "backtest"),
-    "crude": ("diff", "fit", "forecast", "translate", "backtest"),
-}
+from conftest import in_process, run_fixture_pipelines
 
 GOLDEN_SHA256 = {
     "crude/backtest.csv": "40b1b86b1e29b9c973b2a2f4ffe5adfed53a618fa046555eb4be19abfffeec3d",
@@ -76,20 +65,6 @@ GOLDEN_STDOUT = {
 
 
 def test_fixture_artefacts_match_golden_hashes(tmp_path):
-    reports = {}
-    for name, commands in PIPELINES.items():
-        config = FIXTURES / f"{name}_config.json"
-        for command in commands:
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main([command, "--config", str(config), "--out", str(tmp_path / name)])
-            assert code == 0, f"{name} {command} failed: {stderr.getvalue()}"
-            assert stderr.getvalue() == "", f"{name} {command} wrote to stderr"
-            reports[f"{name} {command}"] = stdout.getvalue()
+    reports, produced = run_fixture_pipelines(tmp_path, in_process)
     assert reports == GOLDEN_STDOUT
-    produced = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.rglob("*"))
-        if path.is_file()
-    }
     assert produced == GOLDEN_SHA256

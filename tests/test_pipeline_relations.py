@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from trendgap import MonthStamp, months_between
-from trendgap.cli import main
+
+from conftest import run_stages
 
 SEEDS = range(10)
 
@@ -53,13 +54,11 @@ def run_pipeline(tmp_path, name: str, headline, component, start: MonthStamp) ->
             "horizon": 24,
             "trend": {"kind": "fit", "start": str(end.add_months(-35)), "end": str(end)},
         },
-        "out": str(work / "out"),
     }
     (work / "config.json").write_text(json.dumps(config))
-    for command in ("diff", "fit", "forecast"):
-        assert main([command, "--config", str(work / "config.json")]) == 0
-    model = json.loads((work / "out" / "trend_model.json").read_text())
-    forecast = json.loads((work / "out" / "forecast.json").read_text())
+    out = run_stages(work / "config.json", work / "out", ("diff", "fit", "forecast"))
+    model = json.loads((out / "trend_model.json").read_text())
+    forecast = json.loads((out / "forecast.json").read_text())
     pieces = model["segments"] + model["transitions"]
     return {
         "offsets": [

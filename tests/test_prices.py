@@ -8,9 +8,9 @@ import pytest
 from trendgap import (
     CRUDE_OIL_HEURISTIC,
     DifferenceSeries,
-    Forecast,
     MonthlySeries,
     MonthStamp,
+    PriceCalibration,
     PriceError,
     calibrate_price,
     component_index_from_difference,
@@ -23,17 +23,13 @@ from trendgap import (
     trailing_growth_rate,
 )
 
+from conftest import make_diff, make_forecast
+
 
 def make_monthly(series_id, start, values):
     origin = MonthStamp.parse(start)
     obs = tuple((origin.add_months(i), float(v)) for i, v in enumerate(values))
     return MonthlySeries(series_id, "", obs)
-
-
-def make_diff(start, values, name="d"):
-    origin = MonthStamp.parse(start)
-    obs = tuple((origin.add_months(i), float(v)) for i, v in enumerate(values))
-    return DifferenceSeries(name + "-m", name + "-s", obs)
 
 
 class TestPercentChange:
@@ -59,14 +55,6 @@ class TestPercentChange:
             p1 = percent_change(x, y)
             p2 = percent_change(y, x)
             assert (1 + p1 / 100.0) * (1 + p2 / 100.0) == pytest.approx(1.0, abs=1e-9)
-
-
-def make_forecast(start, values):
-    origin = MonthStamp.parse(start).add_months(-1)
-    path = tuple(
-        (MonthStamp.parse(start).add_months(i), float(v)) for i, v in enumerate(values)
-    )
-    return Forecast(mode="along-trend", origin=origin, path=path, band_sigma=0.0)
 
 
 class TestComponentFromDifference:
@@ -362,3 +350,48 @@ class TestLeadLagRelations:
                 mapped_lag, mapped_corr = lead_lag(*pair, 12)
                 assert mapped_lag == lag
                 assert mapped_corr == pytest.approx(corr, rel=0.0, abs=1e-12)
+
+
+HEADLINE = make_monthly("h", "2009-01", [100.0, 101.0])
+
+#: id: (call, error type, message) for each refusal of arguments that no other test makes
+REFUSALS = {
+    "calibration-r-squared": (
+        lambda: PriceCalibration(1.0, 0.0, 1.5),
+        ValueError,
+        "fit_r_squared 1.5 outside [0, 1]",
+    ),
+    "extrapolate-non-finite-rate": (
+        lambda: extrapolate_headline(HEADLINE, MonthStamp(2009, 1), 3, float("inf")),
+        PriceError,
+        "annual_rate must be finite, got inf",
+    ),
+    "trailing-growth-origin-absent": (
+        lambda: trailing_growth_rate(HEADLINE, MonthStamp(2010, 1)),
+        PriceError,
+        "origin 2010-01 absent from 'h'",
+    ),
+    "trailing-growth-without-history": (
+        lambda: trailing_growth_rate(HEADLINE, MonthStamp(2009, 1)),
+        PriceError,
+        "no trailing history to estimate growth from",
+    ),
+    "pairs-csv-without-pairs": (
+        lambda: parse_calibration_pairs_csv("index,price_usd\n"),
+        PriceError,
+        "no calibration pairs",
+    ),
+    "lead-lag-negative-max-lag": (
+        lambda: lead_lag(*shifted_pair(7), -1),
+        PriceError,
+        "max_lag must be >= 0, got -1",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refuses_with_its_exact_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert raised.type is error
+    assert str(raised.value) == message

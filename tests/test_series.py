@@ -1,6 +1,5 @@
 """Series parsing, alignment, differencing and rebasing."""
 
-import math
 import re
 
 import numpy as np
@@ -11,7 +10,6 @@ from trendgap import (
     MonthlySeries,
     MonthStamp,
     ParseError,
-    PriceError,
     SeriesError,
     align,
     difference,
@@ -22,7 +20,20 @@ from trendgap import (
     series_to_csv,
 )
 from trendgap import series as series_module
-from trendgap.series import _month_text, _read_csv, _stamp, _write_csv
+from trendgap.series import _month_text, _stamp, _write_csv
+
+from oracles import (
+    old_parse_series_csv,
+    old_parse_stamp,
+    old_str,
+    ref_align,
+    ref_difference,
+    ref_lead_lag,
+    ref_missing_months,
+    ref_rebase,
+    ref_restrict,
+    ref_value_at,
+)
 
 
 def make_series(series_id, start, values):
@@ -279,93 +290,9 @@ class TestInvariants:
         with pytest.raises(SeriesError, match="strictly increasing"):
             MonthlySeries("x", "", obs)
 
-
-# The tuple-and-dict implementations that the array-backed series replaced,
-# kept here as the reference for gappy series.
-
-
-def ref_add_months(stamp, n):
-    total = stamp.year * 12 + (stamp.month - 1) + n
-    return MonthStamp(total // 12, total % 12 + 1)
-
-
-def ref_months_between(later, earlier):
-    return (later.year - earlier.year) * 12 + (later.month - earlier.month)
-
-
-def ref_restrict(series, start, end):
-    kept = tuple(o for o in series.observations if start <= o[0] <= end)
-    if not kept:
-        raise SeriesError(f"series {series.series_id!r} has no data in {start}..{end}")
-    return kept
-
-
-def ref_align(a, b):
-    common = set(a.stamps) & set(b.stamps)
-    if not common:
-        raise SeriesError(f"no overlapping months between {a.series_id!r} and {b.series_id!r}")
-    keep_a = tuple(o for o in a.observations if o[0] in common)
-    keep_b = tuple(o for o in b.observations if o[0] in common)
-    return keep_a, keep_b
-
-
-def ref_difference(a, b):
-    keep_a, keep_b = ref_align(a, b)
-    return tuple((s, hv - cv) for (s, hv), (_, cv) in zip(keep_a, keep_b))
-
-
-def ref_missing_months(series):
-    obs = series.observations
-    gaps = []
-    for (a, _), (b, _) in zip(obs, obs[1:]):
-        for k in range(1, ref_months_between(b, a)):
-            gaps.append(ref_add_months(a, k))
-    return tuple(gaps)
-
-
-def ref_value_at(series, stamp):
-    try:
-        return dict(series.observations)[stamp]
-    except KeyError:
-        raise SeriesError(f"no observation for {stamp}") from None
-
-
-def ref_rebase(series, anchor, anchor_value):
-    index = dict(series.observations)
-    if anchor not in index:
-        raise SeriesError(f"anchor month {anchor} absent from {series.series_id!r}")
-    if index[anchor] == 0.0:
-        raise SeriesError(f"cannot rebase {series.series_id!r}: zero value at {anchor}")
-    factor = anchor_value / index[anchor]
-    obs = tuple(
-        (stamp, anchor_value if stamp == anchor else value * factor)
-        for stamp, value in series.observations
-    )
-    return f"{series.base_note}; rebased to {anchor_value!r} at {anchor}", obs
-
-
-def ref_lead_lag(a, b, max_lag, min_overlap):
-    a_map, b_map = dict(a.observations), dict(b.observations)
-    candidates = []
-    for lag in sorted(range(-max_lag, max_lag + 1), key=lambda l: (abs(l), l)):
-        stamps = sorted(s for s in a_map if ref_add_months(s, lag) in b_map)
-        if len(stamps) < min_overlap:
-            raise PriceError(
-                f"insufficient overlap at lag {lag}: {len(stamps)} months "
-                f"(need >= {min_overlap})"
-            )
-        xs = np.array([a_map[s] for s in stamps])
-        ys = np.array([b_map[ref_add_months(s, lag)] for s in stamps])
-        sx, sy = xs.std(), ys.std()
-        corr = 0.0 if sx == 0.0 or sy == 0.0 else float(
-            np.mean((xs - xs.mean()) * (ys - ys.mean())) / (sx * sy)
-        )
-        candidates.append((lag, corr))
-    best_lag, best_corr = candidates[0]
-    for lag, corr in candidates[1:]:
-        if corr > best_corr:
-            best_lag, best_corr = lag, corr
-    return best_lag, best_corr
+    def test_empty_series_rejected(self):
+        with pytest.raises(SeriesError, match=r"^empty series 'x'$"):
+            MonthlySeries("x", "", ())
 
 
 def outcome(call):
@@ -447,60 +374,6 @@ class TestGappyOracle:
         a = MonthlySeries("a", "", tuple((start.add_months(k), 1.0) for k in offsets))
         assert a.missing_months() == ref_missing_months(a)
         assert a.is_contiguous() == (not ref_missing_months(a))
-
-
-# Verbatim copies of the parser that kept MonthStamp objects per row, kept as an
-# oracle for the ordinal-based parse_series_csv. MonthStamp.__str__ now runs through
-# the code under test, so its old body is copied too.
-
-
-def old_str(stamp):
-    return f"{stamp.year:04d}-{stamp.month:02d}"
-
-
-def old_parse_stamp(token):
-    parts = token.strip().split("-")
-    if (
-        len(parts) != 2
-        or len(parts[0]) != 4
-        or len(parts[1]) != 2
-        or not parts[0].isdigit()
-        or not parts[1].isdigit()
-    ):
-        raise ValueError(f"malformed date token {token!r}, expected YYYY-MM")
-    year, month = int(parts[0]), int(parts[1])
-    if not 1 <= month <= 12:
-        raise ValueError(f"malformed date token {token!r}: month out of range")
-    return MonthStamp(year, month)
-
-
-def old_parse_series_csv(text, series_id, base_note=""):
-    seen = {}
-    rows = []
-    for line_no, parts in _read_csv(text, "date,value", ParseError):
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 fields, got {len(parts)}", line_no=line_no)
-        try:
-            stamp = old_parse_stamp(parts[0])
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no=line_no) from None
-        if stamp in seen:
-            raise ParseError(
-                f"duplicate month {old_str(stamp)} (first seen on line {seen[stamp]})",
-                line_no=line_no,
-            )
-        seen[stamp] = line_no
-        try:
-            value = float(parts[1])
-        except ValueError:
-            raise ParseError(f"non-numeric value {parts[1]!r}", line_no=line_no) from None
-        if not math.isfinite(value):
-            raise ParseError(f"non-finite value {parts[1]!r}", line_no=line_no)
-        rows.append((stamp, value))
-
-    if not rows:
-        raise ParseError("empty series")
-    return MonthlySeries(series_id, base_note, tuple(sorted(rows)))
 
 
 # (date token, value text) rows that each break one check, or pass one that looks odd
