@@ -9,6 +9,7 @@ sees strictly nothing after its own origin.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,13 +55,14 @@ def score(
     forecast: Forecast, actual: DifferenceSeries, origin: MonthStamp | None = None
 ) -> BacktestReport:
     """Compare a forecast path to realized values month by month; tag the report with ``origin``."""
-    at, found = actual._lookup([_ordinal(stamp) for stamp, _ in forecast.path])
+    at = actual._lookup([_ordinal(stamp) for stamp, _ in forecast.path])
     # one walk over the overlapping months: the errors, and the sign agreement of each
     # month-over-month change with the previous overlapping month's
     errors, hits, counted, last = [], 0, 0, None
-    for (_, pred), act, keep in zip(forecast.path, actual._values[at].tolist(), found.tolist()):
-        if not keep:
+    for (_, pred), i in zip(forecast.path, at):
+        if i is None:
             continue
+        act = actual._values[i]
         if last is not None:
             dp, da = pred - last[0], act - last[1]
             if dp != 0.0 and da != 0.0:
@@ -113,7 +115,7 @@ def rolling_backtest(
     months, reports = diff._months, []
     for origin in origins:
         at = _ordinal(origin)
-        stop = int(months.searchsorted(at, side="right"))
+        stop = bisect_right(months, at)
         if not stop or months[stop - 1] != at:
             raise BacktestError(f"origin {origin} is not an observed month")
         if months[-1] < at + horizon:

@@ -6,10 +6,10 @@ warnings in memory. ``main`` writes every output or none and prints the rest onl
 after the write, so a failing run leaves no partial artifacts and prints no report
 or warning. Exit codes: 0 success, 1 internal error, 2 invalid input or config.
 
-Only ``series`` is imported here. Every stage name is reached through the
-package as ``tg.<module>.<name>``, and the package loads a stage module on the
-first such use, so a process loads no fitting, forecasting, price or backtest
-code that its subcommand never uses.
+Only ``series`` and ``trend`` are imported here; neither loads numpy. Every stage
+name is reached through the package as ``tg.<module>.<name>``, and the package
+loads a stage module on the first such use, so a process loads no fitting,
+forecasting, price or backtest code (nor numpy) that its subcommand never uses.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .series import (
     parse_series_csv,
     series_to_csv,
 )
+from .trend import MAX_TRANSITION_MONTHS, LinearSegment, TrendModel
 
 DEFAULT_API_BASE = "https://api.bls.gov/publicAPI/v2"
 
@@ -251,10 +252,10 @@ def cmd_fit(config: Section, base: Path, out: Path) -> StageResult:
     detect_diff = diff if detect_end is None else cut(diff, diff.start, detect_end, "detect_end")
     tail_start = seg.get("tail_start", _month, None)
     tail = 0 if tail_start is None else months_between(diff.end, tail_start) + 1
-    if tail > tg.fitting.MAX_TRANSITION_MONTHS:
+    if tail > MAX_TRANSITION_MONTHS:
         raise ConfigError(
             f"config key '{seg.key('tail_start')}': {tail_start}..{diff.end} exceeds the "
-            f"{tg.fitting.MAX_TRANSITION_MONTHS}-month limit: {tail} months"
+            f"{MAX_TRANSITION_MONTHS}-month limit: {tail} months"
         )
     try:
         breakpoints = tg.fitting.detect_breakpoints(detect_diff, k, min_len)
@@ -276,9 +277,9 @@ def cmd_fit(config: Section, base: Path, out: Path) -> StageResult:
     return outputs, report, []
 
 
-def _residuals_csv(diff: DifferenceSeries, model: tg.fitting.TrendModel) -> str:
+def _residuals_csv(diff: DifferenceSeries, model: TrendModel) -> str:
     zones, _, trend = model._zones(diff._months)
-    rows = zip(map(_month_text, diff._months.tolist()), diff._values.tolist(), trend.tolist())
+    rows = zip(map(_month_text, diff._months), diff._values, trend.tolist())
     cells = (
         (m, v, None, None, z) if z == "transition" else (m, v, p, v - p, z)
         for (m, v, p), z in zip(rows, zones)
@@ -286,7 +287,7 @@ def _residuals_csv(diff: DifferenceSeries, model: tg.fitting.TrendModel) -> str:
     return _write_csv("date,value,predicted,residual,zone", cells)
 
 
-def _model_segment(model: tg.fitting.TrendModel | None, trend: Section, key: str):
+def _model_segment(model: TrendModel | None, trend: Section, key: str):
     if model is None:
         raise ConfigError(
             f"{trend.key('kind')} {trend.get('kind')!r} needs trend_model.json, which is "
@@ -300,8 +301,8 @@ def _model_segment(model: tg.fitting.TrendModel | None, trend: Section, key: str
 
 
 def _trend_from_config(
-    trend: Section, model: tg.fitting.TrendModel | None, diff: DifferenceSeries, where: str = ""
-) -> tg.fitting.LinearSegment:
+    trend: Section, model: TrendModel | None, diff: DifferenceSeries, where: str = ""
+) -> LinearSegment:
     """The trend ``trend`` describes; a fit error names the window's keys, then ``where``."""
     kind = trend.get("kind", default=None)
     if kind == "endpoint":
@@ -327,7 +328,7 @@ def _trend_from_config(
 def _forecast_from_config(
     fc: Section,
     diff: DifferenceSeries,
-    model: tg.fitting.TrendModel | None,
+    model: TrendModel | None,
     origin: MonthStamp,
     horizon: int,
     where: str = "",
@@ -398,7 +399,7 @@ def cmd_forecast(config: Section, base: Path, out: Path) -> StageResult:
         raise ConfigError(f"{fc.key('horizon')} must be >= 1, got {horizon}")
 
     model_path = out / "trend_model.json"
-    model = _load(model_path, tg.fitting.TrendModel.from_json) if model_path.exists() else None
+    model = _load(model_path, TrendModel.from_json) if model_path.exists() else None
     diff = _difference_from_config(config, out)
     origin = fc.get("origin", _month)
     f = _forecast_from_config(fc, diff, model, origin, horizon)

@@ -8,7 +8,6 @@ positions, and assembles the fitted structure into a :class:`TrendModel`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,176 +15,11 @@ from functools import lru_cache
 import numpy as np
 
 from .series import DifferenceSeries, MonthStamp, _ordinal, _stamp, months_between
-
-#: Transitions between trends last three years at most.
-MAX_TRANSITION_MONTHS = 36
+from .trend import MAX_TRANSITION_MONTHS, LinearSegment, TransitionWindow, TrendModel
 
 
 class FitError(ValueError):
     """A fit or segmentation precondition was violated."""
-
-
-@dataclass(frozen=True)
-class LinearSegment:
-    """A fitted linear trend over an inclusive month window.
-
-    ``slope`` is in index points per year; ``intercept`` is the fitted value
-    at the window's first month. ``synthetic`` marks segments that were
-    constructed (mirrored or drawn through anchor points) rather than fitted,
-    in which case ``r_squared`` and ``residual_sigma`` are inherited priors.
-    """
-
-    start: MonthStamp
-    end: MonthStamp
-    intercept: float
-    slope: float
-    r_squared: float
-    residual_sigma: float
-    synthetic: bool = False
-
-    def __post_init__(self):
-        for name in ("intercept", "slope", "r_squared", "residual_sigma"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if _ordinal(self.end) < _ordinal(self.start):
-            raise ValueError(f"segment end {self.end} before start {self.start}")
-        if not 0.0 <= self.r_squared <= 1.0:
-            raise ValueError(f"r_squared {self.r_squared} outside [0, 1]")
-        if self.residual_sigma < 0.0:
-            raise ValueError(f"negative residual_sigma {self.residual_sigma}")
-
-    def predicted(self, stamp: MonthStamp) -> float:
-        """Trend value at ``stamp``; extrapolates freely outside the window."""
-        return self._at(months_between(stamp, self.start))
-
-    def _at(self, k: int) -> float:
-        """Trend value ``k`` months after the window's first month."""
-        return self.intercept + self.slope * (k / 12.0)
-
-    def contains(self, stamp: MonthStamp) -> bool:
-        return self.start <= stamp <= self.end
-
-
-@dataclass(frozen=True)
-class TransitionWindow:
-    """Months between two trends during which neither trend governs."""
-
-    start: MonthStamp
-    end: MonthStamp
-
-    def __post_init__(self):
-        if self.end < self.start:
-            raise ValueError(f"transition end {self.end} before start {self.start}")
-
-    @property
-    def duration_months(self) -> int:
-        return months_between(self.end, self.start) + 1
-
-    def contains(self, stamp: MonthStamp) -> bool:
-        return self.start <= stamp <= self.end
-
-
-@dataclass(frozen=True)
-class TrendModel:
-    """Chronological trend segments separated by transition windows."""
-
-    segments: tuple[LinearSegment, ...]
-    transitions: tuple[TransitionWindow, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-        segs, trans = self.segments, self.transitions
-        if not segs:
-            raise ValueError("trend model needs at least one segment")
-        for a, b in zip(segs, segs[1:]):
-            if b.start <= a.end:
-                raise ValueError(f"segments overlap or are out of order at {b.start}")
-        for a, b in zip(trans, trans[1:]):
-            if b.start <= a.end:
-                raise ValueError(f"transitions overlap or are out of order at {b.start}")
-        for w in trans:
-            if w.duration_months > MAX_TRANSITION_MONTHS:
-                raise ValueError(
-                    f"transition {w.start}..{w.end} exceeds {MAX_TRANSITION_MONTHS} months"
-                )
-            # Allowed placements: strictly between two adjacent segments, or
-            # trailing after the final segment (an ongoing transition).
-            between = any(
-                s.end < w.start and w.end < nxt.start for s, nxt in zip(segs, segs[1:])
-            )
-            trailing = w.start > segs[-1].end
-            if not (between or trailing):
-                raise ValueError(
-                    f"transition {w.start}..{w.end} is not strictly between segments"
-                )
-
-    def zone(self, stamp: MonthStamp) -> tuple[str, LinearSegment | None]:
-        """Which trend governs ``stamp``, as ``(label, segment)``.
-
-        Inside segment i this is ``("trend-<i>", segment)``, inside a
-        transition window ``("transition", None)``, and anywhere else
-        ``("extrapolation", nearest segment)``, ties going to the earlier one.
-        """
-        (label,), (index,), _ = self._zones(np.array([_ordinal(stamp)]))
-        return label, None if label == "transition" else self.segments[index]
-
-    def _zones(self, months: np.ndarray) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """Per month ordinal: :meth:`zone`'s label and segment index, and ``_at``'s trend value."""
-        bounds = [(_ordinal(s.start), _ordinal(s.end), s.intercept, s.slope) for s in self.segments]
-        starts, ends, intercepts, slopes = map(np.array, zip(*bounds))
-        last = starts.searchsorted(months, side="right") - 1  # the last segment to start by then
-        before, after = np.maximum(last, 0), np.minimum(last + 1, len(starts) - 1)
-        index = np.where(starts[after] - months < months - ends[before], after, before)
-        # a month lies in a transition when an odd number of window edges come at or before it
-        edges = np.array([(_ordinal(w.start), _ordinal(w.end) + 1) for w in self.transitions])
-        in_transition = edges.reshape(-1).searchsorted(months, side="right") % 2
-        inside = (starts[index] <= months) & (months <= ends[index])
-        names = ["extrapolation", "transition"] + [f"trend-{i}" for i in range(len(starts))]
-        labels = np.array(names)[np.where(inside, index + 2, in_transition)].tolist()
-        return labels, index, intercepts[index] + slopes[index] * ((months - starts[index]) / 12.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "segments": [
-                {
-                    "start": str(s.start),
-                    "end": str(s.end),
-                    "intercept_A": s.intercept,
-                    "slope_B": s.slope,
-                    "r_squared": s.r_squared,
-                    "residual_sigma": s.residual_sigma,
-                }
-                for s in self.segments
-            ],
-            "transitions": [{"start": str(w.start), "end": str(w.end)} for w in self.transitions],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrendModel":
-        """The model :meth:`to_json` wrote; a malformed document raises ValueError."""
-        doc = json.loads(text)
-        try:
-            segments = tuple(
-                LinearSegment(
-                    start=MonthStamp.parse(d["start"]),
-                    end=MonthStamp.parse(d["end"]),
-                    intercept=float(d["intercept_A"]),
-                    slope=float(d["slope_B"]),
-                    r_squared=float(d["r_squared"]),
-                    residual_sigma=float(d["residual_sigma"]),
-                )
-                for d in doc["segments"]
-            )
-            transitions = tuple(
-                TransitionWindow(MonthStamp.parse(d["start"]), MonthStamp.parse(d["end"]))
-                for d in doc["transitions"]
-            )
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed trend model: {type(exc).__name__} {exc}") from None
-        return cls(segments=segments, transitions=transitions)
 
 
 # [1, k / 12] depends on n alone: built and checked once per length, read-only as fits share it
@@ -213,14 +47,14 @@ def fit_ols(diff: DifferenceSeries, window: tuple[MonthStamp, MonthStamp]) -> Li
     if _ordinal(hi) < _ordinal(lo):
         raise FitError(f"window end {hi} before start {lo}")
     keep = diff._window(lo, hi)
-    months = diff._months[keep]
-    n = len(months)
+    n = keep.stop - keep.start
     if n < 2:
         raise FitError(f"window {lo}..{hi} has {n} observations, need >= 2")
-    if months[-1] - months[0] + 1 != n:
+    first, last = diff._months[keep.start], diff._months[keep.stop - 1]
+    if last - first + 1 != n:
         gap = diff._take(keep).missing_months()[0]
         raise FitError(f"window {lo}..{hi} has missing months from {gap}; fits require gap-free data")
-    y, design = diff._values[keep], _design(n)
+    y, design = np.asarray(diff._values)[keep], _design(n)
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     sse = float(resid @ resid)
@@ -229,8 +63,8 @@ def fit_ols(diff: DifferenceSeries, window: tuple[MonthStamp, MonthStamp]) -> Li
     # Zero-variance target: define r_squared as 0 for stable downstream thresholds.
     r_squared = 0.0 if sst == 0.0 else max(0.0, min(1.0, 1.0 - sse / sst))
     return LinearSegment(
-        start=_stamp(months[0]),
-        end=_stamp(months[-1]),
+        start=_stamp(first),
+        end=_stamp(last),
         intercept=float(coef[0]),
         slope=float(coef[1]),
         r_squared=r_squared,
@@ -344,7 +178,7 @@ def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
             f"first missing month {diff.missing_months()[0]}"
         )
     n = len(diff)
-    cost = _SegmentCost(diff._values)
+    cost = _SegmentCost(np.asarray(diff._values))
     suffix = np.full((max_k + 1, n + 1), np.inf)
     after = np.zeros((max_k + 1, n + 1), dtype=int)
     # level m fills position 0 and positions min_len..n - (m + 1) * min_len,

@@ -13,8 +13,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .fitting import LinearSegment
 from .series import MonthStamp, _ordinal, _read_csv, _stamp, _write_csv, months_between
+from .trend import LinearSegment
 
 ALONG_TREND = "along-trend"
 RETURN_TO_TREND = "return-to-trend"
@@ -121,9 +121,13 @@ def mirror_trend(
     if prev.slope == 0.0:
         raise ForecastError("mirror of a zero-slope trend is undefined")
     stamp, value = pivot
+    try:
+        end = stamp.add_months(duration)
+    except ValueError as exc:  # a month past 9999-12
+        raise ForecastError(str(exc)) from None
     return LinearSegment(
         start=stamp,
-        end=stamp.add_months(duration),
+        end=end,
         intercept=float(value),
         slope=-prev.slope,
         r_squared=prev.r_squared,
@@ -156,15 +160,22 @@ def _trend_forecast(
     mode: str, trend: LinearSegment, origin: MonthStamp, steps: int, deviation=None
 ) -> Forecast:
     """The ``steps`` months after ``origin`` on ``trend``, each plus ``deviation(m)`` at step m
-    when given (none is added otherwise, so a -0.0 trend value stays -0.0)."""
+    when given (none is added otherwise, so a -0.0 trend value stays -0.0).
+
+    A month past 9999-12 or a non-finite value raises ForecastError. The months come
+    first, so a path that leaves the calendar stops there before any value is computed.
+    """
     at, k = _ordinal(origin), months_between(origin, trend.start)
     months = range(1, steps + 1)
-    if deviation is None:
-        values = [trend._at(k + m) for m in months]
-    else:
-        values = [trend._at(k + m) + deviation(m) for m in months]
-    path = tuple(zip(map(_stamp, range(at + 1, at + steps + 1)), values))
-    return Forecast(mode, origin, path, trend.residual_sigma)
+    try:
+        stamps = tuple(map(_stamp, range(at + 1, at + steps + 1)))
+        if deviation is None:
+            values = [trend._at(k + m) for m in months]
+        else:
+            values = [trend._at(k + m) + deviation(m) for m in months]
+        return Forecast(mode, origin, tuple(zip(stamps, values)), trend.residual_sigma)
+    except ValueError as exc:
+        raise ForecastError(str(exc)) from None
 
 
 def forecast_along_trend(

@@ -162,16 +162,22 @@ def lead_lag(
         raise PriceError(f"max_lag must be >= 0, got {max_lag}")
     if min_overlap < 2:
         raise PriceError(f"min_overlap must be >= 2, got {min_overlap}")
+    # zero-copy views of the series' arrays
+    a_months, a_values = np.asarray(a._months), np.asarray(a._values)
+    b_months, b_values = np.asarray(b._months), np.asarray(b._values)
     candidates: list[tuple[int, float]] = []
     for lag in sorted(range(-max_lag, max_lag + 1), key=lambda l: (abs(l), l)):
-        at, found = b._lookup(a._months + lag)
+        # each month of a, lag months on: its position in b, and whether b observes it
+        wanted = a_months + lag
+        at = np.minimum(b_months.searchsorted(wanted), len(b_months) - 1)
+        found = b_months[at] == wanted
         ia, ib = np.flatnonzero(found), at[found]
         if len(ia) < min_overlap:
             raise PriceError(
                 f"insufficient overlap at lag {lag}: {len(ia)} months "
                 f"(need >= {min_overlap})"
             )
-        xs, ys = a._values[ia], b._values[ib]
+        xs, ys = a_values[ia], b_values[ib]
         # np.std's and np.mean's own steps, each deviation computed once for both
         n = len(ia)
         dx, dy = xs - np.add.reduce(xs) / n, ys - np.add.reduce(ys) / n

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 import operator
 import re
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import compress, islice
 
 
 class SeriesError(ValueError):
@@ -47,9 +48,13 @@ class MonthStamp:
         object.__setattr__(self, "_ord", self.year * 12 + self.month - 1)
 
     def add_months(self, n: int) -> "MonthStamp":
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise TypeError(f"month count must be an integer, got {n!r}")
-        return _stamp(_ordinal(self) + n)
+        """The stamp ``n`` months on; ``n`` is an integer (NumPy integers too, ``bool`` not)."""
+        try:
+            if isinstance(n, bool):
+                raise TypeError
+            return _stamp(_ordinal(self) + operator.index(n))
+        except TypeError:
+            raise TypeError(f"month count must be an integer, got {n!r}") from None
 
     @classmethod
     def parse(cls, token: str) -> "MonthStamp":
@@ -106,9 +111,11 @@ Observation = tuple[MonthStamp, float]
 class _ObservationMixin:
     """Storage, validation and read access shared by both series types.
 
-    A series is two aligned arrays: ``_months``, strictly increasing month
-    ordinals (year * 12 + month - 1), and ``_values``, finite float64 values.
-    ``observations``, ``stamps`` and ``values`` are views built on demand.
+    A series is two aligned standard-library arrays: ``_months``, an ``array('q')`` of
+    strictly increasing month ordinals (year * 12 + month - 1), and ``_values``, an
+    ``array('d')`` of finite float64 values. Neither is resized once stored, so numpy code
+    reads them through zero-copy views (``np.asarray(series._values)``).
+    ``observations``, ``stamps`` and ``values`` are tuples built on demand.
     Subclasses name themselves for error messages with a ``_label`` property.
 
     Per-month paths work on the ordinals and value arrays. ``MonthStamp`` objects are
@@ -118,41 +125,45 @@ class _ObservationMixin:
 
     def _store(self, observations) -> None:
         obs = tuple(observations)
-        months = np.array([_ordinal(stamp) for stamp, _ in obs], dtype=np.int64)
-        self._check(months, np.array([float(value) for _, value in obs], dtype=np.float64))
+        months = array("q", [_ordinal(stamp) for stamp, _ in obs])
+        self._check(months, array("d", [float(value) for _, value in obs]))
 
-    def _check(self, months: np.ndarray, values: np.ndarray) -> None:
+    def _check(self, months: array, values: array) -> None:
         """Keep the arrays if they hold a valid series; report the first bad month."""
         if not len(months):
             raise SeriesError(f"empty {self._label}")
-        bad = ~np.isfinite(values)
-        bad[1:] |= months[1:] <= months[:-1]
-        if bad.any():
-            i = int(bad.argmax())
-            at = f"at {_stamp(months[i])} in {self._label}"
-            if not math.isfinite(values[i]):
-                raise SeriesError(f"non-finite value {float(values[i])!r} {at}")
-            raise SeriesError(f"stamps not strictly increasing {at}")
+        increasing = map(operator.lt, months, islice(months, 1, None))
+        if not (all(map(math.isfinite, values)) and all(increasing)):
+            for i, (month, value) in enumerate(zip(months, values)):
+                at = f"at {_stamp(month)} in {self._label}"
+                if not math.isfinite(value):
+                    raise SeriesError(f"non-finite value {value!r} {at}")
+                if i and month <= months[i - 1]:
+                    raise SeriesError(f"stamps not strictly increasing {at}")
         self._months, self._values = months, values
 
     @classmethod
-    def _from_arrays(cls, months: np.ndarray, values: np.ndarray, **fields):
+    def _from_arrays(cls, months: array, values: array, **fields):
         """A series of these months and values, validated as the constructor does."""
         series = cls.__new__(cls)
         vars(series).update(fields)
         series._check(months, values)
         return series
 
-    def _take(self, keep):
-        """This series cut to the positions ``keep`` (a slice or an index array)."""
+    def _with(self, months: array, values: array):
+        """A series like this one, holding ``months`` and ``values`` unchecked."""
         part = object.__new__(type(self))
-        vars(part).update(vars(self), _months=self._months[keep], _values=self._values[keep])
+        vars(part).update(vars(self), _months=months, _values=values)
         return part
+
+    def _take(self, keep: slice):
+        """This series cut to the positions ``keep``."""
+        return self._with(self._months[keep], self._values[keep])
 
     def _window(self, start: MonthStamp, end: MonthStamp) -> slice:
         """The positions of the months in ``start..end``."""
-        find = self._months.searchsorted
-        return slice(int(find(_ordinal(start))), int(find(_ordinal(end) + 1)))
+        months = self._months
+        return slice(bisect_left(months, _ordinal(start)), bisect_left(months, _ordinal(end) + 1))
 
     def restrict(self, start: MonthStamp, end: MonthStamp):
         """The same series cut to the months in ``start..end``."""
@@ -167,11 +178,11 @@ class _ObservationMixin:
 
     @property
     def stamps(self) -> tuple[MonthStamp, ...]:
-        return tuple(_stamp(m) for m in self._months.tolist())
+        return tuple(map(_stamp, self._months))
 
     @property
     def values(self) -> tuple[float, ...]:
-        return tuple(self._values.tolist())
+        return tuple(self._values)
 
     @property
     def start(self) -> MonthStamp:
@@ -184,30 +195,31 @@ class _ObservationMixin:
     def __len__(self) -> int:
         return len(self._months)
 
-    def _lookup(self, months) -> tuple[np.ndarray, np.ndarray]:
-        """Each of the ordinals ``months``: its position here, and whether it is observed
-        (the position of an unobserved month means nothing)."""
-        at = np.minimum(self._months.searchsorted(months), len(self._months) - 1)
-        return at, self._months[at] == months
+    def _lookup(self, months: list[int]) -> list[int | None]:
+        """The position here of each of the ordinals ``months`` (at least one); None where
+        it is not observed."""
+        own = self._months
+        lo, hi = bisect_left(own, min(months)), bisect_right(own, max(months))
+        return list(map(dict(zip(own[lo:hi], range(lo, hi))).get, months))
 
     def value_at(self, stamp: MonthStamp) -> float:
-        found = self._values[self._window(stamp, stamp)]
-        if not len(found):
+        at = self._window(stamp, stamp)
+        if at.stop == at.start:
             raise SeriesError(f"no observation for {stamp}")
-        return float(found[0])
+        return self._values[at.start]
 
     def has(self, stamp: MonthStamp) -> bool:
-        return len(self._months[self._window(stamp, stamp)]) > 0
+        at = self._window(stamp, stamp)
+        return at.stop > at.start
 
     def missing_months(self) -> tuple[MonthStamp, ...]:
         """Months inside the span with no observation (gaps are legal at parse time)."""
-        first = self._months[0]
-        missing = np.ones(int(self._months[-1] - first) + 1, dtype=bool)
-        missing[self._months - first] = False
-        return tuple(_stamp(m) for m in (np.flatnonzero(missing) + first).tolist())
+        months = self._months
+        pairs = zip(months, islice(months, 1, None))
+        return tuple(_stamp(m) for a, b in pairs for m in range(a + 1, b))
 
     def is_contiguous(self) -> bool:
-        return int(self._months[-1] - self._months[0]) + 1 == len(self._months)
+        return self._months[-1] - self._months[0] + 1 == len(self._months)
 
 
 class MonthlySeries(_ObservationMixin):
@@ -268,9 +280,15 @@ def _write_csv(header: str, rows) -> str:
 # the plain text that parse_series_csv reads in bulk
 _PLAIN_ROW = r"[0-9]{4}-(?:0[1-9]|1[0-2]),[-+0-9.eE]+"
 _PLAIN_SERIES_CSV = re.compile(rf"date,value(?:\n{_PLAIN_ROW})+\n?")
-# the 7 bytes of YYYY-MM to its ordinal: year * 12 + month - 1, less the ASCII '0's
-_DATE_WEIGHTS = np.array([12000, 1200, 120, 12, 0, 10, 1], dtype=np.int64)
-_DATE_OFFSET = ord("0") * int(_DATE_WEIGHTS.sum()) + 1
+_ORDINALS: dict[str, int] = {}  # by the YYYY-MM text of a plain row: _TEXTS the other way round
+
+
+def _by_month(months: list[int], values: list[float]) -> tuple[array, array]:
+    """``months`` and ``values`` as a series' arrays, both put in the order of ``months``."""
+    if months != sorted(months):
+        order = sorted(range(len(months)), key=months.__getitem__)
+        months, values = [months[i] for i in order], [values[i] for i in order]
+    return array("q", months), array("d", values)
 
 
 def parse_series_csv(text: str, series_id: str, base_note: str = "") -> MonthlySeries:
@@ -286,16 +304,14 @@ def parse_series_csv(text: str, series_id: str, base_note: str = "") -> MonthlyS
     """
     if _PLAIN_SERIES_CSV.fullmatch(text):
         fields = text[len("date,value\n") :].rstrip("\n").replace("\n", ",").split(",")
-        dates = np.frombuffer("".join(fields[0::2]).encode(), dtype=np.uint8).reshape(-1, 7)
-        months = dates @ _DATE_WEIGHTS - _DATE_OFFSET
-        order = np.argsort(months)
+        dates = fields[0::2]
+        months = list(map(_ORDINALS.get, dates))
+        if None in months:  # a month this process has not read before
+            _ORDINALS.update((date, int(date[:4]) * 12 + int(date[5:]) - 1) for date in dates)
+            months = list(map(_ORDINALS.__getitem__, dates))
         try:
-            return MonthlySeries._from_arrays(
-                months[order],
-                np.array([float(v) for v in fields[1::2]])[order],
-                series_id=series_id,
-                base_note=base_note,
-            )
+            arrays = _by_month(months, list(map(float, fields[1::2])))
+            return MonthlySeries._from_arrays(*arrays, series_id=series_id, base_note=base_note)
         except ValueError:  # float() refused a value, or _check a non-finite or repeated one
             pass  # the line walker below names the line
     seen: dict[int, int] = {}
@@ -323,38 +339,48 @@ def parse_series_csv(text: str, series_id: str, base_note: str = "") -> MonthlyS
 
     if not values:
         raise ParseError("empty series")
-    months = np.fromiter(seen, dtype=np.int64, count=len(values))
-    order = np.argsort(months)
-    return MonthlySeries._from_arrays(
-        months[order], np.array(values)[order], series_id=series_id, base_note=base_note
-    )
+    arrays = _by_month(list(seen), values)
+    return MonthlySeries._from_arrays(*arrays, series_id=series_id, base_note=base_note)
 
 
 def series_to_csv(series: _ObservationMixin) -> str:
     """Render any stamped series back to the ``date,value`` CSV format."""
     # the rows _write_csv would write: "%r" of a float is its str
-    months = map(_month_text, series._months.tolist())
-    rows = map("%s,%r".__mod__, zip(months, series._values.tolist()))
+    months = map(_month_text, series._months)
+    rows = map("%s,%r".__mod__, zip(months, series._values))
     return "\n".join(["date,value", *rows, ""])
 
 
 def align(a: MonthlySeries, b: MonthlySeries) -> tuple[MonthlySeries, MonthlySeries]:
     """Restrict both series to the exact intersection of their months."""
-    common, keep_a, keep_b = np.intersect1d(
-        a._months, b._months, assume_unique=True, return_indices=True
-    )
-    if not len(common):
+
+    def span(s: MonthlySeries) -> MonthlySeries:
+        months = s._months
+        return s._take(slice(bisect_left(months, lo), bisect_right(months, hi)))
+
+    def common_part(s: MonthlySeries) -> MonthlySeries:
+        keep = [month in common for month in s._months]
+        return s._with(array("q", compress(s._months, keep)), array("d", compress(s._values, keep)))
+
+    # first the span both cover; inside it, both most often observe the same months
+    lo, hi = max(a._months[0], b._months[0]), min(a._months[-1], b._months[-1])
+    a, b = span(a), span(b)
+    if a._months != b._months:
+        common = set(a._months).intersection(b._months)
+        a, b = common_part(a), common_part(b)
+    if not len(a):
         raise SeriesError(
             f"no overlapping months between {a.series_id!r} and {b.series_id!r}"
         )
-    return a._take(keep_a), b._take(keep_b)
+    return a, b
 
 
 def difference(headline: MonthlySeries, component: MonthlySeries) -> DifferenceSeries:
     """Per-month ``headline - component`` over the aligned intersection."""
     ha, ca = align(headline, component)
     ids = {"minuend_id": headline.series_id, "subtrahend_id": component.series_id}
-    return DifferenceSeries._from_arrays(ha._months, ha._values - ca._values, **ids)
+    values = array("d", map(operator.sub, ha._values, ca._values))
+    return DifferenceSeries._from_arrays(ha._months, values, **ids)
 
 
 def rebase(series: MonthlySeries, anchor: MonthStamp, anchor_value: float) -> MonthlySeries:
@@ -367,8 +393,9 @@ def rebase(series: MonthlySeries, anchor: MonthStamp, anchor_value: float) -> Mo
     at_anchor = series.value_at(anchor)
     if at_anchor == 0.0:
         raise SeriesError(f"cannot rebase {series.series_id!r}: zero value at {anchor}")
-    values = series._values * (anchor_value / at_anchor)
-    values[series._window(anchor, anchor)] = anchor_value
+    scale = anchor_value / at_anchor
+    values = array("d", [value * scale for value in series._values])
+    values[series._window(anchor, anchor).start] = anchor_value
     note = f"rebased to {anchor_value!r} at {anchor}"
     if series.base_note:
         note = f"{series.base_note}; {note}"

@@ -8,7 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from trendgap import DifferenceSeries, Forecast, MonthStamp, difference, parse_series_csv
+from trendgap import (
+    DifferenceSeries,
+    Forecast,
+    MonthlySeries,
+    MonthStamp,
+    difference,
+    parse_series_csv,
+)
 from trendgap.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -51,6 +58,13 @@ def motor_component():
 
 def stamp(token: str) -> MonthStamp:
     return MonthStamp.parse(token)
+
+
+def make_series(series_id, start, values):
+    """``values`` one a month from ``start``, as a series ``series_id`` with no base note."""
+    origin = MonthStamp.parse(start)
+    obs = tuple((origin.add_months(i), float(v)) for i, v in enumerate(values))
+    return MonthlySeries(series_id, "", obs)
 
 
 def make_diff(start, values, name="d"):

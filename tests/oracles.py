@@ -282,7 +282,7 @@ class PerRowSegmentCost:
 def per_row_segment(diff, max_k, min_len):
     """The DP that evaluated one start position per numpy call (tables' oracle)."""
     n = len(diff)
-    cost = PerRowSegmentCost(diff._values)
+    cost = PerRowSegmentCost(np.asarray(diff._values))
     suffix = np.full((max_k + 1, n + 1), np.inf)
     after = np.zeros((max_k + 1, n + 1), dtype=int)
     starts = np.arange(n - min_len + 1)
@@ -569,11 +569,12 @@ def lookup_score(forecast, actual, origin=None):
     separate passes for the errors and the hit rate, kept as an oracle. ``_lookup`` and
     ``_ordinal`` are inlined as they were."""
     months = [stamp.year * 12 + stamp.month - 1 for stamp, _ in forecast.path]
-    at = np.minimum(np.searchsorted(actual._months, months), len(actual._months) - 1)
-    found = actual._months[at] == months
+    actual_months, actual_values = np.asarray(actual._months), np.asarray(actual._values)
+    at = np.minimum(np.searchsorted(actual_months, months), len(actual_months) - 1)
+    found = actual_months[at] == months
     overlap = [
         (pred, act)
-        for (_, pred), act, keep in zip(forecast.path, actual._values[at].tolist(), found.tolist())
+        for (_, pred), act, keep in zip(forecast.path, actual_values[at].tolist(), found.tolist())
         if keep
     ]
     if not overlap:

@@ -117,13 +117,13 @@ STAGES = {"trendgap.fitting", "trendgap.forecast", "trendgap.prices", "trendgap.
 
 
 def loaded_by(code: str) -> set[str]:
-    """The ``trendgap`` modules, and ``numpy.ma`` if loaded, after ``code`` runs in a
+    """The ``trendgap`` modules, and ``numpy`` if loaded, after ``code`` runs in a
     fresh interpreter."""
     src = str(Path(trendgap.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
         f"{code}\nimport sys\n"
-        "print(*[m for m in sys.modules if m.split('.')[0] == 'trendgap' or m == 'numpy.ma'])"
+        "print(*[m for m in sys.modules if m.split('.')[0] == 'trendgap' or m == 'numpy'])"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
@@ -136,14 +136,19 @@ def loaded_by(code: str) -> set[str]:
     return set(done.stdout.splitlines()[-1].split())
 
 
-def test_importing_the_cli_loads_only_series():
-    assert loaded_by("import trendgap.cli") == {"trendgap", "trendgap.series", "trendgap.cli"}
+#: What ``import trendgap.cli`` loads: no stage module, and no numpy.
+CLI_MODULES = {"trendgap", "trendgap.series", "trendgap.trend", "trendgap.cli"}
+
+
+def test_importing_the_cli_loads_series_and_trend_only():
+    assert loaded_by("import trendgap.cli") == CLI_MODULES
 
 
 def test_a_stage_module_loads_on_first_use():
     assert loaded_by("import trendgap") == {"trendgap", "trendgap.series"}
     code = "import trendgap\nassert trendgap.fitting.fit_ols is trendgap.fit_ols"
-    assert loaded_by(code) == {"trendgap", "trendgap.series", "trendgap.fitting"}
+    fitting = {"trendgap.trend", "trendgap.fitting", "numpy"}
+    assert loaded_by(code) == {"trendgap", "trendgap.series"} | fitting
 
 
 def cli_run(*argv) -> str:
@@ -156,7 +161,7 @@ MOTOR_CONFIG = str(FIXTURES / "motor_config.json")
 def test_diff_loads_no_stage_module(tmp_path):
     loaded = loaded_by(cli_run("diff", "--config", MOTOR_CONFIG, "--out", str(tmp_path)))
     assert "trendgap.series" in loaded
-    assert not loaded & (STAGES | {"numpy.ma"})
+    assert not loaded & (STAGES | {"numpy"})
 
 
 def test_fit_loads_only_fitting(tmp_path):
@@ -165,26 +170,31 @@ def test_fit_loads_only_fitting(tmp_path):
     assert loaded & STAGES == {"trendgap.fitting"}
 
 
-#: The README's fixture pipelines, in order, and the stage modules each subcommand loads.
+#: The README's fixture pipelines, in order, the stage modules each subcommand loads,
+#: and whether it loads numpy: only the subcommands that fit, price or fit a baseline do.
 STARTUP = [
-    ("motor", "diff", set()),
-    ("motor", "fit", {"fitting"}),
-    ("motor", "forecast", {"fitting", "forecast"}),
-    ("motor", "backtest", {"fitting", "forecast", "backtest"}),
-    ("crude", "diff", set()),
-    ("crude", "fit", {"fitting"}),
-    ("crude", "forecast", {"fitting", "forecast", "prices"}),
-    ("crude", "translate", {"fitting", "forecast", "prices"}),
-    ("crude", "backtest", {"fitting", "forecast", "backtest"}),
+    ("motor", "diff", set(), False),
+    ("motor", "fit", {"fitting"}, True),
+    ("motor", "forecast", {"forecast"}, False),
+    ("motor", "backtest", {"fitting", "forecast", "backtest"}, True),
+    ("crude", "diff", set(), False),
+    ("crude", "fit", {"fitting"}, True),
+    ("crude", "forecast", {"fitting", "forecast", "prices"}, True),
+    ("crude", "translate", {"forecast", "prices"}, True),
+    ("crude", "backtest", {"forecast", "backtest"}, False),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, command, stages", STARTUP, ids=[f"{name}-{command}" for name, command, _ in STARTUP]
+    "name, command, stages, numpy",
+    STARTUP,
+    ids=[f"{name}-{command}" for name, command, _, _ in STARTUP],
 )
-def test_each_fixture_subcommand_loads_exactly_its_stage_modules(tmp_path, name, command, stages):
+def test_each_fixture_subcommand_loads_exactly_its_stage_modules(
+    tmp_path, name, command, stages, numpy
+):
     steps = PIPELINES[name]
     run_stages(CONFIGS[name], tmp_path, steps[: steps.index(command)])
     loaded = loaded_by(cli_run(command, "--config", str(CONFIGS[name]), "--out", str(tmp_path)))
-    expected = {"trendgap", "trendgap.series", "trendgap.cli"}
-    assert loaded == expected | {f"trendgap.{stage}" for stage in stages}
+    expected = CLI_MODULES | {f"trendgap.{stage}" for stage in stages}
+    assert loaded == expected | ({"numpy"} if numpy else set())

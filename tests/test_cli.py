@@ -385,6 +385,19 @@ BAD_KEYS = [
      "backtest.origins: origin 2010-11 leaves fewer than 9 months of actuals"),
     ("crude", "backtest", "backtest.origins", ["1984-12"],
      "backtest.origins: origin 1984-12 is not an observed month"),
+    ("motor", "forecast", "forecast.horizon", 120000,
+     "forecast: no month 10000-1: year must be in 0..9999 and month in 1..12"),
+    ("motor", "forecast", "forecast", PENDULUM | {"amplitude": 2.0, "horizon": 120000},
+     "forecast: no month 10000-1: year must be in 0..9999"),
+    ("motor", "forecast", "forecast.trend",
+     {"kind": "mirror", "pivot": ["2009-03", 10.0], "duration": 1000000000},
+     "forecast: no month 83335342-7: year must be in 0..9999"),
+    ("motor", "forecast", "forecast.trend", {"kind": "endpoint", "start": ["2009-01", 1e308],
+                                             "end": ["2009-02", -1e308]},
+     "forecast: non-finite forecast value nan at 2009-04"),
+    ("crude", "backtest", "backtest.forecast.trend",
+     {"kind": "endpoint", "start": ["2009-01", 1e308], "end": ["2009-02", -1e308]},
+     "backtest.forecast at origin 2009-01: non-finite forecast value nan at 2009-02"),
 ]
 
 

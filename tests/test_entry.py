@@ -26,13 +26,15 @@ from conftest import FIXTURES, run_fixture_pipelines
 from test_golden import GOLDEN_SHA256, GOLDEN_STDOUT
 
 
-def child(*args: str, script: str | None = None) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter on ``args`` with this checkout's ``src`` first on its path.
+def child(*args: str, script: str | None = None, **env_vars: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args`` with this checkout's ``src`` first on its path,
+    and ``env_vars`` added to its environment.
 
     With ``script``, run that console script on ``args`` instead, with no
     ``PYTHONPATH``, so that it imports the package it was installed with.
     """
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(env_vars)
     if script is None:
         src = str(Path(trendgap.__file__).parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -58,6 +60,24 @@ def test_fixture_pipelines_match_golden_through_the_console_script(tmp_path):
     reports, produced = run_fixture_pipelines(tmp_path, launch)
     assert reports == GOLDEN_STDOUT
     assert produced == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("via", ["module", "console script"])
+def test_fixture_diff_imports_no_numpy(tmp_path, via):
+    """``diff`` parses and differences on the standard library's arrays alone."""
+    launch = functools.partial(child, "-m", "trendgap.cli")
+    if via == "console script":
+        script = shutil.which("trendgap")
+        if script is None:
+            pytest.skip("no trendgap console script on PATH; 'pip install .' installs one")
+        launch = functools.partial(child, script=script)
+    config = str(FIXTURES / "motor_config.json")
+    done = launch("diff", "--config", config, "--out", str(tmp_path), PYTHONPROFILEIMPORTTIME="1")
+    assert done.returncode == 0, done.stderr
+    # one "import time: <self> | <cumulative> | <module>" line per import, nested ones indented
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+    assert "trendgap.series" in imported
+    assert [name for name in imported if name.split(".")[0] == "numpy"] == []
 
 
 def test_missing_config_exits_two_and_writes_nothing(tmp_path):

@@ -48,7 +48,7 @@ class TestFitOls:
             d = make_diff("1950-01", walk + rng.uniform(-1e5, 1e5))
             lo = d.start.add_months(offset)
             seg = fit_ols(d, (lo, lo.add_months(n - 1)))
-            y = d._values[offset : offset + n]
+            y = np.asarray(d._values)[offset : offset + n]
             want = old_ols(np.arange(n) / 12.0, y)
             assert (seg.intercept, seg.slope, seg.r_squared, seg.residual_sigma) == want, trial
             assert (seg.start, seg.end) == (lo, lo.add_months(n - 1))

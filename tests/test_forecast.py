@@ -422,6 +422,29 @@ REFUSALS = {
         ForecastError,
         "horizon must be >= 1, got 0",
     ),
+    "along-trend-past-9999": (
+        lambda: forecast_along_trend(flat_trend(), MonthStamp(9999, 6), 10**30),
+        ForecastError,
+        "no month 10000-1: year must be in 0..9999 and month in 1..12",
+    ),
+    "mirror-past-9999": (
+        lambda: mirror_trend(
+            LinearSegment(MonthStamp(2001, 1), MonthStamp(2008, 6), 85.0, -21.1, 0.93, 4.0),
+            (MonthStamp(9998, 1), 0.0),
+            24,
+        ),
+        ForecastError,
+        "no month 10000-1: year must be in 0..9999 and month in 1..12",
+    ),
+    "endpoint-slope-overflow": (
+        lambda: forecast_along_trend(
+            endpoint_trend((MonthStamp(2009, 1), -1e308), (MonthStamp(2010, 1), 1e308)),
+            MonthStamp(2010, 1),
+            12,
+        ),
+        ForecastError,
+        "non-finite forecast value inf at 2010-02",
+    ),
 }
 
 

@@ -23,13 +23,7 @@ from trendgap import (
     trailing_growth_rate,
 )
 
-from conftest import make_diff, make_forecast
-
-
-def make_monthly(series_id, start, values):
-    origin = MonthStamp.parse(start)
-    obs = tuple((origin.add_months(i), float(v)) for i, v in enumerate(values))
-    return MonthlySeries(series_id, "", obs)
+from conftest import make_diff, make_forecast, make_series
 
 
 class TestPercentChange:
@@ -106,18 +100,18 @@ class TestComponentFromDifference:
 
 class TestExtrapolateHeadline:
     def test_zero_rate_is_flat(self):
-        s = make_monthly("h", "2009-01", [212.0, 212.5, 213.0])
+        s = make_series("h", "2009-01", [212.0, 212.5, 213.0])
         path = extrapolate_headline(s, MonthStamp(2009, 3), 6, 0.0)
         assert all(v == 213.0 for _, v in path)
 
     def test_twelve_percent_over_a_year(self):
-        s = make_monthly("h", "2009-01", [100.0])
+        s = make_series("h", "2009-01", [100.0])
         path = extrapolate_headline(s, MonthStamp(2009, 1), 12, 12.0)
         assert path[-1][0] == MonthStamp(2010, 1)
         assert path[-1][1] == pytest.approx(112.0, abs=1e-9)
 
     def test_matches_iterative_compounding_oracle(self):
-        s = make_monthly("h", "2009-01", [170.0])
+        s = make_series("h", "2009-01", [170.0])
         rate = 7.3
         path = extrapolate_headline(s, MonthStamp(2009, 1), 24, rate)
         value = 170.0
@@ -127,26 +121,26 @@ class TestExtrapolateHeadline:
             assert got == pytest.approx(value, rel=1e-9)
 
     def test_origin_absent(self):
-        s = make_monthly("h", "2009-01", [100.0])
+        s = make_series("h", "2009-01", [100.0])
         with pytest.raises(PriceError, match="absent"):
             extrapolate_headline(s, MonthStamp(2010, 1), 3, 1.0)
 
     def test_trailing_growth_rate(self):
         values = [100.0 * 1.03 ** (i / 12.0) for i in range(72)]
-        s = make_monthly("h", "2004-01", values)
+        s = make_series("h", "2004-01", values)
         rate = trailing_growth_rate(s, MonthStamp(2009, 12))
         assert rate == pytest.approx(3.0, abs=0.01)
 
     @pytest.mark.parametrize("rate", [-100.0, -150.0])
     def test_rate_at_or_below_minus_hundred_rejected(self, rate):
-        s = make_monthly("h", "2009-01", [100.0])
+        s = make_series("h", "2009-01", [100.0])
         with pytest.raises(PriceError, match="> -100"):
             extrapolate_headline(s, MonthStamp(2009, 1), 3, rate)
 
     @pytest.mark.parametrize("rate", [1e308, 2.5e62])
     def test_overflowing_rate_rejected(self, rate):
         # 1e308 overflows the power itself, 2.5e62 only the product with the base
-        s = make_monthly("h", "2009-01", [100.0])
+        s = make_series("h", "2009-01", [100.0])
         with pytest.raises(PriceError, match="overflows"):
             extrapolate_headline(s, MonthStamp(2009, 1), 61, rate)
 
@@ -155,7 +149,7 @@ class TestExtrapolateHeadline:
     def test_trailing_growth_needs_positive_endpoints(self, at, bad):
         values = [100.0 * 1.03 ** (i / 12.0) for i in range(72)]
         values[at] = bad
-        s = make_monthly("h", "2004-12", values)
+        s = make_series("h", "2004-12", values)
         with pytest.raises(PriceError, match="positive"):
             trailing_growth_rate(s, MonthStamp(2010, 11))
 
@@ -352,7 +346,7 @@ class TestLeadLagRelations:
                 assert mapped_corr == pytest.approx(corr, rel=0.0, abs=1e-12)
 
 
-HEADLINE = make_monthly("h", "2009-01", [100.0, 101.0])
+HEADLINE = make_series("h", "2009-01", [100.0, 101.0])
 
 #: id: (call, error type, message) for each refusal of arguments that no other test makes
 REFUSALS = {

@@ -34,12 +34,7 @@ from oracles import (
     ref_restrict,
     ref_value_at,
 )
-
-
-def make_series(series_id, start, values):
-    origin = MonthStamp.parse(start)
-    obs = tuple((origin.add_months(i), float(v)) for i, v in enumerate(values))
-    return MonthlySeries(series_id, "", obs)
+from conftest import make_series
 
 
 class TestMonthStamp:
@@ -429,7 +424,7 @@ def parsed(parse, text):
         series = parse(text, "x", "note")
     except ParseError as exc:
         return type(exc), str(exc), exc.line_no
-    assert series._months.dtype == np.int64 and series._values.dtype == np.float64
+    assert series._months.typecode == "q" and series._values.typecode == "d"
     return series.series_id, series.base_note, series.observations
 
 
