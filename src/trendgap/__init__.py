@@ -9,7 +9,8 @@ backtests the whole pipeline.
 
 ``series`` is loaded with the package. The other modules are loaded on first
 use of one of their names, so a process that only parses and differences
-series never compiles the fitting, forecasting, price or backtest code.
+series never compiles the trend, fitting, forecasting, price or backtest code.
+``trend`` is reached as ``trendgap.trend``; ``fitting`` exports its names.
 """
 
 import importlib
@@ -25,7 +26,7 @@ _STAGES = ("fitting", "forecast", "prices", "backtest")
 
 def __getattr__(name: str):
     """Load a stage module, or the stage module that exports ``name``, and keep the result."""
-    if name in _STAGES:
+    if name in _STAGES or name == "trend":
         return importlib.import_module(f".{name}", __name__)
     if name == "__all__":
         value = ["__version__", *series.__all__]

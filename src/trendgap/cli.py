@@ -6,10 +6,10 @@ warnings in memory. ``main`` writes every output or none and prints the rest onl
 after the write, so a failing run leaves no partial artifacts and prints no report
 or warning. Exit codes: 0 success, 1 internal error, 2 invalid input or config.
 
-Only ``series`` and ``trend`` are imported here; neither loads numpy. Every stage
-name is reached through the package as ``tg.<module>.<name>``, and the package
-loads a stage module on the first such use, so a process loads no fitting,
-forecasting, price or backtest code (nor numpy) that its subcommand never uses.
+Only ``series`` is imported here, and it loads no numpy. Every other name is
+reached through the package as ``tg.<module>.<name>``, and the package loads a
+module on the first such use, so a process loads no trend, fitting, forecasting,
+price or backtest code (nor numpy) that its subcommand never uses.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .series import (
     parse_series_csv,
     series_to_csv,
 )
-from .trend import MAX_TRANSITION_MONTHS, LinearSegment, TrendModel
 
 DEFAULT_API_BASE = "https://api.bls.gov/publicAPI/v2"
 
@@ -252,10 +251,10 @@ def cmd_fit(config: Section, base: Path, out: Path) -> StageResult:
     detect_diff = diff if detect_end is None else cut(diff, diff.start, detect_end, "detect_end")
     tail_start = seg.get("tail_start", _month, None)
     tail = 0 if tail_start is None else months_between(diff.end, tail_start) + 1
-    if tail > MAX_TRANSITION_MONTHS:
+    if tail > tg.trend.MAX_TRANSITION_MONTHS:
         raise ConfigError(
             f"config key '{seg.key('tail_start')}': {tail_start}..{diff.end} exceeds the "
-            f"{MAX_TRANSITION_MONTHS}-month limit: {tail} months"
+            f"{tg.trend.MAX_TRANSITION_MONTHS}-month limit: {tail} months"
         )
     try:
         breakpoints = tg.fitting.detect_breakpoints(detect_diff, k, min_len)
@@ -277,7 +276,7 @@ def cmd_fit(config: Section, base: Path, out: Path) -> StageResult:
     return outputs, report, []
 
 
-def _residuals_csv(diff: DifferenceSeries, model: TrendModel) -> str:
+def _residuals_csv(diff: DifferenceSeries, model: tg.trend.TrendModel) -> str:
     zones, _, trend = model._zones(diff._months)
     rows = zip(map(_month_text, diff._months), diff._values, trend.tolist())
     cells = (
@@ -287,12 +286,13 @@ def _residuals_csv(diff: DifferenceSeries, model: TrendModel) -> str:
     return _write_csv("date,value,predicted,residual,zone", cells)
 
 
-def _model_segment(model: TrendModel | None, trend: Section, key: str):
-    if model is None:
+def _model_segment(model_path: Path | None, trend: Section, key: str):
+    if model_path is None or not model_path.exists():
         raise ConfigError(
             f"{trend.key('kind')} {trend.get('kind')!r} needs trend_model.json, which is "
             "missing from the output directory; 'trendgap fit' writes it"
         )
+    model = _load(model_path, tg.trend.TrendModel.from_json)
     index = trend.get(key, _integer, -1)
     try:
         return model.segments[index]
@@ -301,8 +301,8 @@ def _model_segment(model: TrendModel | None, trend: Section, key: str):
 
 
 def _trend_from_config(
-    trend: Section, model: TrendModel | None, diff: DifferenceSeries, where: str = ""
-) -> LinearSegment:
+    trend: Section, model_path: Path | None, diff: DifferenceSeries, where: str = ""
+) -> tg.trend.LinearSegment:
     """The trend ``trend`` describes; a fit error names the window's keys, then ``where``."""
     kind = trend.get("kind", default=None)
     if kind == "endpoint":
@@ -314,9 +314,9 @@ def _trend_from_config(
             keys = f"{trend.key('start')} and {trend.key('end')}{where}"
             raise ConfigError(f"{keys}: {exc}") from None
     if kind == "segment":
-        return _model_segment(model, trend, "index")
+        return _model_segment(model_path, trend, "index")
     if kind == "mirror":
-        prev = _model_segment(model, trend, "segment_index")
+        prev = _model_segment(model_path, trend, "segment_index")
         pivot, duration = trend.get("pivot", _anchor), trend.get("duration", _integer, 84)
         return tg.forecast.mirror_trend(prev, pivot, duration)
     raise ConfigError(
@@ -328,7 +328,7 @@ def _trend_from_config(
 def _forecast_from_config(
     fc: Section,
     diff: DifferenceSeries,
-    model: TrendModel | None,
+    model_path: Path | None,
     origin: MonthStamp,
     horizon: int,
     where: str = "",
@@ -338,7 +338,8 @@ def _forecast_from_config(
     if mode not in (tg.forecast.ALONG_TREND, tg.forecast.RETURN_TO_TREND, tg.forecast.PENDULUM):
         raise ConfigError(f"config key '{fc.key('mode')}': unknown forecast mode {mode!r}")
     try:
-        trend = _trend_from_config(fc.section("trend", {"kind": "segment"}), model, diff, where)
+        spec = fc.section("trend", {"kind": "segment"})
+        trend = _trend_from_config(spec, model_path, diff, where)
 
         if mode == tg.forecast.ALONG_TREND:
             return tg.forecast.forecast_along_trend(trend, origin, horizon)
@@ -398,11 +399,9 @@ def cmd_forecast(config: Section, base: Path, out: Path) -> StageResult:
     if horizon < 1:
         raise ConfigError(f"{fc.key('horizon')} must be >= 1, got {horizon}")
 
-    model_path = out / "trend_model.json"
-    model = _load(model_path, TrendModel.from_json) if model_path.exists() else None
     diff = _difference_from_config(config, out)
     origin = fc.get("origin", _month)
-    f = _forecast_from_config(fc, diff, model, origin, horizon)
+    f = _forecast_from_config(fc, diff, out / "trend_model.json", origin, horizon)
 
     outputs = {out / "forecast.csv": f.to_csv(), out / "forecast.json": f.to_json()}
     cal = _calibration_from_config(config, "calibration", base)

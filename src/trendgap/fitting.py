@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import DifferenceSeries, MonthStamp, _ordinal, _stamp, months_between
 from .trend import MAX_TRANSITION_MONTHS, LinearSegment, TransitionWindow, TrendModel
@@ -116,42 +117,43 @@ _BLOCK_ROWS = 16
 
 
 class _SegmentCost:
-    """O(1) least-squares SSE of any contiguous month range, via prefix sums.
+    """O(1) least-squares SSE of any contiguous month range.
 
-    Positions are in years and both coordinates are centred first: prefix
-    sums of a series far from zero would otherwise cancel away the small
-    within-piece variation that decides where the breaks go. SSEs go to a
-    workspace allocated once, so the DP does not allocate per block.
+    Positions are in years and centred, and so is y: prefix sums of a series
+    far from zero would cancel away the variation that places the breaks. Only
+    the y side takes prefix sums; the position side is in closed form. SSEs go
+    to a workspace allocated once, so the DP does not allocate per block.
     """
 
     def __init__(self, y: np.ndarray):
-        x = np.arange(len(y)) / 12.0
-        x = x - x.mean()
-        y = y - y.mean()
-        # prefix[:, p] holds the sums of x, y, xx, xy and yy over positions 0..p-1
-        terms = np.stack([x, y, x * x, x * y, y * y])
-        self.prefix = np.hstack([np.zeros((5, 1)), np.cumsum(terms, axis=1)])
-        self._work = np.empty((6, _BLOCK_ROWS * len(y)))
+        n = len(y)
+        x = np.arange(n) / 12.0
+        centre = x.mean()
+        x, y = x - centre, y - y.mean()
+        # prefix[:, p] holds the sums of y, xy and yy over positions 0..p-1
+        self.prefix = np.hstack([np.zeros((3, 1)), np.cumsum(np.stack([y, x * y, y * y]), axis=1)])
+        # read-only n x n views of piece i..b's mean position, m and Σ(x - x̄)² at [i, b]
+        m = np.arange(2.0 - n, n + 1)
+        self.mean = sliding_window_view(np.arange(2 * n - 1) / 24.0 - centre, n)
+        self.m, self.var_x = (sliding_window_view(t, n)[::-1] for t in (m, m * (m * m - 1) / 1728))
+        self._work = np.empty((4, _BLOCK_ROWS * n))
 
-    def sse(self, starts: range, ends: range, m: np.ndarray) -> np.ndarray:
+    def sse(self, starts: range, ends: range) -> np.ndarray:
         """SSE of the OLS line on positions i..b inclusive, rows i in ``starts``
         and columns b in ``ends``, in the workspace the next call overwrites.
-        ``m[r, c]`` is the piece length b - i + 1; a cell shorter than two
-        months is junk but raises no warning."""
-        work = self._work[:, : len(starts) * len(ends)].reshape(6, len(starts), len(ends))
-        sx, sy, sxx, sxy, syy, tmp = work
+        A cell shorter than two months is junk but raises no warning."""
+        cells = np.s_[starts.start : starts.stop, ends.start : ends.stop]
+        work = self._work[:, : len(starts) * len(ends)].reshape(4, len(starts), len(ends))
+        sy, cov_xy, sse, tmp = work  # the sums of y, xy and yy until overwritten
         right = self.prefix[:, None, ends.start + 1 : ends.stop + 1]
-        np.subtract(right, self.prefix[:, starts.start : starts.stop, None], out=work[:5])
+        np.subtract(right, self.prefix[:, starts.start : starts.stop, None], out=work[:3])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # var_x = sxx - sx * sx / m, cov_xy = sxy - sx * sy / m and
-            # var_y = syy - sy * sy / m, each overwriting its sum
-            for a, b, total in ((sx, sx, sxx), (sx, sy, sxy), (sy, sy, syy)):
-                np.divide(np.multiply(a, b, out=tmp), m, out=tmp)
-                np.subtract(total, tmp, out=total)
-            var_x, cov_xy, sse = sxx, sxy, syy
-            # sse = var_y - cov_xy * cov_xy / var_x, unguarded: var_x depends on
-            # the positions only and is > 0 for every piece of two or more months
-            np.divide(np.multiply(cov_xy, cov_xy, out=tmp), var_x, out=tmp)
+            # cov_xy = sxy - mean * sy and var_y = syy - sy * sy / m, each overwriting its sum
+            np.subtract(cov_xy, np.multiply(self.mean[cells], sy, out=tmp), out=cov_xy)
+            np.divide(np.multiply(sy, sy, out=tmp), self.m[cells], out=tmp)
+            np.subtract(sse, tmp, out=sse)
+            # sse = var_y - cov_xy * cov_xy / var_x, unguarded: var_x > 0 for m >= 2
+            np.divide(np.multiply(cov_xy, cov_xy, out=tmp), self.var_x[cells], out=tmp)
             np.subtract(sse, tmp, out=sse)
             return np.maximum(sse, 0.0, out=sse)
 
@@ -185,12 +187,9 @@ def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
     # the top level only 0
     last = [n - (m + 1) * min_len + 1 for m in range(max_k + 1)]
     last[-1] = min(1, last[-1])
-    # level 0 is the one piece i..n-1, of length n - i
+    # level 0 is the one piece i..n-1
     for rows in (range(1), range(min_len, last[0])):
-        column = n - np.arange(rows.start, rows.stop, dtype=float)[:, None]
-        suffix[0][rows.start : rows.stop] = cost.sse(rows, range(n - 1, n), column)[:, 0]
-    # a block's level-1 piece from its row r to its column c has length min_len + c - r
-    lengths = min_len + np.arange(n, dtype=float) - np.arange(_BLOCK_ROWS)[:, None]
+        suffix[0][rows.start : rows.stop] = cost.sse(rows, range(n - 1, n))[:, 0]
     short = np.tri(_BLOCK_ROWS, k=-1, dtype=bool)
     work = np.empty(_BLOCK_ROWS * n)
     # blocks start at min_len, min_len + _BLOCK_ROWS, ..., and position 0 is a
@@ -201,7 +200,7 @@ def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
         lo, block = i0 + min_len - 1, i0 + _BLOCK_ROWS if i0 else 1
         # pieces i..b for level 1's breaks, the widest; every level reads a corner
         rows, ends = range(i0, min(block, last[1])), range(lo, n - min_len)
-        sse = cost.sse(rows, ends, lengths[: len(rows), : len(ends)])
+        sse = cost.sse(rows, ends)
         for m in range(1, max_k + 1):
             # piece i..b, then m-1 breaks in b+1..n-1
             rows, stop = range(i0, min(block, last[m])), n - m * min_len

@@ -279,10 +279,33 @@ class PerRowSegmentCost:
         return np.maximum(sse, 0.0)
 
 
-def per_row_segment(diff, max_k, min_len):
-    """The DP that evaluated one start position per numpy call (tables' oracle)."""
+class ClosedFormPerRowCost:
+    """The per-row cost under the closed-form position moments of ``_SegmentCost``:
+    prefix sums of y, xy and yy only, the mean position of piece i..j read as
+    (i + j) / 24 - centre and its Σ(x - x̄)² as m(m² - 1)/1728. The tables' oracle."""
+
+    def __init__(self, y: np.ndarray):
+        x = np.arange(len(y)) / 12.0
+        self.centre = x.mean()
+        x, y = x - self.centre, y - y.mean()
+        # prefix[p] holds the sums of y, xy and yy over positions 0..p-1
+        terms = np.column_stack([y, x * y, y * y])
+        self.prefix = np.vstack([np.zeros(3), np.cumsum(terms, axis=0)])
+
+    def sse(self, i, j) -> np.ndarray:
+        """SSE of the OLS line on positions i..j inclusive; broadcasts over arrays."""
+        m = j - i + 1
+        sy, sxy, syy = (self.prefix[j + 1] - self.prefix[i]).T
+        cov_xy = sxy - ((i + j) / 24.0 - self.centre) * sy
+        var_y = syy - sy * sy / m
+        return np.maximum(var_y - cov_xy * cov_xy / (m * (m * m - 1) / 1728), 0.0)
+
+
+def per_row_segment(diff, max_k, min_len, cost_class):
+    """The DP that evaluated one start position per numpy call, each piece's SSE from
+    ``cost_class`` (the tables' oracle under that cost)."""
     n = len(diff)
-    cost = PerRowSegmentCost(np.asarray(diff._values))
+    cost = cost_class(np.asarray(diff._values))
     suffix = np.full((max_k + 1, n + 1), np.inf)
     after = np.zeros((max_k + 1, n + 1), dtype=int)
     starts = np.arange(n - min_len + 1)

@@ -136,12 +136,17 @@ def loaded_by(code: str) -> set[str]:
     return set(done.stdout.splitlines()[-1].split())
 
 
-#: What ``import trendgap.cli`` loads: no stage module, and no numpy.
-CLI_MODULES = {"trendgap", "trendgap.series", "trendgap.trend", "trendgap.cli"}
+#: What ``import trendgap.cli`` loads: no trend or stage module, and no numpy.
+CLI_MODULES = {"trendgap", "trendgap.series", "trendgap.cli"}
 
 
-def test_importing_the_cli_loads_series_and_trend_only():
+def test_importing_the_cli_loads_series_only():
     assert loaded_by("import trendgap.cli") == CLI_MODULES
+
+
+def test_trend_loads_on_first_use_without_a_stage_module():
+    code = "import trendgap\nassert trendgap.trend.TrendModel.__module__ == 'trendgap.trend'"
+    assert loaded_by(code) == {"trendgap", "trendgap.series", "trendgap.trend"}
 
 
 def test_a_stage_module_loads_on_first_use():
@@ -170,18 +175,19 @@ def test_fit_loads_only_fitting(tmp_path):
     assert loaded & STAGES == {"trendgap.fitting"}
 
 
-#: The README's fixture pipelines, in order, the stage modules each subcommand loads,
-#: and whether it loads numpy: only the subcommands that fit, price or fit a baseline do.
+#: The README's fixture pipelines, in order, the modules beyond the CLI's that each
+#: subcommand loads, and whether it loads numpy: only the subcommands that fit, price or
+#: fit a baseline do. Both ``diff``s load no trend code either.
 STARTUP = [
     ("motor", "diff", set(), False),
-    ("motor", "fit", {"fitting"}, True),
-    ("motor", "forecast", {"forecast"}, False),
-    ("motor", "backtest", {"fitting", "forecast", "backtest"}, True),
+    ("motor", "fit", {"trend", "fitting"}, True),
+    ("motor", "forecast", {"trend", "forecast"}, False),
+    ("motor", "backtest", {"trend", "fitting", "forecast", "backtest"}, True),
     ("crude", "diff", set(), False),
-    ("crude", "fit", {"fitting"}, True),
-    ("crude", "forecast", {"fitting", "forecast", "prices"}, True),
-    ("crude", "translate", {"forecast", "prices"}, True),
-    ("crude", "backtest", {"forecast", "backtest"}, False),
+    ("crude", "fit", {"trend", "fitting"}, True),
+    ("crude", "forecast", {"trend", "fitting", "forecast", "prices"}, True),
+    ("crude", "translate", {"trend", "forecast", "prices"}, True),
+    ("crude", "backtest", {"trend", "forecast", "backtest"}, False),
 ]
 
 

@@ -1,6 +1,7 @@
 """Command-line pipeline behavior, exit codes and file formats."""
 
 import errno
+import hashlib
 import io
 import json
 import shutil
@@ -27,6 +28,7 @@ from trendgap import (
 from trendgap.cli import main, series_from_api_payload
 
 from conftest import CONFIGS, FIXTURES, PIPELINES, in_process, run_stages
+from test_golden import GOLDEN_SHA256, GOLDEN_STDOUT
 
 
 def run(*argv) -> int:
@@ -976,6 +978,7 @@ class TestMalformedInputFiles:
 
     @pytest.mark.parametrize("text", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
     def test_forecast_refuses_malformed_trend_model(self, pipeline_outs, tmp_path, capsys, text):
+        # a segment trend reads the model; the motor config's endpoint trend would not
         out = tmp_path / "out"
         shutil.copytree(pipeline_outs["motor"], out)
         model = out / "trend_model.json"
@@ -984,13 +987,30 @@ class TestMalformedInputFiles:
             doc["segments"][0]["slope_B"] = None
             text = json.dumps(doc)
         model.write_text(text)
+        config = fixture_config("motor")
+        config["forecast"]["trend"] = {"kind": "segment"}
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(fixture_config("motor")))
+        cfg.write_text(json.dumps(config))
         before = snapshot(out)
         capsys.readouterr()
         assert run("forecast", "--config", str(cfg), "--out", str(out)) == 2
         assert str(model) in capsys.readouterr().err
         assert snapshot(out) == before
+
+    def test_forecast_reads_no_model_its_trend_does_not_use(self, pipeline_outs, tmp_path, capsys):
+        # the motor forecast draws an endpoint trend, so a corrupt model file goes unread
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_outs["motor"], out)
+        (out / "trend_model.json").write_text("{not json")
+        produced = ("forecast.csv", "forecast.json")
+        for name in produced:
+            (out / name).unlink()
+        capsys.readouterr()
+        assert run("forecast", "--config", str(CONFIGS["motor"]), "--out", str(out)) == 0
+        assert capsys.readouterr() == (GOLDEN_STDOUT["motor forecast"], "")
+        for name in produced:
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == GOLDEN_SHA256[f"motor/{name}"], name
 
     @pytest.mark.parametrize("command, key, text", BROKEN_FILES.values(), ids=BROKEN_FILES.keys())
     def test_error_names_the_file(self, pipeline_outs, tmp_path, capsys, command, key, text):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from trendgap import (
     DifferenceSeries,
@@ -26,6 +27,8 @@ from trendgap.fitting import _design, _SegmentCost, _segment
 
 from conftest import make_diff, stamp
 from oracles import (
+    ClosedFormPerRowCost,
+    PerRowSegmentCost,
     exhaustive_breakpoints,
     exhaustive_breakpoints_k3,
     old_build_trend_model,
@@ -342,14 +345,22 @@ class TestDetectBreakpoints:
 @pytest.mark.parametrize("n", [12, 1_200, 12_000, 120_000])
 @pytest.mark.parametrize("m", [2, 6])
 def test_variance_of_positions_is_positive(n, m):
-    # _SegmentCost.sse divides by var_x = sxx - sx * sx / m unguarded. It
-    # depends on the positions only, so it must be > 0 for every piece of
-    # m >= 2 months, however far the prefix sums run. The worst seen is 0.97 of
-    # the exact m(m^2 - 1)/1728, with 2-month pieces at n = 120,000.
-    sx, _, sxx, _, _ = _SegmentCost(np.zeros(n)).prefix
-    sx, sxx = sx[m:] - sx[:-m], sxx[m:] - sxx[:-m]
-    var_x = sxx - sx * sx / m
-    assert (var_x > 0.0).all()
+    # _SegmentCost.sse reads each piece's length, mean position and var_x =
+    # Σ(x - x̄)² from closed-form tables and divides by var_x unguarded, so for
+    # every piece of m >= 2 months they must match direct sums over its
+    # positions, and var_x must be > 0. The direct sums run on integer positions,
+    # exact in floating point; var_x does not depend on the centring.
+    cost = _SegmentCost(np.zeros(n))
+    mean, length, var_x = (np.diagonal(t, offset=m - 1) for t in (cost.mean, cost.m, cost.var_x))
+    pieces = sliding_window_view(np.arange(n, dtype=float), m)
+    centre = (np.arange(n) / 12.0).mean()
+    direct = pieces.mean(axis=1)
+    direct_var_x = ((pieces - direct[:, None]) ** 2).sum(axis=1) / 144.0
+    assert len(mean) == n - m + 1 and (length == m).all()
+    # relative to the span of the positions, since a centred mean can be 0
+    np.testing.assert_allclose(mean, direct / 12.0 - centre, rtol=1e-12, atol=1e-12 * n / 12)
+    np.testing.assert_allclose(var_x, direct_var_x, rtol=1e-12, atol=0.0)
+    assert (var_x > 0.0).all() and (direct_var_x > 0.0).all()
 
 
 def planted(n, k, rng):
@@ -418,8 +429,39 @@ class TestBlockedSegmentTables:
             warnings.simplefilter("error")
             for n, kind, y in cls.series(min_len):
                 diff = make_diff("1900-01", y)
-                cases.append((n, kind, diff, *per_row_segment(diff, cls.TOP, min_len)))
+                tables = per_row_segment(diff, cls.TOP, min_len, ClosedFormPerRowCost)
+                cases.append((n, kind, diff, *tables))
         return cases
+
+    @classmethod
+    @functools.cache
+    def verbatim(cls, min_len):
+        """The per-row (suffix, after) under ``PerRowSegmentCost``, the prefix-sum
+        position moments the DP used before, for every case of ``grid``."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return [
+                per_row_segment(diff, cls.TOP, min_len, PerRowSegmentCost)
+                for _, _, diff, _, _ in cls.grid(min_len)
+            ]
+
+    @staticmethod
+    def path(diff, after, k):
+        """What ``detect_breakpoints`` reads: the path through ``after`` from position 0."""
+        points, i = [], 0
+        for m in range(k, 0, -1):
+            i = int(after[m][i])
+            points.append(diff.start.add_months(i))
+        return points
+
+    @staticmethod
+    def chosen(n, suffix, top):
+        """What ``select_breakpoint_count`` reads: the k of least BIC over ``suffix[:, 0]``."""
+        bics = [
+            n * np.log(max(sse, 1e-12) / n) + (3 * k + 2) * np.log(n)
+            for k, sse in enumerate(suffix[: top + 1, 0])
+        ]
+        return int(np.argmin(bics))
 
     @staticmethod
     def assert_tables_match(got, want, min_len, label, equal_nan=False):
@@ -444,29 +486,35 @@ class TestBlockedSegmentTables:
 
     @pytest.mark.parametrize("min_len", MIN_LENS)
     def test_callers_follow_per_row_tables(self, min_len):
-        # What callers read: the path through ``after`` from position 0 for
-        # each k, and the BIC over ``suffix[:, 0]``.
-        def path(diff, after, k):
-            points, i = [], 0
-            for m in range(k, 0, -1):
-                i = int(after[m][i])
-                points.append(diff.start.add_months(i))
-            return points
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n, kind, diff, suffix, after in self.grid(min_len):
                 top = min(self.MAX_K, n // min_len - 1)
                 for k in range(top + 1):
                     got = detect_breakpoints(diff, k, min_len)
-                    assert got == path(diff, after, k), (n, kind, k)
-                bics = [
-                    n * np.log(max(sse, 1e-12) / n) + (3 * k + 2) * np.log(n)
-                    for k, sse in enumerate(suffix[: top + 1, 0])
-                ]
-                k = int(np.argmin(bics))
+                    assert got == self.path(diff, after, k), (n, kind, k)
+                k = self.chosen(n, suffix, top)
                 got = select_breakpoint_count(diff, self.MAX_K, min_len)
-                assert got == (k, path(diff, after, k)), (n, kind)
+                assert got == (k, self.path(diff, after, k)), (n, kind)
+
+    @pytest.mark.parametrize("min_len", MIN_LENS)
+    def test_decisions_match_the_prefix_sum_moments(self, min_len):
+        # The closed-form position moments move SSE bits but no decision: for
+        # every k <= TOP on the whole grid, rounded and constant series included,
+        # the breakpoints and select_breakpoint_count's k equal those of the
+        # per-row DP under the prefix-sum moments.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for (n, kind, diff, _, _), (suffix, after) in zip(
+                self.grid(min_len), self.verbatim(min_len)
+            ):
+                top = min(self.TOP, n // min_len - 1)
+                for k in range(1, top + 1):
+                    got = detect_breakpoints(diff, k, min_len)
+                    assert got == self.path(diff, after, k), (n, kind, k)
+                k = self.chosen(n, suffix, top)
+                got = select_breakpoint_count(diff, self.TOP, min_len)
+                assert got == (k, self.path(diff, after, k)), (n, kind)
 
     @staticmethod
     def overflowing():
@@ -488,7 +536,7 @@ class TestBlockedSegmentTables:
                 case = (label, max_k)
                 with warnings.catch_warnings(record=True) as old:
                     warnings.simplefilter("always")
-                    want = per_row_segment(d, max_k, 20)
+                    want = per_row_segment(d, max_k, 20, ClosedFormPerRowCost)
                 with warnings.catch_warnings(record=True) as new:
                     warnings.simplefilter("always")
                     got = _segment(d, max_k, 20)
