@@ -1,10 +1,11 @@
 """Command-line pipeline: diff, fit, forecast, translate, backtest, fetch.
 
-Each subcommand is a stage function: it reads a JSON config (each flag sets one
-config key), validates everything up front and computes its outputs, report and
-warnings in memory. ``main`` writes every output or none and prints the rest only
-after the write, so a failing run leaves no partial artifacts and prints no report
-or warning. Exit codes: 0 success, 1 internal error, 2 invalid input or config.
+Every subcommand, ``fetch`` included, is a stage function ``(config, base, out)``:
+it reads a JSON config (each flag sets one config key), validates everything up
+front and computes its outputs, report and warnings in memory. ``main`` calls each
+stage the same way, writes every output or none and prints the rest only after the
+write, so a failing run leaves no partial artifacts and prints no report or
+warning. Exit codes: 0 success, 1 internal error, 2 invalid input or config.
 
 Only ``series`` is imported here, and it loads no numpy. Every other name is
 reached through the package as ``tg.<module>.<name>``, and the package loads a
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -145,7 +147,8 @@ def _load(path: Path, parse):
 def _context(args) -> tuple[Section, Path, Path]:
     """The config with the given flags set in it, the directory its relative paths
     resolve against, and the output directory."""
-    values = {} if args.config is None else _load(Path(args.config), json.loads)
+    path = vars(args).get("config")  # fetch takes no --config
+    values = {} if path is None else _load(Path(path), json.loads)
     if not isinstance(values, dict):
         raise ConfigError("config must be a JSON object")
     config = Section(values)
@@ -158,11 +161,10 @@ def _context(args) -> tuple[Section, Path, Path]:
                 section.values.setdefault(part, {})
                 section = section.section(part)
             section.values[last] = value
-    base = Path(args.config).parent if args.config else Path.cwd()
-    out = config.get("out", _path, None)
-    if out is None:
+    base = Path(path).parent if path else Path.cwd()
+    if config.values.get("out") in (None, ""):
         raise ConfigError("no output directory: pass --out or set 'out' in the config")
-    return config, base, out
+    return config, base, config.get("out", _path)
 
 
 def _cwd_path(value: str) -> str:
@@ -357,7 +359,8 @@ def _forecast_from_config(
             if rest == 0:
                 return first
             # past the deadline the path follows the trend it has returned to
-            path = first.path + tg.forecast.forecast_along_trend(trend, deadline, rest).path
+            along = tg.forecast.forecast_along_trend(trend, deadline, rest)
+            path = tg.forecast.chain_forecasts(first, along)
             chained = f"{mode}+{tg.forecast.ALONG_TREND}"
             return tg.forecast.Forecast(chained, origin, path, first.band_sigma)
 
@@ -512,26 +515,35 @@ def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
     return outputs, report, []
 
 
-def cmd_fetch(args) -> StageResult:
+def cmd_fetch(config: Section, base: Path, out: Path) -> StageResult:
+    from http.client import HTTPException
     from urllib.request import Request, urlopen
 
-    if not args.out:
-        raise ConfigError("--out must name a directory, got ''")
-    base_url = os.environ.get("TRENDGAP_API_BASE", DEFAULT_API_BASE)
-    payload = {
-        "seriesid": [args.series_id],
-        "startyear": str(args.start_year),
-        "endyear": str(args.end_year),
+    fetch = config.section("fetch")
+    series_id = fetch.get("series_id", _text)
+    if series_id in ("", ".", "..") or os.path.basename(series_id) != series_id:
+        raise ConfigError(f"{fetch.key('series_id')} must be a plain file name, got {series_id!r}")
+    timeout = fetch.get("timeout", _number)
+    if not (timeout > 0 and math.isfinite(timeout)):
+        raise ConfigError(f"{fetch.key('timeout')} must be finite and > 0, got {timeout}")
+    query = {
+        "seriesid": [series_id],
+        "startyear": str(fetch.get("start_year", _integer)),
+        "endyear": str(fetch.get("end_year", _integer)),
     }
     request = Request(
-        f"{base_url}/timeseries/data/",
-        data=json.dumps(payload).encode("utf-8"),
+        os.environ.get("TRENDGAP_API_BASE", DEFAULT_API_BASE) + "/timeseries/data/",
+        data=json.dumps(query).encode("utf-8"),
         headers={"Content-Type": "application/json"},
     )
-    with urlopen(request, timeout=args.timeout) as response:
-        series = series_from_api_payload(json.load(response), args.series_id)
-    report = f"fetched {args.series_id}: {len(series)} months, {series.start}..{series.end}"
-    return {Path(args.out) / f"{args.series_id}.csv": series_to_csv(series)}, [report], []
+    try:
+        with urlopen(request, timeout=timeout) as response:
+            payload = json.load(response)
+    except HTTPException as exc:  # a status line or body the HTTP client cannot read
+        raise ConfigError(f"API response for {series_id!r} is malformed: {exc!r}") from None
+    series = series_from_api_payload(payload, series_id)
+    report = f"fetched {series_id}: {len(series)} months, {series.start}..{series.end}"
+    return {out / f"{series_id}.csv": series_to_csv(series)}, [report], []
 
 
 def series_from_api_payload(payload, series_id: str):
@@ -605,12 +617,13 @@ def build_parser() -> argparse.ArgumentParser:
     setting(p, "--difference-csv", "difference_csv", help=difference_help)
 
     p = sub.add_parser("fetch", help="fetch a published series into CSV")
-    p.add_argument("--series-id", required=True)
-    p.add_argument("--start-year", type=int, required=True)
-    p.add_argument("--end-year", type=int, required=True)
-    p.add_argument("--out", default=".", help="output directory (default: the working directory)")
-    p.add_argument("--timeout", type=float, default=30.0)
     p.set_defaults(func=cmd_fetch)
+    setting(p, "--series-id", "fetch.series_id", required=True)
+    setting(p, "--start-year", "fetch.start_year", type=int, required=True)
+    setting(p, "--end-year", "fetch.end_year", type=int, required=True)
+    out_help = "output directory (default: the working directory)"
+    setting(p, "--out", "out", default=".", help=out_help)
+    setting(p, "--timeout", "fetch.timeout", type=float, default=30.0)
 
     return parser
 
@@ -619,8 +632,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run one stage, write every output it returns or none, then print its warnings and report."""
     args = build_parser().parse_args(argv)
     try:
-        stage = args.func
-        outputs, report, warnings = stage(args) if stage is cmd_fetch else stage(*_context(args))
+        outputs, report, warnings = args.func(*_context(args))
         _write_all(outputs)
         for line in warnings:
             print(line, file=sys.stderr)

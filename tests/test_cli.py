@@ -2,6 +2,7 @@
 
 import errno
 import hashlib
+import http.client
 import io
 import json
 import shutil
@@ -1034,18 +1035,49 @@ class TestMalformedInputFiles:
 FETCH_ARGS = ("fetch", "--series-id", "CUSR0000SA0", "--start-year", "2009", "--end-year", "2009")
 
 
-def payload_with_row(row: dict) -> dict:
-    """A v2 payload for CUSR0000SA0 whose second data row is ``row``."""
+def payload_with_row(row: dict, series_id: str = "CUSR0000SA0") -> dict:
+    """A v2 payload for ``series_id`` whose second data row is ``row``."""
     good = {"year": "2009", "period": "M01", "value": "211.9"}
     return {
         "status": "REQUEST_SUCCEEDED",
-        "Results": {"series": [{"seriesID": "CUSR0000SA0", "data": [good, row]}]},
+        "Results": {"series": [{"seriesID": series_id, "data": [good, row]}]},
     }
 
 
+class FakeUrlopen:
+    """Stands in for ``urllib.request.urlopen``: records the URL, JSON body and timeout of
+    each request, then answers with ``reply``, an exception to raise, a response to return
+    as it is, or else a payload to send as JSON."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.calls = []
+
+    def __call__(self, request, timeout):
+        self.calls.append((request.full_url, json.loads(request.data), timeout))
+        if isinstance(self.reply, Exception):
+            raise self.reply
+        if isinstance(self.reply, io.IOBase):
+            return self.reply
+        return io.BytesIO(json.dumps(self.reply).encode())
+
+
+class TruncatedBody(io.BytesIO):
+    """A response whose body ends 991 bytes short of its Content-Length."""
+
+    def read(self, *args):
+        raise http.client.IncompleteRead(b"{" * 9, 991)
+
+
 class TestFetch:
-    def test_writes_csv(self, tmp_path, monkeypatch):
-        payload = {
+    @pytest.fixture()
+    def api(self, monkeypatch):
+        fake = FakeUrlopen(payload_with_row({"year": "2009", "period": "M02", "value": "212.7"}))
+        monkeypatch.setattr(urllib.request, "urlopen", fake)
+        return fake
+
+    def test_writes_csv(self, tmp_path, monkeypatch, api):
+        api.reply = {
             "status": "REQUEST_SUCCEEDED",
             "Results": {
                 "series": [
@@ -1059,19 +1091,12 @@ class TestFetch:
                 ]
             },
         }
-        calls = []
-
-        def fake_urlopen(request, timeout):
-            calls.append((request.full_url, json.loads(request.data), timeout))
-            return io.BytesIO(json.dumps(payload).encode())
-
-        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         monkeypatch.setenv("TRENDGAP_API_BASE", "http://mirror.test/v2")
         assert run(*FETCH_ARGS, "--out", str(tmp_path)) == 0
         assert (tmp_path / "CUSR0000SA0.csv").read_text() == (
             "date,value\n2009-01,211.9\n2009-02,212.7\n"
         )
-        assert calls == [
+        assert api.calls == [
             (
                 "http://mirror.test/v2/timeseries/data/",
                 {"seriesid": ["CUSR0000SA0"], "startyear": "2009", "endyear": "2009"},
@@ -1079,25 +1104,16 @@ class TestFetch:
             )
         ]
 
-    def test_unreachable_host_exits_two(self, tmp_path, monkeypatch, capsys):
-        def fake_urlopen(request, timeout):
-            raise urllib.error.URLError("connection refused")
-
-        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    def test_unreachable_host_exits_two(self, tmp_path, capsys, api):
+        api.reply = urllib.error.URLError("connection refused")
         out = tmp_path / "out"
         assert run(*FETCH_ARGS, "--out", str(out)) == 2
         assert "connection refused" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_empty_out_exits_two(self, tmp_path, monkeypatch, capsys):
+    def test_empty_out_exits_two(self, tmp_path, monkeypatch, capsys, api):
         """An empty --out is refused, not taken as the working directory."""
 
-        payload = payload_with_row({"year": "2009", "period": "M02", "value": "212.7"})
-
-        def fake_urlopen(request, timeout):
-            return io.BytesIO(json.dumps(payload).encode())
-
-        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         monkeypatch.chdir(tmp_path)
         assert run(*FETCH_ARGS, "--out", "") == 2
         captured = capsys.readouterr()
@@ -1116,13 +1132,152 @@ class TestFetch:
         ],
         ids=["no-value", "no-year", "null-period", "results-list", "top-level-list"],
     )
-    def test_malformed_payload_exits_two(self, tmp_path, monkeypatch, capsys, payload, named):
-        def fake_urlopen(request, timeout):
-            return io.BytesIO(json.dumps(payload).encode())
-
-        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    def test_malformed_payload_exits_two(self, tmp_path, capsys, api, payload, named):
+        api.reply = payload
         out = tmp_path / "out"
         assert run(*FETCH_ARGS, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "'CUSR0000SA0'" in err and named in err
         assert not out.exists()
+
+    def test_timeout_flag_reaches_the_request(self, tmp_path, api):
+        """--timeout sets fetch.timeout, which urlopen receives as a float."""
+        assert run(*FETCH_ARGS, "--out", str(tmp_path), "--timeout", "5") == 0
+        [(_, _, timeout)] = api.calls
+        assert type(timeout) is float and timeout == 5.0
+
+    @pytest.mark.parametrize("timeout", ["inf", "0", "-1", "nan", "-inf", "0.0"])
+    def test_timeout_must_be_finite_and_positive(self, tmp_path, capsys, api, timeout):
+        """Refused before any request: inf overflows the socket deadline, 0 makes the
+        socket non-blocking, and a negative or NaN one fails in the socket, naming no key."""
+        out = tmp_path / "out"
+        assert run(*FETCH_ARGS, "--out", str(out), f"--timeout={timeout}") == 2
+        assert "fetch.timeout" in capsys.readouterr().err
+        assert api.calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "series_id",
+        ["../escaped", "sub/dir", ".", "..", ""],
+        ids=["parent", "subdirectory", "dot", "dot-dot", "empty"],
+    )
+    def test_series_id_must_be_a_plain_file_name(
+        self, tmp_path, monkeypatch, capsys, api, series_id
+    ):
+        """The series id names the CSV, so one that is not a plain file name is refused
+        before any request: ``../escaped`` would write beside --out, not into it."""
+        api.reply = payload_with_row({"year": "2009", "period": "M02", "value": "1"}, series_id)
+        monkeypatch.chdir(tmp_path)
+        argv = ("fetch", f"--series-id={series_id}", "--start-year", "2009", "--end-year", "2009")
+        assert run(*argv, "--out", "out") == 2
+        assert "fetch.series_id" in capsys.readouterr().err
+        assert api.calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "reply",
+        [lambda: http.client.BadStatusLine("garbage"), TruncatedBody],
+        ids=["bad-status-line", "truncated-body"],
+    )
+    def test_malformed_http_response_exits_two(self, tmp_path, capsys, api, reply):
+        """An answer the HTTP client cannot read is invalid input, named by its series."""
+        api.reply = reply()
+        out = tmp_path / "out"
+        assert run(*FETCH_ARGS, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'CUSR0000SA0'" in err
+        assert not out.exists()
+
+
+#: The usage lines and the flag and subcommand rows of ``trendgap [<sub>] --help`` at
+#: 80 columns. The section titles are left out: Python 3.10 titles the flags
+#: "optional arguments:", later versions "options:".
+HELP_ROWS = {
+    "": """\
+usage: trendgap [-h] {diff,fit,forecast,translate,backtest,fetch} ...
+  {diff,fit,forecast,translate,backtest,fetch}
+    diff                difference two index series
+    fit                 fit trends and turning points
+    forecast            forecast the difference path
+    translate           translate a forecast into prices
+    backtest            replay forecasts against actuals
+    fetch               fetch a published series into CSV
+  -h, --help            show this help message and exit
+""",
+    "diff": """\
+usage: trendgap diff [-h] [--config CONFIG] [--out OUT] [--headline HEADLINE]
+                     [--headline-id HEADLINE_ID] [--component COMPONENT]
+                     [--component-id COMPONENT_ID]
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON run configuration
+  --out OUT             output directory (overrides config)
+  --headline HEADLINE   headline series CSV path
+  --headline-id HEADLINE_ID
+  --component COMPONENT
+                        component series CSV path
+  --component-id COMPONENT_ID
+""",
+    "fit": """\
+usage: trendgap fit [-h] [--config CONFIG] [--out OUT]
+                    [--difference-csv DIFFERENCE_CSV] [--k K]
+                    [--min-len MIN_LEN]
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON run configuration
+  --out OUT             output directory (overrides config)
+  --difference-csv DIFFERENCE_CSV
+                        difference CSV (default <out>/difference.csv)
+  --k K                 number of breakpoints
+  --min-len MIN_LEN     minimum piece length (months)
+""",
+    "forecast": """\
+usage: trendgap forecast [-h] [--config CONFIG] [--out OUT]
+                         [--difference-csv DIFFERENCE_CSV]
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON run configuration
+  --out OUT             output directory (overrides config)
+  --difference-csv DIFFERENCE_CSV
+                        difference CSV (default <out>/difference.csv)
+""",
+    "translate": """\
+usage: trendgap translate [-h] [--config CONFIG] [--out OUT]
+                          [--forecast-csv FORECAST_CSV]
+                          [--calibration CALIBRATION]
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON run configuration
+  --out OUT             output directory (overrides config)
+  --forecast-csv FORECAST_CSV
+                        forecast CSV (default <out>/forecast.csv)
+  --calibration CALIBRATION
+                        'heuristic' or omit to use the config calibration
+""",
+    "backtest": """\
+usage: trendgap backtest [-h] [--config CONFIG] [--out OUT]
+                         [--difference-csv DIFFERENCE_CSV]
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON run configuration
+  --out OUT             output directory (overrides config)
+  --difference-csv DIFFERENCE_CSV
+                        difference CSV (default <out>/difference.csv)
+""",
+    "fetch": """\
+usage: trendgap fetch [-h] --series-id SERIES_ID --start-year START_YEAR
+                      --end-year END_YEAR [--out OUT] [--timeout TIMEOUT]
+  -h, --help            show this help message and exit
+  --series-id SERIES_ID
+  --start-year START_YEAR
+  --end-year END_YEAR
+  --out OUT             output directory (default: the working directory)
+  --timeout TIMEOUT
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_ROWS), ids=lambda c: c or "top-level")
+def test_help_rows_are_pinned(monkeypatch, capsys, command):
+    """Every flag keeps its name, metavar, order and help text."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        run(*command.split(), "--help")
+    assert stop.value.code == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert "".join(line for line in lines if line.startswith(("usage:", " "))) == HELP_ROWS[command]
