@@ -32,6 +32,7 @@ from .series import (
     MonthStamp,
     SeriesError,
     _month_text,
+    _ordinal,
     _write_csv,
     difference,
     months_between,
@@ -40,6 +41,9 @@ from .series import (
 )
 
 DEFAULT_API_BASE = "https://api.bls.gov/publicAPI/v2"
+
+#: A forecast's trend when its config names none: the fitted model's last segment.
+_DEFAULT_TREND = {"kind": "segment"}
 
 #: What a stage returns: the text of each file to write, and the report and warning lines to print.
 StageResult = tuple[dict[Path, str], list[str], list[str]]
@@ -279,12 +283,12 @@ def cmd_fit(config: Section, base: Path, out: Path) -> StageResult:
 
 
 def _residuals_csv(diff: DifferenceSeries, model: tg.trend.TrendModel) -> str:
-    zones, _, trend = model._zones(diff._months)
-    rows = zip(map(_month_text, diff._months), diff._values, trend.tolist())
-    cells = (
-        (m, v, None, None, z) if z == "transition" else (m, v, p, v - p, z)
-        for (m, v, p), z in zip(rows, zones)
-    )
+    cells = []
+    for month, value in zip(diff._months, diff._values):
+        zone, segment = model._zone(month)
+        trend = None if segment is None else segment._at(month - _ordinal(segment.start))
+        residual = None if segment is None else value - trend
+        cells.append((_month_text(month), value, trend, residual, zone))
     return _write_csv("date,value,predicted,residual,zone", cells)
 
 
@@ -340,7 +344,7 @@ def _forecast_from_config(
     if mode not in (tg.forecast.ALONG_TREND, tg.forecast.RETURN_TO_TREND, tg.forecast.PENDULUM):
         raise ConfigError(f"config key '{fc.key('mode')}': unknown forecast mode {mode!r}")
     try:
-        spec = fc.section("trend", {"kind": "segment"})
+        spec = fc.section("trend", _DEFAULT_TREND)
         trend = _trend_from_config(spec, model_path, diff, where)
 
         if mode == tg.forecast.ALONG_TREND:
@@ -375,16 +379,16 @@ def _forecast_from_config(
         raise ConfigError(f"{fc.path}{where}: {exc}") from None
 
 
-def _calibration_from_config(config: Section, key: str, base: Path):
-    cal_cfg = config.get(key, default=None)
+def _calibration_from_config(config: Section, base: Path):
+    cal_cfg = config.get("calibration", default=None)
     if cal_cfg in (None, "none"):
         return None
     if cal_cfg == "heuristic":
         return tg.prices.CRUDE_OIL_HEURISTIC
     if isinstance(cal_cfg, dict) and cal_cfg.get("kind") == "fitted":
-        path = base / config.section(key).get("pairs_csv", _path)
+        path = base / config.section("calibration").get("pairs_csv", _path)
         return tg.prices.calibrate_price(_load(path, tg.prices.parse_calibration_pairs_csv))
-    raise ConfigError(f"{config.key(key)}: unknown calibration {cal_cfg!r}")
+    raise ConfigError(f"{config.key('calibration')}: unknown calibration {cal_cfg!r}")
 
 
 def _prices_csv(forecast: tg.forecast.Forecast, cal) -> str:
@@ -407,7 +411,7 @@ def cmd_forecast(config: Section, base: Path, out: Path) -> StageResult:
     f = _forecast_from_config(fc, diff, out / "trend_model.json", origin, horizon)
 
     outputs = {out / "forecast.csv": f.to_csv(), out / "forecast.json": f.to_json()}
-    cal = _calibration_from_config(config, "calibration", base)
+    cal = _calibration_from_config(config, base)
     if cal is not None:
         outputs[out / "forecast_prices.csv"] = _prices_csv(f, cal)
     return outputs, [
@@ -421,7 +425,7 @@ def cmd_translate(config: Section, base: Path, out: Path) -> StageResult:
     forecast_csv = tr.get("forecast_csv", _path, None) or out / "forecast.csv"
     f = _load(forecast_csv, tg.forecast.Forecast.from_csv)
     cal_section = tr if tr.get("calibration", default=None) is not None else config
-    cal = _calibration_from_config(cal_section, "calibration", base)
+    cal = _calibration_from_config(cal_section, base)
     if cal is None:
         keys = f"{tr.key('calibration')} or {config.key('calibration')}"
         raise ConfigError(f"translate needs a calibration: set {keys}")
@@ -448,7 +452,7 @@ def cmd_translate(config: Section, base: Path, out: Path) -> StageResult:
 def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
     bt = config.section("backtest")
     fc = bt.section("forecast", None) or config.section("forecast")
-    trend = fc.section("trend", {"kind": "segment"})
+    trend = fc.section("trend", _DEFAULT_TREND)
     if trend.get("kind", default=None) in ("segment", "mirror"):
         raise ConfigError(
             f"{trend.key('kind')} {trend.get('kind')!r} needs trend_model.json, which backtest "
@@ -536,11 +540,16 @@ def cmd_fetch(config: Section, base: Path, out: Path) -> StageResult:
         data=json.dumps(query).encode("utf-8"),
         headers={"Content-Type": "application/json"},
     )
+    malformed = f"API response for {series_id!r} is malformed"
     try:
         with urlopen(request, timeout=timeout) as response:
-            payload = json.load(response)
+            body = response.read()
     except HTTPException as exc:  # a status line or body the HTTP client cannot read
-        raise ConfigError(f"API response for {series_id!r} is malformed: {exc!r}") from None
+        raise ConfigError(f"{malformed}: {exc!r}") from None
+    try:
+        payload = json.loads(body)
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, or nested too deep
+        raise ConfigError(f"{malformed}: {exc!r}") from None
     series = series_from_api_payload(payload, series_id)
     report = f"fetched {series_id}: {len(series)} months, {series.start}..{series.end}"
     return {out / f"{series_id}.csv": series_to_csv(series)}, [report], []

@@ -102,7 +102,7 @@ def classify_deviation(model: TrendModel, stamp: MonthStamp, value: float) -> De
     if segment.residual_sigma > 0.0:
         z = dev / segment.residual_sigma
     else:
-        z = 0.0 if dev == 0.0 else float("inf") * np.sign(dev)
+        z = 0.0 if dev == 0.0 else dev * math.inf
     if abs(z) <= 1.0:
         label = "on-trend"
     else:

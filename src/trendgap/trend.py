@@ -1,9 +1,8 @@
 """Fitted trend structure: linear segments, transition windows and the model they make.
 
-Loading this module loads no numpy, so a process that only reads ``trend_model.json``
-or draws a trend through two anchors never loads it; ``TrendModel._zones``, which labels
-many months at once, imports numpy when it is called. ``fitting`` fits these structures
-to data, and lists them in its ``__all__``.
+This module uses no numpy, so a process that only reads ``trend_model.json``, draws a
+trend through two anchors or labels months by their zone never loads it. ``fitting``
+fits these structures to data, and lists them in its ``__all__``.
 """
 
 from __future__ import annotations
@@ -118,27 +117,18 @@ class TrendModel:
         transition window ``("transition", None)``, and anywhere else
         ``("extrapolation", nearest segment)``, ties going to the earlier one.
         """
-        (label,), (index,), _ = self._zones([_ordinal(stamp)])
-        return label, None if label == "transition" else self.segments[index]
+        return self._zone(_ordinal(stamp))
 
-    def _zones(self, months):
-        """Per month ordinal of the sequence ``months``: :meth:`zone`'s label and segment index,
-        and ``_at``'s trend value, as a list and two numpy arrays."""
-        import numpy as np
-
-        months = np.asarray(months)
-        bounds = [(_ordinal(s.start), _ordinal(s.end), s.intercept, s.slope) for s in self.segments]
-        starts, ends, intercepts, slopes = map(np.array, zip(*bounds))
-        last = starts.searchsorted(months, side="right") - 1  # the last segment to start by then
-        before, after = np.maximum(last, 0), np.minimum(last + 1, len(starts) - 1)
-        index = np.where(starts[after] - months < months - ends[before], after, before)
-        # a month lies in a transition when an odd number of window edges come at or before it
-        edges = np.array([(_ordinal(w.start), _ordinal(w.end) + 1) for w in self.transitions])
-        in_transition = edges.reshape(-1).searchsorted(months, side="right") % 2
-        inside = (starts[index] <= months) & (months <= ends[index])
-        names = ["extrapolation", "transition"] + [f"trend-{i}" for i in range(len(starts))]
-        labels = np.array(names)[np.where(inside, index + 2, in_transition)].tolist()
-        return labels, index, intercepts[index] + slopes[index] * ((months - starts[index]) / 12.0)
+    def _zone(self, month: int) -> tuple[str, LinearSegment | None]:
+        """:meth:`zone` of a month ordinal."""
+        gaps = [max(_ordinal(s.start) - month, month - _ordinal(s.end)) for s in self.segments]
+        index = gaps.index(min(gaps))  # the nearest segment (negative inside it), earlier on a tie
+        segment = self.segments[index]
+        if gaps[index] <= 0:
+            return f"trend-{index}", segment
+        if any(_ordinal(w.start) <= month <= _ordinal(w.end) for w in self.transitions):
+            return "transition", None
+        return "extrapolation", segment
 
     def to_dict(self) -> dict:
         return {

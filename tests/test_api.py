@@ -145,7 +145,22 @@ def test_importing_the_cli_loads_series_only():
 
 
 def test_trend_loads_on_first_use_without_a_stage_module():
-    code = "import trendgap\nassert trendgap.trend.TrendModel.__module__ == 'trendgap.trend'"
+    """Reading a model and asking ``zone`` which trend governs a month, inside its segment,
+    in its transition and past its last month, loads no numpy."""
+    code = """\
+import json
+import trendgap
+from trendgap import MonthStamp
+assert trendgap.trend.TrendModel.__module__ == 'trendgap.trend'
+fit = {"intercept_A": 1.0, "slope_B": 12.0, "r_squared": 0.5, "residual_sigma": 1.0}
+model = trendgap.trend.TrendModel.from_json(json.dumps({
+    "segments": [{"start": "2000-01", "end": "2000-12", **fit}],
+    "transitions": [{"start": "2001-01", "end": "2001-06"}],
+}))
+assert model.zone(MonthStamp(2000, 3)) == ("trend-0", model.segments[0])
+assert model.zone(MonthStamp(2001, 2)) == ("transition", None)
+assert model.zone(MonthStamp(2002, 1)) == ("extrapolation", model.segments[0])
+"""
     assert loaded_by(code) == {"trendgap", "trendgap.series", "trendgap.trend"}
 
 

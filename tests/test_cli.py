@@ -1176,16 +1176,23 @@ class TestFetch:
 
     @pytest.mark.parametrize(
         "reply",
-        [lambda: http.client.BadStatusLine("garbage"), TruncatedBody],
-        ids=["bad-status-line", "truncated-body"],
+        [
+            lambda: http.client.BadStatusLine("garbage"),
+            TruncatedBody,
+            lambda: io.BytesIO(b"not json"),
+            lambda: io.BytesIO(b"\x80"),
+            lambda: io.BytesIO(b"[" * 100000),
+        ],
+        ids=["bad-status-line", "truncated-body", "not-json", "not-utf-8", "nested-too-deep"],
     )
     def test_malformed_http_response_exits_two(self, tmp_path, capsys, api, reply):
-        """An answer the HTTP client cannot read is invalid input, named by its series."""
+        """An answer the HTTP client cannot read, or a body that is not JSON, is invalid
+        input, named by its series."""
         api.reply = reply()
         out = tmp_path / "out"
         assert run(*FETCH_ARGS, "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "'CUSR0000SA0'" in err
+        assert err.startswith("error: API response for 'CUSR0000SA0' is malformed: ")
         assert not out.exists()
 
 

@@ -647,6 +647,25 @@ class TestClassifyDeviation:
         assert out.extrapolated
         assert out.segment == model.segments[1]
 
+    @pytest.mark.parametrize(
+        "offset, label, z",
+        [
+            (3.0, "above", np.inf),
+            (-3.0, "below", -np.inf),
+            (0.0, "on-trend", 0.0),
+            (np.nan, "below", np.nan),
+        ],
+        ids=["above", "below", "on-trend", "nan"],
+    )
+    def test_a_perfect_fit_scores_any_deviation_infinite(self, offset, label, z):
+        """With no residual spread, z is the deviation's sign times infinity, 0 for none and
+        nan for a nan value, which is not scored on-trend."""
+        seg = LinearSegment(MonthStamp(2000, 1), MonthStamp(2004, 12), 0.0, 12.0, 1.0, 0.0)
+        stamp = MonthStamp(2001, 1)
+        out = classify_deviation(TrendModel((seg,), ()), stamp, seg.predicted(stamp) + offset)
+        assert out.label == label
+        assert out.z == z or np.isnan(z) and np.isnan(out.z)
+
 
 class TestTrendModelSerialization:
     def test_json_round_trip_and_field_names(self):
@@ -754,11 +773,8 @@ class TestTrendModelOracle:
                 pass
         models += [(random_laid_model(rng), None) for _ in range(150)]
         for trial, (model, diff) in enumerate(models):
-            first = model.segments[0].start
-            last = max([model.segments[-1].end, *(w.end for w in model.transitions)])
             obs = []
-            for m in range(-30, months_between(last, first) + 31):
-                stamp = first.add_months(m)
+            for stamp in probe_months(model):
                 if diff is not None and diff.has(stamp):
                     obs.append((stamp, diff.value_at(stamp)))
                 else:
@@ -773,15 +789,50 @@ class TestTrendModelOracle:
                 if segment is not None:
                     label = "extrapolated" if extrapolated else "in-segment"
                 seen.add(label)
-                distances = sorted(
-                    min(abs(months_between(stamp, s.start)), abs(months_between(stamp, s.end)))
-                    for s in model.segments
-                )
-                if extrapolated and len(distances) > 1 and distances[0] == distances[1]:
+                if extrapolated and is_tie(model, stamp):
                     seen.add("tie")
             probe = DifferenceSeries("a", "b", tuple(obs))
             assert _residuals_csv(probe, model) == old_residuals_csv(probe, model), trial
         assert seen == {"in-segment", "in-transition", "extrapolated", "tie"}
+
+    def test_residual_rows_follow_zone(self):
+        """Each residuals.csv row is ``zone``'s label after the trend value of its segment
+        and the residual from it, both empty in a transition: the two read one rule."""
+        rng = np.random.default_rng(52)
+        seen = set()
+        for trial in range(150):
+            model = random_laid_model(rng)
+            obs = tuple((stamp, float(rng.normal(0, 10))) for stamp in probe_months(model))
+            header, *rows = _residuals_csv(DifferenceSeries("a", "b", obs), model).splitlines()
+            assert header == "date,value,predicted,residual,zone"
+            assert len(rows) == len(obs)
+            for (stamp, value), row in zip(obs, rows):
+                label, segment = model.zone(stamp)
+                cells = ["", ""]
+                if segment is not None:
+                    predicted = segment.predicted(stamp)
+                    cells = [repr(predicted), repr(value - predicted)]
+                assert row == ",".join([str(stamp), repr(value), *cells, label]), (trial, row)
+                seen.add(label if label in ("transition", "extrapolation") else "trend")
+                if label == "extrapolation" and is_tie(model, stamp):
+                    seen.add("tie")
+        assert seen == {"trend", "transition", "extrapolation", "tie"}
+
+
+def probe_months(model):
+    """Every month from 30 before the model's first segment to 30 after its last month."""
+    first = model.segments[0].start
+    last = max([model.segments[-1].end, *(w.end for w in model.transitions)])
+    return [first.add_months(m) for m in range(-30, months_between(last, first) + 31)]
+
+
+def is_tie(model, stamp):
+    """Whether the two segments nearest to ``stamp`` are equally near."""
+    distances = sorted(
+        min(abs(months_between(stamp, s.start)), abs(months_between(stamp, s.end)))
+        for s in model.segments
+    )
+    return len(distances) > 1 and distances[0] == distances[1]
 
 
 def segment(start, end, r_squared=0.9, sigma=1.0):

@@ -232,6 +232,15 @@ class TestDifference:
             recovered = value + b.value_at(stamp)
             assert recovered == pytest.approx(a.value_at(stamp), rel=1e-12)
 
+    def test_an_overflowing_month_is_refused_by_name(self):
+        """Two finite values can differ by more than the largest float: the result is refused
+        at its month, not returned holding inf."""
+        a = make_series("a", "2000-01", [1.0, 1e308])
+        b = make_series("b", "2000-01", [1.0, -1e308])
+        message = "non-finite value inf at 2000-02 in difference 'a'-'b'"
+        with pytest.raises(SeriesError, match=re.escape(message)):
+            difference(a, b)
+
 
 class TestRebase:
     def test_rebase_to_current_value_is_identity(self):
@@ -273,6 +282,18 @@ class TestRebase:
         a = make_series("a", "2000-01", [0.0, 2.0])
         with pytest.raises(SeriesError, match="zero"):
             rebase(a, MonthStamp(2000, 1), 100.0)
+
+    @pytest.mark.parametrize(
+        "values, anchor_value",
+        [([1.0, 1e300], 1e10), ([1e-300, 2.0], 1e300)],
+        ids=["value-overflows", "scale-overflows"],
+    )
+    def test_an_overflowing_month_is_refused_by_name(self, values, anchor_value):
+        """A rescaled value past the largest float is refused at its month."""
+        a = make_series("a", "2000-01", values)
+        message = "non-finite value inf at 2000-02 in series 'a'"
+        with pytest.raises(SeriesError, match=re.escape(message)):
+            rebase(a, MonthStamp(2000, 1), anchor_value)
 
 
 class TestInvariants:
