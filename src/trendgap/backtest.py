@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Callable
 
 from .forecast import Forecast
-from .series import DifferenceSeries, MonthStamp, _ordinal, _write_csv
+from .series import DifferenceSeries, MonthStamp, _ordinal, _Record, _write_csv
 
 
 class BacktestError(ValueError):
     """Invalid backtest input."""
 
 
-@dataclass(frozen=True)
-class BacktestReport:
+class BacktestReport(_Record):
     """Error metrics over the months where forecast and actuals overlap.
 
     ``bias`` is the mean signed error (predicted - actual);
@@ -36,7 +34,17 @@ class BacktestReport:
     rmse: float
     bias: float
     direction_hit_rate: float
-    origin: MonthStamp | None = None
+    origin: MonthStamp | None
+
+    def __init__(self, n, mae, rmse, bias, direction_hit_rate, origin=None):
+        vars(self).update(
+            n=n,
+            mae=mae,
+            rmse=rmse,
+            bias=bias,
+            direction_hit_rate=direction_hit_rate,
+            origin=origin,
+        )
 
     def to_dict(self) -> dict:
         doc = {

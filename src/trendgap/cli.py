@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import trendgap as tg
@@ -56,12 +55,12 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
-@dataclass
 class Section:
     """A JSON object of the config and its dotted key path, which errors name."""
 
-    values: dict
-    path: str = ""
+    def __init__(self, values: dict, path: str = ""):
+        self.values = values
+        self.path = path
 
     def key(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
@@ -521,6 +520,7 @@ def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
 
 def cmd_fetch(config: Section, base: Path, out: Path) -> StageResult:
     from http.client import HTTPException
+    from urllib.parse import urlsplit
     from urllib.request import Request, urlopen
 
     fetch = config.section("fetch")
@@ -535,8 +535,19 @@ def cmd_fetch(config: Section, base: Path, out: Path) -> StageResult:
         "startyear": str(fetch.get("start_year", _integer)),
         "endyear": str(fetch.get("end_year", _integer)),
     }
+    api_base = os.environ.get("TRENDGAP_API_BASE", DEFAULT_API_BASE)
+    try:
+        parts = urlsplit(api_base)
+        parts.port  # raises ValueError on a port that is not a number in 0..65535
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError
+    except ValueError:
+        raise ConfigError(
+            f"TRENDGAP_API_BASE must be an http(s) URL with a host and, if any, a valid port; "
+            f"got {api_base!r}"
+        ) from None
     request = Request(
-        os.environ.get("TRENDGAP_API_BASE", DEFAULT_API_BASE) + "/timeseries/data/",
+        api_base + "/timeseries/data/",
         data=json.dumps(query).encode("utf-8"),
         headers={"Content-Type": "application/json"},
     )
@@ -659,11 +670,16 @@ def main(argv: list[str] | None = None) -> int:
 def entry() -> int:
     """The ``trendgap`` process: ``main()`` on ``sys.argv``, then ``gc.freeze()``.
 
+    Before ``main``, ``OPENBLAS_NUM_THREADS`` defaults to 1 (a value already set wins):
+    the only BLAS work of any stage is a least-squares fit with two unknowns, and
+    OpenBLAS would otherwise start a pool of worker threads when numpy loads.
     Frozen objects are left out of every collection, so the interpreter's exit does
     not collect what the run left behind; stdio is flushed and atexit handlers run as
     usual. ``finally`` covers argparse's ``SystemExit`` (``--help``, usage errors).
-    Only this process entry freezes: ``main`` leaves a Python caller's heap alone.
+    Only this process entry sets the variable and freezes: ``main`` leaves a Python
+    caller's environment and heap alone.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return main()
     finally:

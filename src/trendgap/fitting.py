@@ -9,13 +9,12 @@ positions, and assembles the fitted structure into a :class:`TrendModel`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .series import DifferenceSeries, MonthStamp, _ordinal, _stamp, months_between
+from .series import DifferenceSeries, MonthStamp, _ordinal, _Record, _stamp, months_between
 from .trend import MAX_TRANSITION_MONTHS, LinearSegment, TransitionWindow, TrendModel
 
 
@@ -78,14 +77,16 @@ def residual(segment: LinearSegment, stamp: MonthStamp, value: float) -> float:
     return value - segment.predicted(stamp)
 
 
-@dataclass(frozen=True)
-class DeviationClass:
+class DeviationClass(_Record):
     """Where a value sits relative to the governing trend."""
 
     label: str  # "on-trend" | "above" | "below" | "in-transition"
     z: float | None
     segment: LinearSegment | None
-    extrapolated: bool = False
+    extrapolated: bool
+
+    def __init__(self, label, z, segment, extrapolated=False):
+        vars(self).update(label=label, z=z, segment=segment, extrapolated=extrapolated)
 
 
 def classify_deviation(model: TrendModel, stamp: MonthStamp, value: float) -> DeviationClass:

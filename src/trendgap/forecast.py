@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
-from .series import MonthStamp, _ordinal, _read_csv, _stamp, _write_csv, months_between
+from .series import MonthStamp, _ordinal, _read_csv, _Record, _stamp, _write_csv, months_between
 from .trend import LinearSegment
 
 ALONG_TREND = "along-trend"
@@ -27,8 +26,7 @@ class ForecastError(ValueError):
     """A forecast precondition was violated."""
 
 
-@dataclass(frozen=True)
-class Forecast:
+class Forecast(_Record):
     """A predicted difference path with a descriptive +/- sigma band.
 
     The path starts the month after ``origin`` and its stamps increase
@@ -41,17 +39,17 @@ class Forecast:
     path: tuple[tuple[MonthStamp, float], ...]
     band_sigma: float
 
-    def __post_init__(self):
-        stamps, values = zip(*self.path) if self.path else ((), ())
+    def __init__(self, mode, origin, path, band_sigma):
+        stamps, values = zip(*path) if path else ((), ())
         values = tuple(map(float, values))
-        object.__setattr__(self, "path", tuple(zip(stamps, values)))
-        object.__setattr__(self, "band_sigma", float(self.band_sigma))
-        if not 0.0 <= self.band_sigma < math.inf:
-            raise ValueError(f"band_sigma must be finite and >= 0, got {self.band_sigma}")
+        path, band_sigma = tuple(zip(stamps, values)), float(band_sigma)
+        if not 0.0 <= band_sigma < math.inf:
+            raise ValueError(f"band_sigma must be finite and >= 0, got {band_sigma}")
         if not stamps:
             raise ValueError("empty forecast path")
+        vars(self).update(mode=mode, origin=origin, path=path, band_sigma=band_sigma)
         months = list(map(_ordinal, stamps))
-        expected = _ordinal(self.origin) + 1
+        expected = _ordinal(origin) + 1
         # the usual path, every month after the origin and finite, passes in one check
         if months == list(range(expected, expected + len(months))) and math.isfinite(sum(values)):
             return

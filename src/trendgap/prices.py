@@ -8,34 +8,31 @@ index-to-price map, and the lead of one difference series over another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .forecast import Forecast
-from .series import DifferenceSeries, MonthlySeries, MonthStamp, _read_csv, months_between
+from .series import DifferenceSeries, MonthlySeries, MonthStamp, _read_csv, _Record, months_between
 
 
 class PriceError(ValueError):
     """Invalid input to a price-translation operation."""
 
 
-@dataclass(frozen=True)
-class PriceCalibration:
+class PriceCalibration(_Record):
     """Affine map ``price = alpha * index + beta`` (USD per index point)."""
 
     alpha: float
     beta: float
     fit_r_squared: float | None  # None for a rule of thumb, not a least-squares fit
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
-        if self.fit_r_squared is not None:
-            r2 = float(self.fit_r_squared)
-            if not 0.0 <= r2 <= 1.0:
-                raise ValueError(f"fit_r_squared {r2} outside [0, 1]")
-            object.__setattr__(self, "fit_r_squared", r2)
+    def __init__(self, alpha, beta, fit_r_squared):
+        alpha, beta = float(alpha), float(beta)
+        if fit_r_squared is not None:
+            fit_r_squared = float(fit_r_squared)
+            if not 0.0 <= fit_r_squared <= 1.0:
+                raise ValueError(f"fit_r_squared {fit_r_squared} outside [0, 1]")
+        vars(self).update(alpha=alpha, beta=beta, fit_r_squared=fit_r_squared)
 
 
 #: The crude-oil rule of thumb: a difference of -120 index points reads as

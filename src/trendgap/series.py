@@ -13,7 +13,6 @@ import operator
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import compress, islice
 
 
@@ -31,21 +30,75 @@ class ParseError(SeriesError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True, order=True)
-class MonthStamp:
+class _Record:
+    """Base of the frozen records: the fields are the names a subclass annotates, in order.
+
+    Two records are equal when they are of the same class and their fields are equal;
+    the hash, ``__match_args__`` and the ``repr`` text follow the fields as a frozen
+    dataclass's do. Assigning or deleting an attribute raises AttributeError, so a
+    subclass's ``__init__`` stores its fields with one ``vars(self).update(...)``.
+    Instances keep their ``__dict__``, which ``copy`` and ``pickle`` read and restore.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = tuple(cls.__annotations__)
+
+    def _astuple(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self.__match_args__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__match_args__, self._astuple())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MonthStamp(_Record):
     """A calendar month of years 0..9999. Ordering is (year, month)."""
 
     year: int
     month: int
 
-    def __post_init__(self):
+    def __init__(self, year, month):
         # years stop at 4 digits, so that every stamp reads back from its YYYY-MM text
-        if not (0 <= self.year <= 9999 and 1 <= self.month <= 12):
+        if not (0 <= year <= 9999 and 1 <= month <= 12):
             raise ValueError(
-                f"no month {self.year}-{self.month}: year must be in 0..9999 and month in 1..12"
+                f"no month {year}-{month}: year must be in 0..9999 and month in 1..12"
             )
-        # what _ordinal reads; not a field, so equality, order, hash and repr ignore it
-        object.__setattr__(self, "_ord", self.year * 12 + self.month - 1)
+        # _ord, what _ordinal reads, is no field; equality, order and hash compare it,
+        # as they would (year, month)
+        vars(self).update(year=year, month=month, _ord=year * 12 + month - 1)
+
+    def __eq__(self, other):
+        return self._ord == other._ord if other.__class__ is self.__class__ else NotImplemented
+
+    def __lt__(self, other):
+        return self._ord < other._ord if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self._ord <= other._ord if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self._ord > other._ord if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self._ord >= other._ord if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._ord)
 
     def add_months(self, n: int) -> "MonthStamp":
         """The stamp ``n`` months on; ``n`` is an integer (NumPy integers too, ``bool`` not)."""

@@ -8,16 +8,14 @@ fits these structures to data, and lists them in its ``__all__``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .series import MonthStamp, _ordinal, months_between
+from .series import MonthStamp, _ordinal, _Record, months_between
 
 #: Transitions between trends last three years at most.
 MAX_TRANSITION_MONTHS = 36
 
 
-@dataclass(frozen=True)
-class LinearSegment:
+class LinearSegment(_Record):
     """A fitted linear trend over an inclusive month window.
 
     ``slope`` is in index points per year; ``intercept`` is the fitted value
@@ -32,17 +30,27 @@ class LinearSegment:
     slope: float
     r_squared: float
     residual_sigma: float
-    synthetic: bool = False
+    synthetic: bool
 
-    def __post_init__(self):
-        for name in ("intercept", "slope", "r_squared", "residual_sigma"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if _ordinal(self.end) < _ordinal(self.start):
-            raise ValueError(f"segment end {self.end} before start {self.start}")
-        if not 0.0 <= self.r_squared <= 1.0:
-            raise ValueError(f"r_squared {self.r_squared} outside [0, 1]")
-        if self.residual_sigma < 0.0:
-            raise ValueError(f"negative residual_sigma {self.residual_sigma}")
+    def __init__(self, start, end, intercept, slope, r_squared, residual_sigma, synthetic=False):
+        intercept, slope, r_squared, residual_sigma = map(
+            float, (intercept, slope, r_squared, residual_sigma)
+        )
+        if _ordinal(end) < _ordinal(start):
+            raise ValueError(f"segment end {end} before start {start}")
+        if not 0.0 <= r_squared <= 1.0:
+            raise ValueError(f"r_squared {r_squared} outside [0, 1]")
+        if residual_sigma < 0.0:
+            raise ValueError(f"negative residual_sigma {residual_sigma}")
+        vars(self).update(
+            start=start,
+            end=end,
+            intercept=intercept,
+            slope=slope,
+            r_squared=r_squared,
+            residual_sigma=residual_sigma,
+            synthetic=synthetic,
+        )
 
     def predicted(self, stamp: MonthStamp) -> float:
         """Trend value at ``stamp``; extrapolates freely outside the window."""
@@ -56,16 +64,16 @@ class LinearSegment:
         return self.start <= stamp <= self.end
 
 
-@dataclass(frozen=True)
-class TransitionWindow:
+class TransitionWindow(_Record):
     """Months between two trends during which neither trend governs."""
 
     start: MonthStamp
     end: MonthStamp
 
-    def __post_init__(self):
-        if self.end < self.start:
-            raise ValueError(f"transition end {self.end} before start {self.start}")
+    def __init__(self, start, end):
+        if end < start:
+            raise ValueError(f"transition end {end} before start {start}")
+        vars(self).update(start=start, end=end)
 
     @property
     def duration_months(self) -> int:
@@ -75,17 +83,14 @@ class TransitionWindow:
         return self.start <= stamp <= self.end
 
 
-@dataclass(frozen=True)
-class TrendModel:
+class TrendModel(_Record):
     """Chronological trend segments separated by transition windows."""
 
     segments: tuple[LinearSegment, ...]
     transitions: tuple[TransitionWindow, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-        segs, trans = self.segments, self.transitions
+    def __init__(self, segments, transitions):
+        segs, trans = tuple(segments), tuple(transitions)
         if not segs:
             raise ValueError("trend model needs at least one segment")
         for a, b in zip(segs, segs[1:]):
@@ -109,6 +114,7 @@ class TrendModel:
                 raise ValueError(
                     f"transition {w.start}..{w.end} is not strictly between segments"
                 )
+        vars(self).update(segments=segs, transitions=trans)
 
     def zone(self, stamp: MonthStamp) -> tuple[str, LinearSegment | None]:
         """Which trend governs ``stamp``, as ``(label, segment)``.

@@ -1175,6 +1175,23 @@ class TestFetch:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "api_base", ["http://localhost:abc/v2", "notaurl"], ids=["bad-port", "no-scheme"]
+    )
+    def test_an_invalid_api_base_is_refused_by_name(
+        self, tmp_path, monkeypatch, capsys, api, api_base
+    ):
+        """A base URL with no http(s) scheme, no host or a port that does not parse is
+        refused before any request, naming the variable and its value."""
+        monkeypatch.setenv("TRENDGAP_API_BASE", api_base)
+        monkeypatch.chdir(tmp_path)
+        assert run(*FETCH_ARGS, "--out", "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: TRENDGAP_API_BASE must be an http(s) URL")
+        assert err.endswith(f"; got {api_base!r}\n")
+        assert api.calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "reply",
         [
             lambda: http.client.BadStatusLine("garbage"),
