@@ -9,7 +9,7 @@ sees strictly nothing after its own origin.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Callable
 
 from .forecast import Forecast
@@ -63,11 +63,18 @@ def score(
     forecast: Forecast, actual: DifferenceSeries, origin: MonthStamp | None = None
 ) -> BacktestReport:
     """Compare a forecast path to realized values month by month; tag the report with ``origin``."""
-    at = actual._lookup([_ordinal(stamp) for stamp, _ in forecast.path])
+    path, months = forecast.path, actual._months
+    first = _ordinal(path[0][0])
+    end, stop = first + len(path) - 1, bisect_left(months, first) + len(path)
+    # a path with no gap, all of whose months the actuals observe, reads them by offset
+    if _ordinal(path[-1][0]) == end and stop <= len(months) and months[stop - 1] == end:
+        at = range(stop - len(path), stop)
+    else:
+        at = actual._lookup([_ordinal(stamp) for stamp, _ in path])
     # one walk over the overlapping months: the errors, and the sign agreement of each
     # month-over-month change with the previous overlapping month's
     errors, hits, counted, last = [], 0, 0, None
-    for (_, pred), i in zip(forecast.path, at):
+    for (_, pred), i in zip(path, at):
         if i is None:
             continue
         act = actual._values[i]

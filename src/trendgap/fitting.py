@@ -56,10 +56,13 @@ def fit_ols(diff: DifferenceSeries, window: tuple[MonthStamp, MonthStamp]) -> Li
         raise FitError(f"window {lo}..{hi} has missing months from {gap}; fits require gap-free data")
     y, design = np.asarray(diff._values)[keep], _design(n)
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    sse = float(resid @ resid)
-    d = y - np.add.reduce(y) / n  # y.mean() and np.sum of the squares, without their wrappers
-    sst = float(np.add.reduce(d * d))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        resid = y - design @ coef
+        sse = float(resid @ resid)
+        d = y - np.add.reduce(y) / n  # y.mean() and np.sum of the squares, without their wrappers
+        sst = float(np.add.reduce(d * d))
+    if not (math.isfinite(sse) and math.isfinite(sst)):
+        raise FitError(f"window {lo}..{hi}: values too large, their sums of squares overflow")
     # Zero-variance target: define r_squared as 0 for stable downstream thresholds.
     r_squared = 0.0 if sst == 0.0 else max(0.0, min(1.0, 1.0 - sse / sst))
     return LinearSegment(
@@ -130,9 +133,11 @@ class _SegmentCost:
         n = len(y)
         x = np.arange(n) / 12.0
         centre = x.mean()
-        x, y = x - centre, y - y.mean()
-        # prefix[:, p] holds the sums of y, xy and yy over positions 0..p-1
-        self.prefix = np.hstack([np.zeros((3, 1)), np.cumsum(np.stack([y, x * y, y * y]), axis=1)])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves SSEs inf or nan
+            x, y = x - centre, y - y.mean()
+            # prefix[:, p] holds the sums of y, xy and yy over positions 0..p-1
+            sums = np.cumsum(np.stack([y, x * y, y * y]), axis=1)
+        self.prefix = np.hstack([np.zeros((3, 1)), sums])
         # read-only n x n views of piece i..b's mean position, m and Σ(x - x̄)² at [i, b]
         m = np.arange(2.0 - n, n + 1)
         self.mean = sliding_window_view(np.arange(2 * n - 1) / 24.0 - centre, n)
@@ -147,8 +152,8 @@ class _SegmentCost:
         work = self._work[:, : len(starts) * len(ends)].reshape(4, len(starts), len(ends))
         sy, cov_xy, sse, tmp = work  # the sums of y, xy and yy until overwritten
         right = self.prefix[:, None, ends.start + 1 : ends.stop + 1]
-        np.subtract(right, self.prefix[:, starts.start : starts.stop, None], out=work[:3])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.subtract(right, self.prefix[:, starts.start : starts.stop, None], out=work[:3])
             # cov_xy = sxy - mean * sy and var_y = syy - sy * sy / m, each overwriting its sum
             np.subtract(cov_xy, np.multiply(self.mean[cells], sy, out=tmp), out=cov_xy)
             np.divide(np.multiply(sy, sy, out=tmp), self.m[cells], out=tmp)

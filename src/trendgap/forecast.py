@@ -64,6 +64,19 @@ class Forecast(_Record):
             if not math.isfinite(value):
                 raise ValueError(f"non-finite forecast value {value!r} at {stamp}")
 
+    @classmethod
+    def _run_on(cls, mode, origin, stamps, values, band_sigma) -> "Forecast":
+        """``cls(mode, origin, tuple(zip(stamps, values)), band_sigma)`` for ``stamps`` that run
+        on one by one from the month after ``origin`` and float ``values``: stored as they are
+        when every value is finite and the band valid, else built by ``__init__``, which names
+        the fault."""
+        path = tuple(zip(stamps, values))
+        if path and math.isfinite(sum(values)) and 0.0 <= band_sigma < math.inf:
+            forecast = cls.__new__(cls)
+            vars(forecast).update(mode=mode, origin=origin, path=path, band_sigma=band_sigma)
+            return forecast
+        return cls(mode, origin, path, band_sigma)
+
     @property
     def stamps(self) -> tuple[MonthStamp, ...]:
         return tuple(s for s, _ in self.path)
@@ -171,7 +184,8 @@ def _trend_forecast(
             values = [trend._at(k + m) for m in months]
         else:
             values = [trend._at(k + m) + deviation(m) for m in months]
-        return Forecast(mode, origin, tuple(zip(stamps, values)), trend.residual_sigma)
+        # the months run on from the origin by construction
+        return Forecast._run_on(mode, origin, stamps, values, trend.residual_sigma)
     except ValueError as exc:
         raise ForecastError(str(exc)) from None
 

@@ -111,9 +111,12 @@ def calibrate_price(pairs: list[tuple[float, float]]) -> PriceCalibration:
         raise PriceError("need at least 2 pairs with distinct index values")
     design = np.column_stack([xs, np.ones_like(xs)])
     coef, _, _, _ = np.linalg.lstsq(design, ys, rcond=None)
-    resid = ys - design @ coef
-    sst = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 if sst == 0.0 else max(0.0, min(1.0, 1.0 - float(resid @ resid) / sst))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        resid = ys - design @ coef
+        sse, sst = float(resid @ resid), float(np.sum((ys - ys.mean()) ** 2))
+    if not (math.isfinite(sse) and math.isfinite(sst)):
+        raise PriceError("calibration pairs too large, their sums of squares overflow")
+    r2 = 1.0 if sst == 0.0 else max(0.0, min(1.0, 1.0 - sse / sst))
     return PriceCalibration(alpha=float(coef[0]), beta=float(coef[1]), fit_r_squared=r2)
 
 
@@ -162,21 +165,27 @@ def lead_lag(
     # zero-copy views of the series' arrays
     a_months, a_values = np.asarray(a._months), np.asarray(a._values)
     b_months, b_values = np.asarray(b._months), np.asarray(b._values)
+    runs, shift = a.is_contiguous() and b.is_contiguous(), a._months[0] - b._months[0]
     candidates: list[tuple[int, float]] = []
     for lag in sorted(range(-max_lag, max_lag + 1), key=lambda l: (abs(l), l)):
-        # each month of a, lag months on: its position in b, and whether b observes it
-        wanted = a_months + lag
-        at = np.minimum(b_months.searchsorted(wanted), len(b_months) - 1)
-        found = b_months[at] == wanted
-        ia, ib = np.flatnonzero(found), at[found]
-        if len(ia) < min_overlap:
+        if runs:
+            # no gap in either: a's position i pairs with b's i + shift + lag, one run of each
+            i = max(0, -shift - lag)
+            j = i + shift + lag
+            n = max(0, min(len(a_values) - i, len(b_values) - j))
+            xs, ys = a_values[i : i + n], b_values[j : j + n]
+        else:
+            # each month of a, lag months on: its position in b, and whether b observes it
+            wanted = a_months + lag
+            at = np.minimum(b_months.searchsorted(wanted), len(b_months) - 1)
+            found = b_months[at] == wanted
+            xs, ys = a_values[found], b_values[at[found]]
+            n = len(xs)
+        if n < min_overlap:
             raise PriceError(
-                f"insufficient overlap at lag {lag}: {len(ia)} months "
-                f"(need >= {min_overlap})"
+                f"insufficient overlap at lag {lag}: {n} months (need >= {min_overlap})"
             )
-        xs, ys = a_values[ia], b_values[ib]
         # np.std's and np.mean's own steps, each deviation computed once for both
-        n = len(ia)
         dx, dy = xs - np.add.reduce(xs) / n, ys - np.add.reduce(ys) / n
         sx, sy = math.sqrt(np.add.reduce(dx * dx) / n), math.sqrt(np.add.reduce(dy * dy) / n)
         if sx == 0.0 or sy == 0.0:

@@ -13,6 +13,8 @@ from trendgap import (
     BacktestError,
     BacktestReport,
     FitError,
+    Forecast,
+    ForecastError,
     MonthlySeries,
     MonthStamp,
     ParseError,
@@ -24,7 +26,7 @@ from trendgap import (
     months_between,
     residual,
 )
-from trendgap.series import _read_csv, _stamp
+from trendgap.series import _ordinal, _read_csv, _stamp
 
 
 # ------------------------------------------------------------------ series
@@ -527,6 +529,22 @@ def old_forecast_pendulum(current, trend, amplitude, half_period, horizon):
 def old_predicted(trend, stamp):
     """Verbatim body of ``LinearSegment.predicted`` before it called ``_at``."""
     return trend.intercept + trend.slope * (months_between(stamp, trend.start) / 12.0)
+
+
+def old_trend_forecast(mode, trend, origin, steps, deviation=None):
+    """Verbatim copy of ``forecast._trend_forecast`` from when every path it built went
+    through ``Forecast(...)`` and its checks, kept as an oracle."""
+    at, k = _ordinal(origin), months_between(origin, trend.start)
+    months = range(1, steps + 1)
+    try:
+        stamps = tuple(map(_stamp, range(at + 1, at + steps + 1)))
+        if deviation is None:
+            values = [trend._at(k + m) for m in months]
+        else:
+            values = [trend._at(k + m) + deviation(m) for m in months]
+        return Forecast(mode, origin, tuple(zip(stamps, values)), trend.residual_sigma)
+    except ValueError as exc:
+        raise ForecastError(str(exc)) from None
 
 
 # ---------------------------------------------------------------- backtest

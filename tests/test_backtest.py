@@ -7,6 +7,7 @@ from trendgap import (
     BacktestError,
     BacktestReport,
     DifferenceSeries,
+    Forecast,
     MonthStamp,
     fit_ols,
     forecast_along_trend,
@@ -17,6 +18,13 @@ from trendgap import (
 
 from conftest import make_diff, make_forecast
 from oracles import lookup_score, loop_oracle, old_score
+
+
+def holed_forecast(first, offsets, values):
+    """A forecast whose path holds ``values`` at the months ``first`` + ``offsets`` (the
+    first offset 0, the rest increasing), with no band."""
+    path = tuple((first.add_months(k), float(v)) for k, v in zip(offsets, values))
+    return Forecast("along-trend", first.add_months(-1), path, 0.0)
 
 
 def scored(scorer, forecast, actual):
@@ -48,9 +56,16 @@ class TestScore:
             outcomes.add(type(want))
         assert outcomes == {BacktestReport, str}
 
-    def test_random_paths_match_the_lookup_scorer(self):
+    def test_random_paths_match_the_lookup_scorer(self, monkeypatch):
+        lookups, lookup = [], DifferenceSeries._lookup  # one entry per call
+
+        def counted_lookup(series, months):
+            lookups.append(months)
+            return lookup(series, months)
+
+        monkeypatch.setattr(DifferenceSeries, "_lookup", counted_lookup)
         rng = np.random.default_rng(20)
-        seen = set()
+        seen, branches = set(), set()
         for trial in range(600):
             n = int(rng.integers(1, 40))
             keep = rng.random(n) < rng.choice([1.0, 0.7, 0.3])
@@ -70,7 +85,11 @@ class TestScore:
             if rng.random() < 0.5:
                 pred = rng.choice([-2.0, -0.0, 0.0, 1.0], m)
             f = make_forecast(str(start), pred)
+            if rng.random() < 0.3:  # a path with holes: each month 1 to 5 after the last
+                offsets = np.cumsum([0, *rng.integers(1, 6, m - 1)]).tolist()
+                f = holed_forecast(start, offsets, pred)
             origin = start.add_months(-1) if rng.random() < 0.5 else None
+            lookups.clear()
             try:
                 want = lookup_score(f, actual, origin)
             except BacktestError as exc:
@@ -82,7 +101,16 @@ class TestScore:
             got = score(f, actual, origin)
             assert got == want and repr(got) == repr(want), trial
             seen.add("scored" if want.direction_hit_rate in (0.0, 1.0) else "hit rate")
+            branches.add("lookup" if lookups else "run")
         assert seen == {"scored", "no overlap", "hit rate"}
+        assert branches == {"lookup", "run"}
+
+    def test_holed_path_against_a_run_of_actuals(self):
+        # path months 1, 6 and 11 of 2000 against actuals 5..7: only June is shared
+        f = holed_forecast(MonthStamp(2000, 1), [0, 5, 10], [1.0, 2.0, 3.0])
+        actual = make_diff("2000-05", [0.5, 1.5, 2.5])
+        got = score(f, actual)
+        assert got.n == 1 and got == lookup_score(f, actual)
 
     def test_perfect_forecast(self):
         values = [1.0, 3.0, 2.0, 5.0]

@@ -8,6 +8,7 @@ import json
 import shutil
 import urllib.error
 import urllib.request
+import warnings
 from pathlib import Path
 
 import pytest
@@ -685,6 +686,33 @@ class TestNonFiniteResults:
         assert "calibration pair 2 is not finite" in err and bad in err
         assert "DLASCL" not in err
         assert snapshot(out) == before
+
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (0, "window 2000-01..2001-12: values too large, their sums of squares overflow"),
+            (1, "no feasible segmentation"),
+        ],
+        ids=["k0", "k1"],
+    )
+    def test_fit_whose_sums_of_squares_overflow_exits_two(self, tmp_path, k, message):
+        # a headline of 1e200 * (1 + 0.01 i) less a component of 1 + i: R^2 printed 1.000
+        # and trend_model.json held an infinite residual sigma
+        diff = tmp_path / "difference.csv"
+        months = map(MonthStamp(2000, 1).add_months, range(24))
+        diff.write_text("date,value\n" + "".join(
+            f"{m},{1e200 * (1 + 0.01 * i) - (1 + i)!r}\n" for i, m in enumerate(months)
+        ))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would end the run as an internal error
+            done = in_process(
+                "fit", "--difference-csv", str(diff), "--k", str(k), "--min-len", "6", "--out", str(out)
+            )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: segmentation: {message}\n"
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestMalformedForecastCsv:

@@ -69,6 +69,36 @@ class TestFitOls:
         with pytest.raises(FitError, match="zero variance"):
             _design(1)
 
+    def test_overflowing_sums_of_squares_are_refused(self):
+        # R^2 read 1.0 here, as max(0.0, min(1.0, nan)) does, beside an infinite sigma
+        cases = [
+            [1e200 * (-1) ** i for i in range(24)],
+            [1e200 * (1 + 0.01 * i) - (1 + i) for i in range(24)],
+            [1e300, -1e300],
+            [1e307] * 30,  # the sum itself overflows
+            [1e160 * i for i in range(24)],  # a steep line: only the total sum overflows
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for values in cases:
+                d = make_diff("2000-01", values)
+                with pytest.raises(FitError) as raised:
+                    fit_ols(d, (d.start, d.end))
+                assert str(raised.value) == (
+                    f"window 2000-01..{d.end}: values too large, their sums of squares overflow"
+                )
+
+    @pytest.mark.parametrize("scale", [1e100, 1e150, 1e152, 1e153])
+    def test_large_values_with_finite_sums_fit_as_before(self, scale):
+        # values this large still have finite sums of squares: the same bits, and no warning
+        y = scale * (1.0 + np.random.default_rng(31).normal(0, 1e-3, 40))
+        d = make_diff("2000-01", y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seg = fit_ols(d, (d.start, d.end))
+        want = old_ols(np.arange(40) / 12.0, y)
+        assert (seg.intercept, seg.slope, seg.r_squared, seg.residual_sigma) == want
+
     def test_noiseless_line(self):
         values = [5.0 + 2.0 * (i / 12.0) for i in range(24)]
         d = make_diff("2000-01", values)
@@ -518,9 +548,9 @@ class TestBlockedSegmentTables:
 
     @staticmethod
     def overflowing():
-        # Sums of squares overflow, so no segmentation is feasible; the prefix
-        # sums warn in both DPs. Scaled noise turns the SSEs nan or inf. Two
-        # huge last months leave every total of a break row inf, where the
+        # Sums of squares overflow, so no segmentation is feasible; the oracle's
+        # prefix sums warn, the DP's do not. Scaled noise turns the SSEs nan or inf.
+        # Two huge last months leave every total of a break row inf, where the
         # earliest feasible break must still be recorded.
         rng = np.random.default_rng(20)
         return {
@@ -542,9 +572,9 @@ class TestBlockedSegmentTables:
                     got = _segment(d, max_k, 20)
                 assert not np.isfinite(got[0][:, 0]).any(), case
                 self.assert_tables_match(got, want, 20, case, equal_nan=True)
-                assert {str(w.message) for w in new} <= {str(w.message) for w in old}, case
+                assert old and not new, case
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+                warnings.simplefilter("error")
                 with pytest.raises(FitError, match="no feasible segmentation"):
                     detect_breakpoints(d, 2, 20)
 
@@ -552,7 +582,7 @@ class TestBlockedSegmentTables:
         for label, y in self.overflowing().items():
             d = make_diff("1900-01", y)
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+                warnings.simplefilter("error")
                 with pytest.raises(FitError, match="no feasible segmentation"):
                     select_breakpoint_count(d, 3, 20)
 

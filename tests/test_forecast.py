@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import trendgap.forecast
 from trendgap import (
     Forecast,
     ForecastError,
@@ -16,9 +17,10 @@ from trendgap import (
     forecast_pendulum,
     forecast_return_to_trend,
     mirror_trend,
+    months_between,
 )
 
-from oracles import old_forecast_checks, old_forecast_pendulum, old_predicted
+from oracles import old_forecast_checks, old_forecast_pendulum, old_predicted, old_trend_forecast
 
 
 def flat_trend(level=0.0, sigma=0.0):
@@ -403,6 +405,67 @@ class TestPathsEqualTrendValues:
                 int(rng.integers(1, 40)),
             )
             assert forecast_pendulum(*args).path == old_forecast_pendulum(*args)
+
+
+def random_trend_forecasts(rng):
+    """A seeded ``(mode, call)``: one of the three regimes on a random trend (zero and -0.0
+    slopes and levels among them) for 1 to 60 months, some of them refused: values that
+    overflow or are NaN, an infinite or NaN residual sigma, a path past 9999-12."""
+    origin = MonthStamp(2009, 3).add_months(int(rng.integers(-600, 600)))
+    if rng.random() < 0.1:
+        origin = MonthStamp(9999, 12).add_months(-int(rng.integers(0, 60)))
+    room = months_between(MonthStamp(9999, 12), origin) - 60  # for the trend's 60 months
+    start = origin.add_months(min(int(rng.integers(-400, 400)), room))
+    intercept = float(rng.choice([rng.normal(0, 80), 0.0, -0.0]))
+    slope = float(rng.choice([rng.normal(0, 30), rng.normal(0, 1e-3), 0.0, -0.0]))
+    if rng.random() < 0.1:
+        intercept, slope = [(1e308, 1e308), (math.inf, 0.0), (0.0, math.nan)][int(rng.integers(3))]
+    sigmas, weights = [2.0, 0.0, -0.0, 1e300, math.inf, math.nan], [10, 4, 2, 2, 1, 1]
+    sigma = float(rng.choice(sigmas, p=np.array(weights) / sum(weights)))
+    trend = LinearSegment(start, start.add_months(60), intercept, slope, 0.5, sigma)
+    steps = int(rng.integers(1, 61))
+    value = float(rng.choice([rng.normal(0, 20), 0.0, -0.0]))
+    mode = ["along", "return", "pendulum"][int(rng.integers(3))]
+    if mode == "along":
+        return mode, lambda: forecast_along_trend(trend, origin, steps)
+    if mode == "return":
+        return mode, lambda: forecast_return_to_trend(
+            (origin, value), trend, origin.add_months(steps)
+        )
+    amplitude, half_period = float(rng.uniform(0.1, 30)), int(rng.integers(2, 13))
+    return mode, lambda: forecast_pendulum((origin, value), trend, amplitude, half_period, steps)
+
+
+def test_trusted_paths_match_the_checked_constructor(monkeypatch):
+    """``_trend_forecast`` stores the paths it builds without ``Forecast``'s month checks:
+    each must equal, field for field and in its text, the one built through them, and
+    each refusal must read the same."""
+
+    def built_or_refused(call):
+        try:
+            return call()
+        except ValueError as exc:
+            return type(exc).__name__, str(exc)
+
+    rng = np.random.default_rng(30)
+    seen = set()
+    for trial in range(1500):
+        mode, call = random_trend_forecasts(rng)
+        got = built_or_refused(call)
+        with monkeypatch.context() as m:
+            m.setattr(trendgap.forecast, "_trend_forecast", old_trend_forecast)
+            want = built_or_refused(call)
+        if isinstance(want, tuple):
+            assert got == want, trial
+            seen.add(" ".join(want[1].split()[:2]))
+            continue
+        assert got == want and repr(got) == repr(want), trial
+        assert got.to_csv() == want.to_csv(), trial
+        assert all(type(v) is float for v in (*got.values, got.band_sigma)), trial
+        seen.add(mode)
+    assert seen == {
+        "along", "return", "pendulum", "non-finite forecast", "band_sigma must", "no month"
+    }
 
 
 #: id: (call, error type, message) for each refusal of arguments that no other test makes

@@ -1,6 +1,7 @@
 """Index-to-price translation and lead-lag estimation."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,14 @@ class TestCalibration:
             parse_calibration_pairs_csv("index,price_usd\n\n1,2\n2,x\n")
         with pytest.raises(PriceError, match="line 5: expected 2 fields"):
             parse_calibration_pairs_csv("\nindex,price_usd\r\n1,2\r\n \r\n3\r\n")
+
+    def test_overflowing_sums_of_squares_are_refused(self):
+        # R^2 read 1.0 here, as max(0.0, min(1.0, nan)) does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PriceError) as raised:
+                calibrate_price([(1.0, 1e200), (2.0, -1e200), (3.0, 1e200)])
+        assert str(raised.value) == "calibration pairs too large, their sums of squares overflow"
 
     def test_identity_on_zero(self):
         cal = calibrate_price([(0.0, 0.0), (1.0, 1.0)])

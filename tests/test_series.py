@@ -334,11 +334,24 @@ def gappy_series(rng, series_id, drop, start):
     return MonthlySeries(series_id, "base", obs)
 
 
+def other_lead_lag_path(da, db):
+    """A pair like ``da, db`` that ``lead_lag`` pairs the other way: the same values one a
+    month from the same first months when either has a gap, else ``db`` less its second month."""
+    if da.is_contiguous() and db.is_contiguous():
+        obs = db.observations
+        return da, DifferenceSeries(db.minuend_id, db.subtrahend_id, obs[:1] + obs[2:])
+    return tuple(
+        DifferenceSeries("m", "s", tuple(zip(map(s.start.add_months, range(len(s))), s.values)))
+        for s in (da, db)
+    )
+
+
 class TestGappyOracle:
     """Array-backed operations against the tuple-and-dict code, on series with gaps."""
 
     @pytest.mark.parametrize("drop", [0.0, 0.05, 0.3])
     def test_operations_match_reference(self, drop):
+        seen = set()
         rng = np.random.default_rng(int(drop * 100) + 17)
         origin = MonthStamp(1990, 1)
         for _ in range(40):
@@ -376,9 +389,16 @@ class TestGappyOracle:
             db = DifferenceSeries("b-m", "b-s", b.observations)
             max_lag = int(rng.integers(0, 7))
             min_overlap = int(rng.choice([2, 12, 24, 60]))
-            assert outcome(lambda: lead_lag(da, db, max_lag, min_overlap)) == outcome(
-                lambda: ref_lead_lag(da, db, max_lag, min_overlap)
-            )
+            # the pair, and one like it that takes lead_lag's other path
+            for pa, pb in ((da, db), other_lead_lag_path(da, db)):
+                got = outcome(lambda: lead_lag(pa, pb, max_lag, min_overlap))
+                assert got == outcome(lambda: ref_lead_lag(pa, pb, max_lag, min_overlap))
+                # series with no gap are paired by slices, others looked up month by month
+                path = "slice" if pa.is_contiguous() and pb.is_contiguous() else "searchsorted"
+                short = got[0] == "PriceError" and ": 0 months" not in got[1]
+                seen.add((path, "short" if short else got[0]))
+        assert {path for path, _ in seen} == {"slice", "searchsorted"}
+        assert ("slice", "short") in seen  # a gap-free pair sharing some months, too few
 
     @pytest.mark.parametrize(
         "offsets",
