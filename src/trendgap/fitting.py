@@ -116,8 +116,22 @@ def classify_deviation(model: TrendModel, stamp: MonthStamp, value: float) -> De
     )
 
 
-#: Start positions per block of the segmentation DP, whose piece SSEs are one numpy sweep.
-_BLOCK_ROWS = 16
+#: Cells (start rows × break candidates) per block of the segmentation DP, at most: a
+#: narrow block is taller, so it sweeps as many cells per numpy call as a wide one.
+_BLOCK_CELLS = 20_000
+
+#: Bytes past a 4096-byte boundary where each DP table starts, and each of its rows starts
+#: _ROW_SKEW further on: fixed, so the cache sets the sweeps hit do not follow the heap.
+_OFFSETS = {"prefix": 0, "mean": 1024, "m": 2048, "var_x": 3072, "work": 512, "totals": 1536}
+_ROW_SKEW = 1024
+
+
+def _pinned(rows: int, cols: int, table: str) -> np.ndarray:
+    """An uninitialised (rows, cols) float array at ``table``'s place in ``_OFFSETS``."""
+    stride = -(-cols // 512) * 512 + _ROW_SKEW // 8  # whole pages, then the skew
+    raw = np.empty(rows * stride + 512)
+    skip = (_OFFSETS[table] - raw.__array_interface__["data"][0]) % 4096 // 8
+    return raw[skip : skip + rows * stride].reshape(rows, stride)[:, :cols]
 
 
 class _SegmentCost:
@@ -126,23 +140,27 @@ class _SegmentCost:
     Positions are in years and centred, and so is y: prefix sums of a series
     far from zero would cancel away the variation that places the breaks. Only
     the y side takes prefix sums; the position side is in closed form. SSEs go
-    to a workspace allocated once, so the DP does not allocate per block.
+    to a workspace allocated once, so the DP does not allocate per block. Every
+    table sits at its place in ``_OFFSETS``.
     """
 
     def __init__(self, y: np.ndarray):
         n = len(y)
         x = np.arange(n) / 12.0
         centre = x.mean()
+        self.prefix = _pinned(3, n + 1, "prefix")
+        self.prefix[:, 0] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves SSEs inf or nan
             x, y = x - centre, y - y.mean()
             # prefix[:, p] holds the sums of y, xy and yy over positions 0..p-1
-            sums = np.cumsum(np.stack([y, x * y, y * y]), axis=1)
-        self.prefix = np.hstack([np.zeros((3, 1)), sums])
+            np.cumsum(np.stack([y, x * y, y * y]), axis=1, out=self.prefix[:, 1:])
         # read-only n x n views of piece i..b's mean position, m and Σ(x - x̄)² at [i, b]
-        m = np.arange(2.0 - n, n + 1)
-        self.mean = sliding_window_view(np.arange(2 * n - 1) / 24.0 - centre, n)
-        self.m, self.var_x = (sliding_window_view(t, n)[::-1] for t in (m, m * (m * m - 1) / 1728))
-        self._work = np.empty((4, _BLOCK_ROWS * n))
+        mean, m, var_x = (_pinned(1, 2 * n - 1, t)[0] for t in ("mean", "m", "var_x"))
+        mean[:], m[:] = np.arange(2 * n - 1) / 24.0 - centre, np.arange(2.0 - n, n + 1)
+        var_x[:] = m * (m * m - 1) / 1728
+        self.mean = sliding_window_view(mean, n)
+        self.m, self.var_x = (sliding_window_view(t, n)[::-1] for t in (m, var_x))
+        self._work = _pinned(4, max(_BLOCK_CELLS, n), "work")
 
     def sse(self, starts: range, ends: range) -> np.ndarray:
         """SSE of the OLS line on positions i..b inclusive, rows i in ``starts``
@@ -172,13 +190,17 @@ def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
     optimal first break there. Following ``after`` forward from position 0
     yields the lexicographically smallest optimal breakpoint set.
 
-    Start positions go in blocks of ``_BLOCK_ROWS``, right to left, and each
-    block's piece SSEs are computed once and read by every level. Only cells
-    that a caller or a higher level reads are computed; every other cell is
-    ``inf`` in ``suffix`` and 0 in ``after``. Callers read the top level only at
-    position 0, so for ``max_k >= 1`` only that cell of it is computed. Level
-    m + 1 at position 0 reads level m only at positions >= min_len, so no
-    level is computed at positions 1..min_len-1, inside the first piece.
+    Start positions go in blocks, right to left, each of at most ``_BLOCK_CELLS``
+    cells (or one row), and each block's piece SSEs are computed once and read
+    by every level. Levels run bottom up within a block, and level m at start i
+    reads level m-1 only at positions >= i + min_len, which the same block's
+    level m-1 or a block to its right filled: so a block may be taller than
+    min_len. Only cells that a caller or a higher level reads are computed;
+    every other cell is ``inf`` in ``suffix`` and 0 in ``after``. Callers read
+    the top level only at position 0, so for ``max_k >= 1`` only that cell of
+    it is computed. Level m + 1 at position 0 reads level m only at positions
+    >= min_len, so no level is computed at positions 1..min_len-1, inside the
+    first piece.
     """
     if not diff.is_contiguous():
         raise FitError(
@@ -186,30 +208,31 @@ def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
             f"first missing month {diff.missing_months()[0]}"
         )
     n = len(diff)
-    cost = _SegmentCost(np.asarray(diff._values))
     suffix = np.full((max_k + 1, n + 1), np.inf)
     after = np.zeros((max_k + 1, n + 1), dtype=int)
     # level m fills position 0 and positions min_len..n - (m + 1) * min_len,
     # the top level only 0
     last = [n - (m + 1) * min_len + 1 for m in range(max_k + 1)]
     last[-1] = min(1, last[-1])
+    # position 0 is a block of its own, then blocks from min_len on
+    wide = n - 2 * min_len + 1  # level-1 break candidates at position 0, wide - i0 at i0
+    blocks, i0 = [range(1)] if max_k and last[1] > 0 else [], min_len
+    while blocks and i0 < last[1]:
+        blocks.append(range(i0, min(last[1], i0 + max(1, _BLOCK_CELLS // (wide - i0)))))
+        i0 = blocks[-1].stop
+    cost = _SegmentCost(np.asarray(diff._values))
     # level 0 is the one piece i..n-1
     for rows in (range(1), range(min_len, last[0])):
         suffix[0][rows.start : rows.stop] = cost.sse(rows, range(n - 1, n))[:, 0]
-    short = np.tri(_BLOCK_ROWS, k=-1, dtype=bool)
-    work = np.empty(_BLOCK_ROWS * n)
-    # blocks start at min_len, min_len + _BLOCK_ROWS, ..., and position 0 is a
-    # block of its own; levels run bottom up within a block, and level m reads
-    # level m-1 only at positions >= i0 + min_len, which a block to its right filled
-    firsts = [0, *range(min_len, last[1], _BLOCK_ROWS)] if max_k and last[1] > 0 else []
-    for i0 in reversed(firsts):
-        lo, block = i0 + min_len - 1, i0 + _BLOCK_ROWS if i0 else 1
+    short = np.tri(max([len(b) for b in blocks], default=0), k=-1, dtype=bool)
+    work = _pinned(1, max(_BLOCK_CELLS, n), "totals")[0]
+    for block in reversed(blocks):
+        i0, lo = block.start, block.start + min_len - 1
         # pieces i..b for level 1's breaks, the widest; every level reads a corner
-        rows, ends = range(i0, min(block, last[1])), range(lo, n - min_len)
-        sse = cost.sse(rows, ends)
+        sse = cost.sse(block, range(lo, n - min_len))
         for m in range(1, max_k + 1):
             # piece i..b, then m-1 breaks in b+1..n-1
-            rows, stop = range(i0, min(block, last[m])), n - m * min_len
+            rows, stop = range(i0, min(block.stop, last[m])), n - m * min_len
             if not rows:
                 break
             r = np.arange(len(rows))
@@ -223,6 +246,15 @@ def _segment(diff: DifferenceSeries, max_k: int, min_len: int):
             suffix[m][i0 : rows.stop] = totals[r, best]
             after[m][i0 : rows.stop] = lo + best + 1
     return suffix, after
+
+
+def _infeasible(diff: DifferenceSeries) -> FitError:
+    """The refusal of a series no segmentation fits, with ``fit_ols``'s reason when it has one."""
+    try:
+        fit_ols(diff, (diff.start, diff.end))
+    except FitError as err:
+        return FitError(f"no feasible segmentation: {err}")
+    return FitError("no feasible segmentation")
 
 
 def _breakpoints(diff: DifferenceSeries, after: np.ndarray, k: int) -> list[MonthStamp]:
@@ -265,7 +297,7 @@ def detect_breakpoints(diff: DifferenceSeries, k: int, min_len: int) -> list[Mon
         return []
     suffix, after = _segment(diff, k, min_len)
     if not np.isfinite(suffix[k][0]):
-        raise FitError("no feasible segmentation")
+        raise _infeasible(diff)
     return _breakpoints(diff, after, k)
 
 
@@ -282,14 +314,14 @@ def select_breakpoint_count(
     """
     if max_k < 0:
         raise FitError(f"max_k must be >= 0, got {max_k}")
+    if min_len < 6:
+        raise FitError(f"min_len must be >= 6, got {min_len}")
     n = len(diff)
     if n < min_len:
         raise FitError(f"series of {n} months is shorter than min_len {min_len}")
-    if min_len < 6:
-        raise FitError(f"min_len must be >= 6, got {min_len}")
     suffix, after = _segment(diff, min(max_k, n // min_len - 1), min_len)
     if not np.isfinite(suffix[:, 0]).any():
-        raise FitError("no feasible segmentation")
+        raise _infeasible(diff)
     bics = [
         n * np.log(max(sse, 1e-12) / n) + (2 * (k + 1) + k) * np.log(n)
         if np.isfinite(sse)

@@ -688,13 +688,17 @@ class TestNonFiniteResults:
         assert snapshot(out) == before
 
 
+    OVERFLOW = "window 2000-01..2001-12: values too large, their sums of squares overflow"
+
     @pytest.mark.parametrize(
         "k, message",
         [
-            (0, "window 2000-01..2001-12: values too large, their sums of squares overflow"),
-            (1, "no feasible segmentation"),
+            (0, OVERFLOW),
+            # the DP's refusal names the overflow that left no segmentation feasible
+            (1, f"no feasible segmentation: {OVERFLOW}"),
+            (2, f"no feasible segmentation: {OVERFLOW}"),
         ],
-        ids=["k0", "k1"],
+        ids=["k0", "k1", "k2"],
     )
     def test_fit_whose_sums_of_squares_overflow_exits_two(self, tmp_path, k, message):
         # a headline of 1e200 * (1 + 0.01 i) less a component of 1 + i: R^2 printed 1.000

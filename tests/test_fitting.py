@@ -22,8 +22,9 @@ from trendgap import (
     residual,
     select_breakpoint_count,
 )
+from trendgap import fitting
 from trendgap.cli import _residuals_csv
-from trendgap.fitting import _design, _SegmentCost, _segment
+from trendgap.fitting import _design, _pinned, _SegmentCost, _segment
 
 from conftest import make_diff, stamp
 from oracles import (
@@ -409,15 +410,18 @@ class TestBlockedSegmentTables:
 
     Each block of start positions computes its piece SSEs in one sweep that
     every level reads, and which rows a block computes depends on max_k, so
-    each max_k in 1..TOP is compared. Only the cells that callers or a higher
-    level read are computed, and every other cell must be blank (inf and 0).
+    each max_k in 1..TOP is compared. A block's height is its share of
+    ``_BLOCK_CELLS`` (at most its square root, 141 rows), so the min_lens run
+    from below the shortest block of a grid case to above the tallest. Only
+    the cells that callers or a higher level read are computed, and every
+    other cell must be blank (inf and 0).
     Levels below max_k must match at position 0 and at every position >=
     min_len; positions 1..min_len-1 lie inside the first piece, where no
     level is read. The top level must match at position 0, the one cell of it
     that callers read.
     """
 
-    MIN_LENS = (6, 7, 15, 16, 17, 31, 32, 33, 60)  # below, at and above the block size
+    MIN_LENS = (6, 7, 15, 16, 17, 31, 32, 33, 60, 100, 141, 142)  # below, at and above block heights
     MAX_K = 4
     TOP = MAX_K + 1
 
@@ -585,6 +589,102 @@ class TestBlockedSegmentTables:
                 warnings.simplefilter("error")
                 with pytest.raises(FitError, match="no feasible segmentation"):
                     select_breakpoint_count(d, 3, 20)
+
+
+class TestSegmentLayout:
+    """``_segment``'s tables do not depend on how its start rows are blocked or
+    on where its tables sit: the same arithmetic on every cell, bit for bit."""
+
+    #: cells per block: one row per block, short blocks, the module's budget, and
+    #: blocks taller than min_len even at n 3,000
+    BUDGETS = {"one-row": 1, "small": 3_000, "default": fitting._BLOCK_CELLS, "large": 200_000}
+    #: (n, min_len, max_k): the benchmark's min_len at n 3,000, and shorter series
+    SHAPES = ((3_000, 60, 3), (400, 6, 4), (400, 24, 4), (241, 12, 5))
+
+    @staticmethod
+    def series(n):
+        rng = np.random.default_rng(n)
+        walk = np.cumsum(rng.normal(0, 1, n)) + 0.2 * np.arange(n)
+        return {"walk": walk, "rounded": np.round(walk), "offset-1e6": walk + 1e6}
+
+    @classmethod
+    @functools.cache
+    def one_row(cls, n, min_len, max_k):
+        """The tables with one start row per block."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fitting, "_BLOCK_CELLS", 1)
+            return {kind: _segment(make_diff("1900-01", y), max_k, min_len)
+                    for kind, y in cls.series(n).items()}
+
+    @staticmethod
+    def blocked(monkeypatch, budget, y, max_k, min_len):
+        """``_segment``'s tables under a cell budget, with the heights of the
+        blocks it swept and the heights the budget allows them, left to right."""
+        swept, sse = [], _SegmentCost.sse
+        with monkeypatch.context() as patch:
+            patch.setattr(fitting, "_BLOCK_CELLS", budget)
+            patch.setattr(
+                _SegmentCost, "sse", lambda cost, rows, ends: swept.append((rows, ends)) or sse(cost, rows, ends)
+            )
+            tables = _segment(make_diff("1900-01", y), max_k, min_len)
+        # level 0's pieces end at n - 1, and position 0 is a block of its own
+        blocks = [rows for rows, ends in reversed(swept) if ends.stop < len(y) and rows.start]
+        widths = [len(y) - 2 * min_len + 1 - rows.start for rows in blocks]
+        return tables, [len(rows) for rows in blocks], [max(1, budget // w) for w in widths]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "n{}-min{}-k{}".format(*s))
+    @pytest.mark.parametrize("budget", BUDGETS.values(), ids=BUDGETS.keys())
+    def test_tables_do_not_depend_on_block_heights(self, monkeypatch, shape, budget):
+        n, min_len, max_k = shape
+        want = self.one_row(n, min_len, max_k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind, y in self.series(n).items():
+                got, heights, allowed = self.blocked(monkeypatch, budget, y, max_k, min_len)
+                for g, w in zip(got, want[kind]):
+                    assert np.array_equal(g, w), kind
+                # every block is as tall as the budget allows, but the last may be cut short
+                assert heights[:-1] == allowed[:-1] and 0 < heights[-1] <= allowed[-1]
+
+    def test_budgets_reach_tall_and_partial_blocks(self, monkeypatch):
+        n, min_len, max_k = self.SHAPES[0]
+        y = self.series(n)["walk"]
+        _, heights, allowed = self.blocked(monkeypatch, self.BUDGETS["large"], y, max_k, min_len)
+        assert min(heights[:-1]) > min_len and heights[-1] < allowed[-1]
+        # the module's budget: wide blocks shorter than the old 16 rows, narrow ones taller than min_len
+        _, heights, _ = self.blocked(monkeypatch, fitting._BLOCK_CELLS, y, max_k, min_len)
+        assert heights[0] < 16 < min_len < heights[-2]
+
+    @pytest.mark.parametrize("skew", [0, 8, 1024, 4088])
+    def test_moved_tables_give_the_same_bits(self, monkeypatch, skew):
+        want = {shape: self.one_row(*shape) for shape in self.SHAPES[1:]}
+        monkeypatch.setattr(fitting, "_ROW_SKEW", skew)
+        monkeypatch.setattr(fitting, "_OFFSETS", dict.fromkeys(fitting._OFFSETS, 8 + skew))
+        for n, min_len, max_k in self.SHAPES[1:]:
+            for kind, y in self.series(n).items():
+                got = _segment(make_diff("1900-01", y), max_k, min_len)
+                for g, w in zip(got, want[n, min_len, max_k][kind]):
+                    assert np.array_equal(g, w), (n, kind)
+
+    @pytest.mark.parametrize("skew", [0, 8, 1024, 4088])
+    def test_pinned_tables_sit_where_asked(self, monkeypatch, skew):
+        offsets = dict(zip(fitting._OFFSETS, (0, 8, 1024, 2056, 4088, 3000)))
+        monkeypatch.setattr(fitting, "_ROW_SKEW", skew)
+        monkeypatch.setattr(fitting, "_OFFSETS", offsets)
+        tables, spacers = [], []
+        for pad in (0, 1, 3, 511, 12_500):  # other allocations move the heap between tables
+            spacers.append(np.empty(pad))
+            for table, offset in offsets.items():
+                for rows, cols in ((1, 1), (1, 2_399), (3, 1_201), (4, 20_000)):
+                    a = _pinned(rows, cols, table)
+                    assert a.shape == (rows, cols) and a.dtype == np.float64 and a.flags.writeable
+                    starts = [row.__array_interface__["data"][0] % 4096 for row in a]
+                    assert starts == [(offset + r * skew) % 4096 for r in range(rows)]
+                    tables.append(a)
+        for i, a in enumerate(tables):
+            a[...] = i
+        assert all((a == i).all() for i, a in enumerate(tables))  # no two overlap
+        assert not any(np.shares_memory(a, b) for a, b in zip(tables, tables[1:]))
 
 
 class TestBuildTrendModel:
@@ -871,6 +971,8 @@ def segment(start, end, r_squared=0.9, sigma=1.0):
 
 TWO_SEGMENTS = (segment("2000-01", "2000-12"), segment("2003-01", "2003-12"))
 TWO_YEARS = make_diff("2000-01", range(24))
+#: a headline of 1e200 * (1 + 0.01 i) less a component of 1 + i: its sums of squares overflow
+OVERFLOWING = make_diff("2000-01", [1e200 * (1 + 0.01 * i) - (1 + i) for i in range(24)])
 
 #: id: (call, error type, message) for each refusal of arguments that no other test makes
 REFUSALS = {
@@ -932,6 +1034,24 @@ REFUSALS = {
         lambda: select_breakpoint_count(TWO_YEARS, 1, 5),
         FitError,
         "min_len must be >= 6, got 5",
+    ),
+    "select-min-len-below-six-before-length": (
+        lambda: select_breakpoint_count(make_diff("2000-01", range(4)), 1, 5),
+        FitError,
+        "min_len must be >= 6, got 5",
+    ),
+    # the refusal says why no segmentation is feasible
+    "detect-overflowing-series": (
+        lambda: detect_breakpoints(OVERFLOWING, 1, 6),
+        FitError,
+        "no feasible segmentation: window 2000-01..2001-12: values too large, "
+        "their sums of squares overflow",
+    ),
+    "select-overflowing-series": (
+        lambda: select_breakpoint_count(OVERFLOWING, 2, 6),
+        FitError,
+        "no feasible segmentation: window 2000-01..2001-12: values too large, "
+        "their sums of squares overflow",
     ),
     "build-negative-halfwidth": (
         lambda: build_trend_model(TWO_YEARS, [], -1),
