@@ -15,8 +15,8 @@ from trendgap import (
     endpoint_trend,
     forecast_along_trend,
     forecast_return_to_trend,
-    chain_forecasts,
     Forecast,
+    months_between,
     parse_series_csv,
     reports_to_csv,
     rolling_backtest,
@@ -41,13 +41,11 @@ def main():
         current = (origin, history.value_at(origin))
         if origin >= deadline:
             return forecast_along_trend(successor, origin, horizon)
+        if months_between(deadline, origin) < horizon:
+            # past the deadline the path rides the successor trend
+            return forecast_return_to_trend(current, successor, deadline, horizon)
         first = forecast_return_to_trend(current, successor, deadline)
-        if len(first.path) >= horizon:
-            path = first.path[:horizon]
-        else:
-            rest = forecast_along_trend(successor, deadline, horizon - len(first.path))
-            path = chain_forecasts(first, rest)
-        return Forecast(first.mode, origin, path, first.band_sigma)
+        return Forecast(first.mode, origin, first.path[:horizon], first.band_sigma)
 
     def persistence(history, origin, horizon):
         flat = endpoint_trend(

@@ -305,77 +305,65 @@ def _model_segment(model_path: Path | None, trend: Section, key: str):
         raise ConfigError(f"config key '{trend.key(key)}': {index} out of range") from None
 
 
-def _trend_from_config(
-    trend: Section, model_path: Path | None, diff: DifferenceSeries, where: str = ""
-) -> tg.trend.LinearSegment:
-    """The trend ``trend`` describes; a fit error names the window's keys, then ``where``."""
-    kind = trend.get("kind", default=None)
-    if kind == "endpoint":
-        return tg.forecast.endpoint_trend(trend.get("start", _anchor), trend.get("end", _anchor))
-    if kind == "fit":
-        try:
-            return tg.fitting.fit_ols(diff, (trend.get("start", _month), trend.get("end", _month)))
-        except tg.fitting.FitError as exc:
-            keys = f"{trend.key('start')} and {trend.key('end')}{where}"
-            raise ConfigError(f"{keys}: {exc}") from None
-    if kind == "segment":
-        return _model_segment(model_path, trend, "index")
-    if kind == "mirror":
-        prev = _model_segment(model_path, trend, "segment_index")
-        pivot, duration = trend.get("pivot", _anchor), trend.get("duration", _integer, 84)
-        return tg.forecast.mirror_trend(prev, pivot, duration)
-    raise ConfigError(
-        f"config key '{trend.key('kind')}': unknown trend kind {kind!r} "
-        "(endpoint | fit | segment | mirror)"
-    )
+def _forecaster_from_config(fc: Section, model_path: Path | None):
+    """Read the forecast section ``fc`` once: its mode, its trend and that mode's keys.
 
-
-def _forecast_from_config(
-    fc: Section,
-    diff: DifferenceSeries,
-    model_path: Path | None,
-    origin: MonthStamp,
-    horizon: int,
-    where: str = "",
-) -> tg.forecast.Forecast:
-    """The forecast the config section ``fc`` describes; a refusal names ``fc``, then ``where``."""
+    Returns ``build(history, origin, horizon, where)``, the forecast from ``history``,
+    which reads no config value. A refusal names ``fc``, then ``where``; a ``fit`` trend's
+    window, which is fitted on each history, names its keys, then ``where``.
+    """
     mode = fc.get("mode")
     if mode not in (tg.forecast.ALONG_TREND, tg.forecast.RETURN_TO_TREND, tg.forecast.PENDULUM):
         raise ConfigError(f"config key '{fc.key('mode')}': unknown forecast mode {mode!r}")
+    spec = fc.section("trend", _DEFAULT_TREND)
+    kind, trend = spec.get("kind", default=None), None
     try:
-        spec = fc.section("trend", _DEFAULT_TREND)
-        trend = _trend_from_config(spec, model_path, diff, where)
-
-        if mode == tg.forecast.ALONG_TREND:
-            return tg.forecast.forecast_along_trend(trend, origin, horizon)
-
-        try:
-            current = (origin, diff.value_at(origin))
-        except SeriesError as exc:
-            raise ConfigError(f"{fc.key('origin')}: {exc}") from None
-        if mode == tg.forecast.RETURN_TO_TREND:
-            deadline = fc.get("deadline", _month)
-            first = tg.forecast.forecast_return_to_trend(current, trend, deadline)
-            rest = horizon - len(first.path)
-            if rest < 0:
-                raise ConfigError(f"horizon {horizon} ends before {fc.key('deadline')} {deadline}")
-            if rest == 0:
-                return first
-            # past the deadline the path follows the trend it has returned to
-            along = tg.forecast.forecast_along_trend(trend, deadline, rest)
-            path = tg.forecast.chain_forecasts(first, along)
-            chained = f"{mode}+{tg.forecast.ALONG_TREND}"
-            return tg.forecast.Forecast(chained, origin, path, first.band_sigma)
-
-        return tg.forecast.forecast_pendulum(
-            current,
-            trend,
-            amplitude=fc.get("amplitude", _number),
-            half_period=fc.get("half_period", _integer),
-            horizon=horizon,
-        )
+        if kind == "endpoint":
+            trend = tg.forecast.endpoint_trend(spec.get("start", _anchor), spec.get("end", _anchor))
+        elif kind == "fit":
+            window = spec.get("start", _month), spec.get("end", _month)
+        elif kind == "segment":
+            trend = _model_segment(model_path, spec, "index")
+        elif kind == "mirror":
+            prev = _model_segment(model_path, spec, "segment_index")
+            pivot, duration = spec.get("pivot", _anchor), spec.get("duration", _integer, 84)
+            trend = tg.forecast.mirror_trend(prev, pivot, duration)
+        else:
+            raise ConfigError(
+                f"config key '{spec.key('kind')}': unknown trend kind {kind!r} "
+                "(endpoint | fit | segment | mirror)"
+            )
     except tg.forecast.ForecastError as exc:
-        raise ConfigError(f"{fc.path}{where}: {exc}") from None
+        raise ConfigError(f"{fc.path}: {exc}") from None
+    if mode == tg.forecast.RETURN_TO_TREND:
+        deadline = fc.get("deadline", _month)
+    elif mode == tg.forecast.PENDULUM:
+        amplitude, half_period = fc.get("amplitude", _number), fc.get("half_period", _integer)
+
+    def build(history, origin, horizon, where=""):
+        line = trend
+        if line is None:
+            try:
+                line = tg.fitting.fit_ols(history, window)
+            except tg.fitting.FitError as exc:
+                keys = f"{spec.key('start')} and {spec.key('end')}{where}"
+                raise ConfigError(f"{keys}: {exc}") from None
+        try:
+            if mode == tg.forecast.ALONG_TREND:
+                return tg.forecast.forecast_along_trend(line, origin, horizon)
+            try:
+                current = (origin, history.value_at(origin))
+            except SeriesError as exc:
+                raise ConfigError(f"{fc.key('origin')}: {exc}") from None
+            if mode == tg.forecast.PENDULUM:
+                return tg.forecast.forecast_pendulum(current, line, amplitude, half_period, horizon)
+            if horizon < months_between(deadline, origin):
+                raise ConfigError(f"horizon {horizon} ends before {fc.key('deadline')} {deadline}")
+            return tg.forecast.forecast_return_to_trend(current, line, deadline, horizon)
+        except tg.forecast.ForecastError as exc:
+            raise ConfigError(f"{fc.path}{where}: {exc}") from None
+
+    return build
 
 
 def _calibration_from_config(config: Section, base: Path):
@@ -407,7 +395,7 @@ def cmd_forecast(config: Section, base: Path, out: Path) -> StageResult:
 
     diff = _difference_from_config(config, out)
     origin = fc.get("origin", _month)
-    f = _forecast_from_config(fc, diff, out / "trend_model.json", origin, horizon)
+    f = _forecaster_from_config(fc, out / "trend_model.json")(diff, origin, horizon)
 
     outputs = {out / "forecast.csv": f.to_csv(), out / "forecast.json": f.to_json()}
     cal = _calibration_from_config(config, base)
@@ -494,11 +482,8 @@ def cmd_backtest(config: Section, base: Path, out: Path) -> StageResult:
         baseline_reports = replay(baseline)
 
     # no trend model: it is fitted on the whole series, past every origin
-    reports = replay(
-        lambda history, origin, h: _forecast_from_config(
-            fc, history, None, origin, h, f" at origin {origin}"
-        )
-    )
+    build = _forecaster_from_config(fc, None)
+    reports = replay(lambda history, origin, h: build(history, origin, h, f" at origin {origin}"))
 
     doc: dict = {"reports": [r.to_dict() for r in reports]}
     if baseline_reports:

@@ -200,20 +200,33 @@ def forecast_along_trend(
 
 
 def forecast_return_to_trend(
-    current: tuple[MonthStamp, float], trend: LinearSegment, deadline: MonthStamp
+    current: tuple[MonthStamp, float],
+    trend: LinearSegment,
+    deadline: MonthStamp,
+    horizon: int | None = None,
 ) -> Forecast:
     """Close the current deviation in equal monthly steps, landing on the trend.
 
     The deviation at the origin is divided into equal parts so the path sits
-    exactly on the trend line at the deadline. Callers wanting a longer
-    horizon chain :func:`forecast_along_trend` from the deadline.
+    exactly on the trend line at the deadline. A ``horizon`` past the deadline
+    goes on as ``forecast_along_trend(trend, deadline, rest)`` would, under the
+    mode ``return-to-trend+along-trend``; one before the deadline is refused.
     """
     origin, value = current
     n = months_between(deadline, origin)
     if n < 1:
         raise ForecastError(f"deadline {deadline} must come after origin {origin}")
+    if horizon is not None and horizon < n:
+        raise ForecastError(f"horizon {horizon} ends before deadline {deadline}")
     deviation = float(value) - trend.predicted(origin)
-    return _trend_forecast(RETURN_TO_TREND, trend, origin, n, lambda m: deviation * (1.0 - m / n))
+    first = _trend_forecast(RETURN_TO_TREND, trend, origin, n, lambda m: deviation * (1.0 - m / n))
+    if horizon is None or horizon == n:
+        return first
+    rest = _trend_forecast(ALONG_TREND, trend, deadline, horizon - n)
+    # both halves are checked, and the second runs on from the first's last month
+    stamps, values = first.stamps + rest.stamps, first.values + rest.values
+    mode = f"{RETURN_TO_TREND}+{ALONG_TREND}"
+    return Forecast._run_on(mode, origin, stamps, values, first.band_sigma)
 
 
 def forecast_pendulum(

@@ -60,9 +60,6 @@ class LinearSegment(_Record):
         """Trend value ``k`` months after the window's first month."""
         return self.intercept + self.slope * (k / 12.0)
 
-    def contains(self, stamp: MonthStamp) -> bool:
-        return self.start <= stamp <= self.end
-
 
 class TransitionWindow(_Record):
     """Months between two trends during which neither trend governs."""
@@ -78,9 +75,6 @@ class TransitionWindow(_Record):
     @property
     def duration_months(self) -> int:
         return months_between(self.end, self.start) + 1
-
-    def contains(self, stamp: MonthStamp) -> bool:
-        return self.start <= stamp <= self.end
 
 
 class TrendModel(_Record):

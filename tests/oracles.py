@@ -425,10 +425,10 @@ def old_residuals_csv(diff, model):
     """The segment-first lookup that residuals.csv used."""
     lines = ["date,value,predicted,residual,zone"]
     for stamp, value in diff.observations:
-        segment = next((s for s in model.segments if s.contains(stamp)), None)
+        segment = next((s for s in model.segments if s.start <= stamp <= s.end), None)
         if segment is not None:
             zone = f"trend-{model.segments.index(segment)}"
-        elif any(w.contains(stamp) for w in model.transitions):
+        elif any(w.start <= stamp <= w.end for w in model.transitions):
             lines.append(f"{stamp},{value!r},,,transition")
             continue
         else:
@@ -441,7 +441,7 @@ def old_residuals_csv(diff, model):
 
 def old_nearest_segment(model, stamp):
     def distance(s):
-        if s.contains(stamp):
+        if s.start <= stamp <= s.end:
             return 0
         return min(abs(months_between(stamp, s.start)), abs(months_between(stamp, s.end)))
 
@@ -450,9 +450,9 @@ def old_nearest_segment(model, stamp):
 
 def old_classify_deviation(model, stamp, value):
     """The transition-first classification, as (label, z, segment, extrapolated)."""
-    if any(w.contains(stamp) for w in model.transitions):
+    if any(w.start <= stamp <= w.end for w in model.transitions):
         return "in-transition", None, None, False
-    segment = next((s for s in model.segments if s.contains(stamp)), None)
+    segment = next((s for s in model.segments if s.start <= stamp <= s.end), None)
     extrapolated = segment is None
     if segment is None:
         segment = old_nearest_segment(model, stamp)

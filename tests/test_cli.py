@@ -27,7 +27,7 @@ from trendgap import (
     rolling_backtest,
     trailing_growth_rate,
 )
-from trendgap.cli import main, series_from_api_payload
+from trendgap.cli import Section, main, series_from_api_payload
 
 from conftest import CONFIGS, FIXTURES, PIPELINES, in_process, run_stages
 from test_golden import GOLDEN_SHA256, GOLDEN_STDOUT
@@ -233,6 +233,28 @@ class TestTranslateAndBacktest:
         assert lines == ["date,component_index", *expected]
         assert lines[1].startswith("2011-01,") and len(lines) == 1 + 61
 
+    def test_backtest_reads_its_config_once_whatever_the_origins(self, crude_out, monkeypatch):
+        """Twelve origins read the config as often as one: the forecast section is read once."""
+        keys = []
+        get = Section.get
+
+        def counted(self, key, *args, **kwargs):
+            keys.append(key)
+            return get(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(Section, "get", counted)
+        reads = []
+        for origins in (["2009-01"], [str(MonthStamp(2008, 6).add_months(i)) for i in range(12)]):
+            config = fixture_config("crude")
+            config["backtest"]["origins"] = origins
+            cfg = crude_out.parent / "origins.json"
+            cfg.write_text(json.dumps(config))
+            keys.clear()
+            assert run("backtest", "--config", str(cfg), "--out", str(crude_out)) == 0
+            assert len((crude_out / "backtest.csv").read_text().splitlines()) == 1 + len(origins)
+            reads.append(list(keys))
+        assert reads[0] == reads[1]
+
     def test_origin_after_series_end_exits_two(self, crude_out, capsys):
         config = fixture_config("crude")
         config["backtest"]["origins"] = ["2010-10"]
@@ -402,6 +424,10 @@ BAD_KEYS = [
     ("crude", "backtest", "backtest.forecast.trend",
      {"kind": "endpoint", "start": ["2009-01", 1e308], "end": ["2009-02", -1e308]},
      "backtest.forecast at origin 2009-01: non-finite forecast value nan at 2009-02"),
+    ("motor", "forecast", "forecast.trend.end", ["2009-01", 75.0],
+     "forecast: end anchor 2009-01 must come after start anchor 2009-01"),
+    ("crude", "backtest", "backtest.forecast.trend.end", ["2009-06", -30.0],
+     "backtest.forecast: end anchor 2009-06 must come after start anchor 2009-06"),
 ]
 
 

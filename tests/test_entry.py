@@ -22,7 +22,7 @@ import pytest
 import trendgap
 from trendgap.cli import main
 
-from conftest import FIXTURES, run_fixture_pipelines
+from conftest import CONFIGS, FIXTURES, run_fixture_pipelines
 from test_golden import GOLDEN_SHA256, GOLDEN_STDOUT
 
 
@@ -77,21 +77,24 @@ def test_fixture_pipelines_match_golden_with_blas_threads_preset(tmp_path):
 def test_fixture_diff_imports_no_numpy(tmp_path, via):
     """``diff`` parses and differences on the standard library's arrays alone, and its
     records are plain classes: neither ``dataclasses`` nor the ``inspect`` it imports
-    is loaded."""
+    is loaded. The motor ``forecast`` and the crude ``backtest``, both on an endpoint
+    trend, load no numpy either."""
     launch = functools.partial(child, "-m", "trendgap.cli")
     if via == "console script":
         script = shutil.which("trendgap")
         if script is None:
             pytest.skip("no trendgap console script on PATH; 'pip install .' installs one")
         launch = functools.partial(child, script=script)
-    config = str(FIXTURES / "motor_config.json")
-    done = launch("diff", "--config", config, "--out", str(tmp_path), PYTHONPROFILEIMPORTTIME="1")
-    assert done.returncode == 0, done.stderr
-    # one "import time: <self> | <cumulative> | <module>" line per import, nested ones indented
-    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
-    assert "trendgap.series" in imported
-    assert [name for name in imported if name.split(".")[0] == "numpy"] == []
-    assert [name for name in imported if name in ("dataclasses", "inspect")] == []
+    stages = [("motor", "diff"), ("motor", "forecast"), ("crude", "diff"), ("crude", "backtest")]
+    for pipeline, command in stages:
+        config, out = str(CONFIGS[pipeline]), str(tmp_path / pipeline)
+        done = launch(command, "--config", config, "--out", out, PYTHONPROFILEIMPORTTIME="1")
+        assert done.returncode == 0, done.stderr
+        # one "import time: <self> | <cumulative> | <module>" line per import, nested ones indented
+        imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+        assert "trendgap.series" in imported, command
+        assert [name for name in imported if name.split(".")[0] == "numpy"] == [], command
+        assert [name for name in imported if name in ("dataclasses", "inspect")] == [], command
 
 
 def test_missing_config_exits_two_and_writes_nothing(tmp_path):

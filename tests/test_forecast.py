@@ -165,6 +165,90 @@ class TestReturnToTrend:
             )
 
 
+def chained_by_hand(current, trend, deadline, horizon):
+    """A return to ``trend`` by ``deadline`` joined to the along-trend path from it, as
+    callers chained the two regimes before ``forecast_return_to_trend`` took a horizon."""
+    first = forecast_return_to_trend(current, trend, deadline)
+    along = forecast_along_trend(trend, deadline, horizon - len(first.path))
+    mode = "return-to-trend+along-trend"
+    return Forecast(mode, current[0], chain_forecasts(first, along), first.band_sigma)
+
+
+def built_or_refused(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestReturnThenAlongTrend:
+    """A horizon past the deadline continues the return along its trend."""
+
+    def test_matches_the_hand_made_chain(self):
+        rng = np.random.default_rng(32)
+        seen = set()
+        for trial in range(600):
+            origin = MonthStamp(2009, 3).add_months(int(rng.integers(-600, 600)))
+            if rng.random() < 0.1:
+                origin = MonthStamp(9999, 12).add_months(-int(rng.integers(2, 60)))
+            room = months_between(MonthStamp(9999, 12), origin)
+            start = origin.add_months(min(int(rng.integers(-400, 2)), room - 60))
+            intercept = float(rng.choice([rng.normal(0, 80), 0.0, -0.0]))
+            slope = float(rng.choice([rng.normal(0, 30), 0.0, -0.0, 1.5e308]))
+            sigma = float(rng.choice([2.0, 0.0]))
+            trend = LinearSegment(start, start.add_months(60), intercept, slope, 0.5, sigma)
+            deadline = origin.add_months(int(rng.integers(1, min(room, 24) + 1)))
+            n = months_between(deadline, origin)
+            horizon = n + int(rng.integers(1, 41))
+            value = float(rng.choice([rng.normal(0, 20), 0.0, -0.0, trend.predicted(origin)]))
+            args = (origin, value), trend, deadline, horizon
+            got = built_or_refused(lambda: forecast_return_to_trend(*args))
+            want = built_or_refused(lambda: chained_by_hand(*args))
+            if isinstance(want, tuple):
+                assert got == want, trial
+                seen.add(" ".join(want[1].split()[:2]))
+                continue
+            assert got == want, trial
+            assert [repr(v) for v in got.values] == [repr(v) for v in want.values], trial
+            assert got.to_csv() == want.to_csv(), trial
+            assert got.mode == "return-to-trend+along-trend", trial
+            if any(repr(v) == "-0.0" for v in got.values[n:]):
+                seen.add("-0.0 along the trend")
+        assert seen == {"-0.0 along the trend", "no month", "non-finite forecast"}
+
+    def test_negative_zero_after_the_deadline_keeps_its_sign(self):
+        trend = LinearSegment(MonthStamp(2009, 1), MonthStamp(2016, 1), -0.0, -0.0, 1.0, 0.0)
+        f = forecast_return_to_trend((MonthStamp(2010, 1), 3.0), trend, MonthStamp(2010, 4), 5)
+        assert [repr(v) for v in f.values] == ["2.0", "1.0", "0.0", "-0.0", "-0.0"]
+
+    def test_horizon_at_the_deadline_is_the_return_alone(self):
+        trend = endpoint_trend((MonthStamp(2009, 1), -50.0), (MonthStamp(2016, 1), 75.0))
+        current = (MonthStamp(2009, 3), 40.0)
+        alone = forecast_return_to_trend(current, trend, MonthStamp(2009, 12))
+        f = forecast_return_to_trend(current, trend, MonthStamp(2009, 12), 9)
+        assert f == alone and repr(f) == repr(alone)
+        assert f.mode == "return-to-trend"
+
+    def test_horizon_before_the_deadline_is_refused(self):
+        current = (MonthStamp(2009, 3), 40.0)
+        with pytest.raises(ForecastError) as raised:
+            forecast_return_to_trend(current, flat_trend(), MonthStamp(2009, 12), 8)
+        assert str(raised.value) == "horizon 8 ends before deadline 2009-12"
+
+    def test_path_past_9999_is_refused_as_along_trend_refuses_it(self):
+        current = (MonthStamp(9999, 6), 4.0)
+        with pytest.raises(ForecastError) as raised:
+            forecast_return_to_trend(current, flat_trend(), MonthStamp(9999, 9), 7)
+        assert str(raised.value) == "no month 10000-1: year must be in 0..9999 and month in 1..12"
+
+    def test_non_finite_value_past_the_deadline_is_refused(self):
+        trend = LinearSegment(MonthStamp(2010, 1), MonthStamp(2011, 1), 0.0, 1.5e308, 0.5, 1.0)
+        current = (MonthStamp(2010, 1), 1.0)
+        with pytest.raises(ForecastError) as raised:
+            forecast_return_to_trend(current, trend, MonthStamp(2010, 7), 24)
+        assert str(raised.value) == "non-finite forecast value inf at 2011-04"
+
+
 class TestPendulum:
     def test_documented_schedule(self):
         f = forecast_pendulum(
@@ -440,13 +524,6 @@ def test_trusted_paths_match_the_checked_constructor(monkeypatch):
     """``_trend_forecast`` stores the paths it builds without ``Forecast``'s month checks:
     each must equal, field for field and in its text, the one built through them, and
     each refusal must read the same."""
-
-    def built_or_refused(call):
-        try:
-            return call()
-        except ValueError as exc:
-            return type(exc).__name__, str(exc)
-
     rng = np.random.default_rng(30)
     seen = set()
     for trial in range(1500):
